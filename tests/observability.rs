@@ -138,6 +138,19 @@ fn prometheus_exposition_round_trips() {
     assert!(nonzero > 8, "exposition has only {nonzero} nonzero series");
 }
 
+/// Pins the obligation event order across commits, not just across
+/// worker counts: any change to what the flow journals, or in which
+/// order, shows up as a diff. Regenerate deliberately with
+/// `UPDATE_GOLDEN=1 cargo test --test observability`.
+#[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
+#[test]
+fn deterministic_lane_matches_its_golden() {
+    symbad_suite::testkit::assert_golden(
+        "flow_journal_det.jsonl",
+        &journaled(1).deterministic_jsonl(),
+    );
+}
+
 #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
 #[test]
 fn honest_runs_record_no_degradations() {
