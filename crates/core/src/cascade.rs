@@ -9,6 +9,7 @@
 //! description" (§2). This module seeds one representative error of each
 //! class and shows the corresponding stage catching it.
 
+use crate::supervise::{ObligationOutcome, ObligationStatus, SupervisionPolicy};
 use behav::{Expr, Function, FunctionBuilder};
 use hdl::fsm::FsmBuilder;
 use lp::lpv::{check_deadline, check_liveness, DeadlineVerdict, LivenessVerdict};
@@ -158,28 +159,13 @@ pub fn run() -> CascadeReport {
 }
 
 /// [`run`] with each stage executed as an independent obligation,
-/// optionally across worker threads. Every stage builds its own artifacts
-/// and engines, and each is deterministic, so the report is bit-identical
-/// to the sequential run (stages stay in flow order).
+/// optionally across worker threads: [`run_supervised`] under the idle
+/// [`SupervisionPolicy`], without the outcome list. Every stage builds
+/// its own artifacts and engines, and each is deterministic, so the
+/// report is bit-identical to the sequential run (stages stay in flow
+/// order).
 pub fn run_mode(mode: exec::ExecMode) -> CascadeReport {
-    run_cached(mode, cache::noop())
-}
-
-/// [`run_mode`] backed by the obligation cache. Only the model-checking
-/// stage poses cacheable obligations (the other stages' engines — fault
-/// simulation, LP, abstract interpretation — decide in microseconds and
-/// are not content-addressed); its two BMC verdicts replay from the cache
-/// on warm runs.
-pub fn run_cached(mode: exec::ExecMode, cache: &cache::ObligationCache) -> CascadeReport {
-    let jobs: Vec<usize> = (0..5).collect();
-    let stages = exec::map(mode, jobs, |_, i| match i {
-        0 => stage_atpg(),
-        1 => stage_lpv_liveness(),
-        2 => stage_lpv_deadline(),
-        3 => stage_symbc(),
-        _ => stage_model_checking(cache),
-    });
-    CascadeReport { stages }
+    run_supervised(mode, cache::noop(), &SupervisionPolicy::default()).0
 }
 
 /// Stage metadata used to fabricate a degraded [`StageResult`] when a
@@ -213,11 +199,11 @@ const STAGE_META: [(&str, u8, &str); 5] = [
     ),
 ];
 
-/// [`run_cached`] under a [`crate::supervise::SupervisionPolicy`]: each
-/// stage runs panic-isolated (caught, optionally retried once), the
-/// model-checking stage honours the policy's effort budget via
+/// Runs the cascade under a [`SupervisionPolicy`]: each stage runs
+/// panic-isolated (caught, optionally retried once), the model-checking
+/// stage consults `cache` and honours the policy's effort budget via
 /// [`bmc::check_budgeted`], and the report is accompanied by the
-/// per-stage [`crate::supervise::ObligationOutcome`] taxonomy. A
+/// per-stage [`ObligationOutcome`] taxonomy. A
 /// panicked stage degrades to a fabricated `StageResult` (from the
 /// crate-private `STAGE_META` table) with `caught: false`,
 /// `clean_passes: false`, and the panic message as detail — the cascade
@@ -225,10 +211,8 @@ const STAGE_META: [(&str, u8, &str); 5] = [
 pub fn run_supervised(
     mode: exec::ExecMode,
     cache: &cache::ObligationCache,
-    policy: &crate::supervise::SupervisionPolicy,
-) -> (CascadeReport, Vec<crate::supervise::ObligationOutcome>) {
-    use crate::supervise::{ObligationOutcome, ObligationStatus};
-
+    policy: &SupervisionPolicy,
+) -> (CascadeReport, Vec<ObligationOutcome>) {
     let effort = policy.effort;
     let retry = policy.retry_panicked;
     let jobs: Vec<usize> = (0..STAGE_META.len()).collect();
@@ -238,7 +222,7 @@ pub fn run_supervised(
             1 => (stage_lpv_liveness(), false),
             2 => (stage_lpv_deadline(), false),
             3 => (stage_symbc(), false),
-            _ => stage_model_checking_budgeted(cache, &effort),
+            _ => stage_model_checking(cache, &effort),
         })
     });
 
@@ -395,33 +379,11 @@ fn stage_symbc() -> StageResult {
     }
 }
 
-/// Stage 4: model checking at level 4.
-fn stage_model_checking(cache: &cache::ObligationCache) -> StageResult {
-    let buggy = wrapper(false);
-    let clean = wrapper(true);
-    let p = Property::response(
-        "done_returns_to_idle",
-        BoolExpr::eq("state", 3),
-        BoolExpr::eq("state", 0),
-        1,
-    );
-    let buggy_verdict = bmc::check_cached(&buggy, &p, 10, &telemetry::noop(), cache);
-    let clean_verdict = bmc::check_cached(&clean, &p, 10, &telemetry::noop(), cache);
-    StageResult {
-        stage: "Model checking (BMC)",
-        level: 4,
-        seeded_error: "DONE state latches instead of returning to IDLE",
-        caught: buggy_verdict.is_violated(),
-        clean_passes: matches!(clean_verdict, Verdict::NoViolationUpTo(_)),
-        detail: format!("buggy verdict: {buggy_verdict:?}"),
-    }
-}
-
-/// [`stage_model_checking`] under an effort budget: both BMC verdicts go
-/// through [`bmc::check_budgeted`], and the second element reports
-/// whether either query exhausted the budget (the stage then certifies
-/// nothing — an exhausted verdict is evidence of nothing).
-fn stage_model_checking_budgeted(
+/// Stage 4: model checking at level 4. Both BMC verdicts go through
+/// [`bmc::check_budgeted`], and the second element reports whether
+/// either query exhausted the budget (the stage then certifies nothing —
+/// an exhausted verdict is evidence of nothing).
+fn stage_model_checking(
     cache: &cache::ObligationCache,
     effort: &exec::Effort,
 ) -> (StageResult, bool) {
@@ -500,7 +462,6 @@ mod tests {
     #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn supervised_cascade_idle_equals_legacy() {
-        use crate::supervise::{ObligationStatus, SupervisionPolicy};
         let reference = run();
         let policy = SupervisionPolicy::default();
         let (report, outcomes) = run_supervised(exec::ExecMode::Sequential, cache::noop(), &policy);
@@ -521,7 +482,6 @@ mod tests {
     #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn starved_cascade_degrades_only_the_bmc_stage() {
-        use crate::supervise::{ObligationStatus, SupervisionPolicy};
         let starve = exec::Effort {
             sat_conflicts: None,
             sat_decisions: Some(0),

@@ -198,10 +198,16 @@ impl JobSpec {
             .param(self.platform.fpga_slowdown)
             .param(u64::from(self.platform.bitstream_words_per_function))
             .param(self.platform.fpga_switch_cycles);
+        // Presence and cap are separate params: folding them into one
+        // (`cap + 1`, 0 for uncapped) overflows on `Some(u64::MAX)`.
+        let effort = self.policy.effort;
+        for cap in [effort.sat_conflicts, effort.sat_decisions, effort.bdd_nodes] {
+            b = match cap {
+                None => b.param(0),
+                Some(v) => b.param(1).param(v),
+            };
+        }
         b = b
-            .param(self.policy.effort.sat_conflicts.map_or(0, |v| v + 1))
-            .param(self.policy.effort.sat_decisions.map_or(0, |v| v + 1))
-            .param(self.policy.effort.bdd_nodes.map_or(0, |v| v + 1))
             .param(u64::from(self.policy.retry_panicked))
             .param(u64::from(self.policy.sim_vectors))
             .param(u64::from(self.policy.sim_cycles));
@@ -256,6 +262,14 @@ mod tests {
         let mut zero_cap = base;
         zero_cap.policy.effort.sat_conflicts = Some(0);
         variants.push(zero_cap);
+        // The largest caps stay distinct from uncapped axes (a `cap + 1`
+        // encoding overflows here, or wraps to the uncapped code).
+        let mut max_bounded = base;
+        max_bounded.policy.effort = exec::Effort::bounded(u64::MAX);
+        variants.push(max_bounded);
+        let mut max_conflicts = base;
+        max_conflicts.policy.effort.sat_conflicts = Some(u64::MAX);
+        variants.push(max_conflicts);
         let fps: Vec<_> = variants.iter().map(JobSpec::fingerprint).collect();
         for i in 0..fps.len() {
             for j in (i + 1)..fps.len() {

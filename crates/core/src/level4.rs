@@ -14,8 +14,14 @@
 //! 5. runs PCC to measure property-set completeness, demonstrating the
 //!    paper's refinement loop: the initial property set leaves faults
 //!    uncovered; the extended set closes the gap.
+//!
+//! Every step-2, step-4 and step-5 check is a supervised obligation of
+//! [`run_supervised`]; [`run`] and [`run_cached`] are that path under the
+//! idle [`SupervisionPolicy`].
 
-use crate::supervise::{self, ObligationOutcome, ObligationStatus, SupervisionPolicy};
+use crate::supervise::{
+    Obligation, ObligationOutcome, ObligationStatus, RunCtx, SupervisionPolicy,
+};
 use behav::unroll::unroll;
 use behav::Function;
 use hdl::fsm::bus_wrapper_fsm;
@@ -44,32 +50,31 @@ pub struct Level4Report {
 ///
 /// Returns `true` when no distinguishing input exists.
 pub fn prove_equivalence(func: &Function, rtl: &Rtl) -> bool {
-    prove_equivalence_instrumented(func, rtl, &telemetry::noop())
+    let unbounded = exec::Effort::unbounded();
+    prove_equivalence_budgeted(func, rtl, &unbounded, &telemetry::noop(), cache::noop())
+        .expect("an unbounded solve always decides")
 }
 
-/// [`prove_equivalence`] with telemetry: the miter's SAT solver reports
-/// its decision/conflict/propagation counters through `instrument`.
-pub fn prove_equivalence_instrumented(
+/// [`prove_equivalence`] under a deterministic effort budget, with
+/// telemetry and the obligation cache (engine tag `"level4.miter"`).
+///
+/// The cache fingerprint covers the full miter CNF, the shared input
+/// literal layout, and the "any output bit differs" root, so a hit returns
+/// the stored equivalence verdict without solving. The miter runs on the
+/// single canonical solver, so the exhaustion point is a pure function of
+/// the CNF and the budget, independent of worker count.
+///
+/// Returns `Some(equivalent)` on a verdict and `None` when the budget ran
+/// out first. Verdicts are cached; exhaustion is never cached, because a
+/// larger budget may still decide the query. Only an effort that leaves
+/// SAT unbounded seeds the solve from the cache's lemma pool.
+pub fn prove_equivalence_budgeted(
     func: &Function,
     rtl: &Rtl,
-    instrument: &telemetry::SharedInstrument,
-) -> bool {
-    prove_equivalence_cached(func, rtl, instrument, cache::noop())
-}
-
-/// [`prove_equivalence_instrumented`] backed by the obligation cache
-/// (engine tag `"level4.miter"`): the fingerprint covers the full miter
-/// CNF, the shared input literal layout, and the "any output bit differs"
-/// root, so a hit returns the stored equivalence verdict without solving.
-/// The same fingerprint recipe is used by
-/// [`prove_equivalence_portfolio_cached`], so portfolio winners populate
-/// entries this path can replay (and vice versa).
-pub fn prove_equivalence_cached(
-    func: &Function,
-    rtl: &Rtl,
+    effort: &exec::Effort,
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
-) -> bool {
+) -> Option<bool> {
     let mut ctx = CnfBackend::new();
     if instrument.enabled() {
         ctx.builder_mut().set_instrument(instrument.clone());
@@ -80,7 +85,7 @@ pub fn prove_equivalence_cached(
         if let Some(payload) = cache.lookup_tagged("level4.miter", fp) {
             if let Some(equivalent) = cache::decode_bool(&payload) {
                 instrument.counter_add("cache.hits", 1);
-                return equivalent;
+                return Some(equivalent);
             }
         }
         instrument.counter_add("cache.misses", 1);
@@ -90,27 +95,54 @@ pub fn prove_equivalence_cached(
     };
     let builder = ctx.builder_mut();
     builder.assert_lit(any);
-    // Lemma-pool warm start: seed clauses learnt by an earlier solve of a
-    // fingerprint-identical miter (same canonical CNF, same asserted
-    // root), then collect this solve's own short learnts back into the
-    // pool. Seeds are entailed by the exporter's CNF — byte-identical to
-    // ours — so they can shrink the search, never flip the verdict.
-    if let Some(fp) = fp {
-        seed_from_pool(builder.solver_mut(), cache.lemmas(), fp, instrument);
-        builder.solver_mut().set_share(sat::SolverShare::collector(
-            sat::ShareFilter::default(),
-            cache::pool::MAX_CLAUSES_PER_ENTRY,
-        ));
-    }
-    let equivalent = builder.solve().is_unsat();
-    if let Some(fp) = fp {
-        if let Some(share) = builder.solver_mut().take_share() {
-            cache.lemmas().insert(fp, &share.into_pool_exports());
+    let equivalent = if effort.bounds_sat() {
+        match builder.solve_budgeted(&[], effort).decided() {
+            Some(result) => result.is_unsat(),
+            // Budget exhausted: cube-and-conquer fallback. Split on the
+            // probe solver's top-activity variables and re-solve each cube
+            // under the same per-cube budget; cubes run sequentially so the
+            // exhaustion point stays a pure function of CNF and budget. No
+            // lemma-pool seeding on a budget — a warm pool could move the
+            // exhaustion point and flip Exhausted <-> Decided across runs.
+            None => {
+                instrument.counter_add("sat.cube_splits", 1);
+                let split = builder.solver().top_activity_vars(CUBE_SPLIT_VARS);
+                let cnf = builder.solver().export_cnf();
+                let report = sat::cube::conquer(&cnf, &split, effort, exec::ExecMode::Sequential);
+                report.verdict?.is_unsat()
+            }
         }
+    } else {
+        // Lemma-pool warm start: seed clauses learnt by an earlier solve of
+        // a fingerprint-identical miter (same canonical CNF, same asserted
+        // root), then collect this solve's own short learnts back into the
+        // pool. Seeds are entailed by the exporter's CNF — byte-identical
+        // to ours — so they can shrink the search, never flip the verdict.
+        if let Some(fp) = fp {
+            seed_from_pool(builder.solver_mut(), cache.lemmas(), fp, instrument);
+            builder.solver_mut().set_share(sat::SolverShare::collector(
+                sat::ShareFilter::default(),
+                cache::pool::MAX_CLAUSES_PER_ENTRY,
+            ));
+        }
+        let equivalent = builder.solve().is_unsat();
+        if let Some(fp) = fp {
+            if let Some(share) = builder.solver_mut().take_share() {
+                cache.lemmas().insert(fp, &share.into_pool_exports());
+            }
+        }
+        equivalent
+    };
+    if let Some(fp) = fp {
         cache.insert_tagged("level4.miter", fp, cache::encode_bool(equivalent));
     }
-    equivalent
+    Some(equivalent)
 }
+
+/// Number of top-activity variables the budgeted miter splits on when
+/// its direct solve exhausts (2^k cubes; 3 → 8 cubes, enough to break
+/// symmetric hard instances without exploding the sequential sweep).
+const CUBE_SPLIT_VARS: usize = 3;
 
 /// Imports the lemma-pool entry for `fp` (if any) into `solver` at
 /// decision level 0, reporting pool telemetry. Returns early on a
@@ -139,64 +171,6 @@ fn seed_from_pool(
     }
     instrument.counter_add("sat.pool_imports", imported);
     instrument.counter_add("sat.pool_rejects", rejected);
-}
-
-/// [`prove_equivalence`] with the miter solved by a SAT portfolio: the
-/// CNF is built once (deterministically), exported, and raced across
-/// divergent solver configurations. The UNSAT/SAT verdict is objective,
-/// so the result is bit-identical to the single-solver path; the
-/// portfolio contestants are uninstrumented (the winner is
-/// wall-clock-dependent, so their counters are diagnostic-only and are
-/// not merged).
-pub fn prove_equivalence_portfolio(func: &Function, rtl: &Rtl, mode: exec::ExecMode) -> bool {
-    prove_equivalence_portfolio_cached(func, rtl, mode, cache::noop())
-}
-
-/// [`prove_equivalence_portfolio`] backed by the obligation cache. Shares
-/// its fingerprint recipe with [`prove_equivalence_cached`] — the two
-/// entry points fill and drain the same cache entries, so a sequential
-/// warm run replays a verdict a portfolio race decided (the verdict is
-/// objective, so the replay is exact).
-pub fn prove_equivalence_portfolio_cached(
-    func: &Function,
-    rtl: &Rtl,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-) -> bool {
-    let mut ctx = CnfBackend::new();
-    let (input_bits, any) = build_miter(func, rtl, &mut ctx);
-    let fp = if cache.is_enabled() {
-        let fp = miter_fingerprint(&mut ctx, &input_bits, any);
-        if let Some(payload) = cache.lookup_tagged("level4.miter", fp) {
-            if let Some(equivalent) = cache::decode_bool(&payload) {
-                return equivalent;
-            }
-        }
-        Some(fp)
-    } else {
-        None
-    };
-    ctx.builder_mut().assert_lit(any);
-    let cnf = ctx.builder_mut().solver().export_cnf();
-    let equivalent = match fp {
-        // Cached path: cooperative portfolio — contestants exchange
-        // learnt clauses in flight and are seeded from (then feed) the
-        // cross-obligation lemma pool. The verdict is objective, so
-        // sharing changes effort only; the uncached path below keeps the
-        // plain racing portfolio byte-identical to the pre-pool code.
-        Some(fp) => {
-            let pool = cache.lemmas();
-            let seeds = pool.lookup(fp);
-            let coop =
-                sat::solve_portfolio_cooperative(&cnf, mode, &sat::ShareConfig::default(), &seeds);
-            pool.insert(fp, &coop.pool_exports);
-            let equivalent = coop.outcome.result.is_unsat();
-            cache.insert_tagged("level4.miter", fp, cache::encode_bool(equivalent));
-            equivalent
-        }
-        None => sat::solve_portfolio(&cnf, mode).result.is_unsat(),
-    };
-    equivalent
 }
 
 /// Content-addresses a built (un-asserted) miter: input literal layout,
@@ -330,6 +304,14 @@ fn provable_on_open_model(p: &Property) -> bool {
     p.name() != "req_eventually_done"
 }
 
+/// The engine that decides a wrapper property.
+fn property_engine(p: &Property) -> &'static str {
+    match p {
+        Property::Invariant { .. } => "bdd-reach",
+        Property::Response { .. } => "bmc",
+    }
+}
+
 /// Runs the complete level-4 phase.
 ///
 /// ```
@@ -345,122 +327,19 @@ fn provable_on_open_model(p: &Property) -> bool {
 /// Panics if a kernel unexpectedly fails to synthesize (a programming
 /// error, not an input condition).
 pub fn run() -> Level4Report {
-    run_instrumented(&telemetry::noop())
+    run_cached(
+        exec::ExecMode::Sequential,
+        &telemetry::noop(),
+        cache::noop(),
+    )
 }
 
-/// [`run`] with telemetry: the equivalence miters and BMC runs report
-/// their SAT statistics, depth progress, and verdict counters through
-/// `instrument`.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_instrumented(instrument: &telemetry::SharedInstrument) -> Level4Report {
-    run_sequential_cached(instrument, cache::noop())
-}
-
-/// The sequential level-4 body, parameterized by the obligation cache
-/// ([`cache::noop()`] reproduces [`run_instrumented`] byte for byte).
-fn run_sequential_cached(
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Level4Report {
-    // 1–2: synthesize the kernels and prove equivalence.
-    let mut kernels = Vec::new();
-    let dist = distance_step_function();
-    let dist_rtl = synthesize(&dist).expect("distance step synthesizes");
-    kernels.push((
-        "distance".to_owned(),
-        dist_rtl.num_nodes(),
-        prove_equivalence_cached(&dist, &dist_rtl, instrument, cache),
-    ));
-    let root = root_function();
-    let root_unrolled = unroll(&root, ROOT_ITERATIONS);
-    let root_rtl = synthesize(&root_unrolled).expect("unrolled root synthesizes");
-    kernels.push((
-        "root".to_owned(),
-        root_rtl.num_nodes(),
-        prove_equivalence_cached(&root_unrolled, &root_rtl, instrument, cache),
-    ));
-
-    // 3–4: wrapper FSM and its properties.
-    let wrapper = bus_wrapper_fsm("bus_wrapper");
-    let mut properties = Vec::new();
-    for p in extended_properties() {
-        if !provable_on_open_model(&p) {
-            continue;
-        }
-        let (engine, proven): (&'static str, bool) = match &p {
-            Property::Invariant { .. } => (
-                "bdd-reach",
-                reach::check_cached(&wrapper, &p, instrument, cache) == Verdict::Proven,
-            ),
-            Property::Response { .. } => (
-                "bmc",
-                matches!(
-                    bmc::check_cached(&wrapper, &p, 12, instrument, cache),
-                    Verdict::NoViolationUpTo(_)
-                ),
-            ),
-        };
-        properties.push((p.name().to_owned(), engine, proven));
-        instrument.counter_add("level4.properties_checked", 1);
-    }
-
-    // 5: PCC before/after the property-set refinement.
-    let cfg = PccConfig { bmc_bound: 10 };
-    let initial: Vec<Property> = initial_properties()
-        .into_iter()
-        .filter(provable_on_open_model_ref)
-        .collect();
-    let extended: Vec<Property> = extended_properties()
-        .into_iter()
-        .filter(provable_on_open_model_ref)
-        .collect();
-    let pcc_initial =
-        check_coverage_cached(&wrapper, &initial, &cfg, exec::ExecMode::Sequential, cache)
-            .expect("initial set holds");
-    let pcc_extended =
-        check_coverage_cached(&wrapper, &extended, &cfg, exec::ExecMode::Sequential, cache)
-            .expect("extended set holds");
-
-    Level4Report {
-        kernels,
-        properties,
-        pcc_initial,
-        pcc_extended,
-    }
-}
-
-fn provable_on_open_model_ref(p: &Property) -> bool {
-    provable_on_open_model(p)
-}
-
-/// [`run_instrumented`] with the level's obligations dispatched across
-/// worker threads when `mode` is parallel:
-///
-/// * each kernel miter is built deterministically and raced by the SAT
-///   portfolio ([`prove_equivalence_portfolio`]),
-/// * each wrapper property is an independent obligation with its own
-///   private [`telemetry::Collector`], replayed into `instrument` in
-///   property order so the merged telemetry matches the sequential run,
-/// * PCC fault obligations fan out via [`pcc::check_coverage_mode`].
-///
-/// With `ExecMode::Sequential` this is exactly [`run_instrumented`] —
-/// same code path, byte-identical telemetry.
-///
-/// # Panics
-///
-/// Same as [`run`].
-pub fn run_mode(mode: exec::ExecMode, instrument: &telemetry::SharedInstrument) -> Level4Report {
-    run_cached(mode, instrument, cache::noop())
-}
-
-/// [`run_mode`] backed by the obligation cache: every SAT/BDD obligation
-/// of the level — kernel miters, wrapper properties, PCC kill checks —
-/// is looked up before an engine runs and stored after. With a warm
-/// cache the whole level replays from stored verdicts; the report is
-/// bit-identical to the uncached run either way.
+/// [`run`] with telemetry, an execution mode, and the obligation cache:
+/// [`run_supervised`] under the idle [`SupervisionPolicy`], without the
+/// outcome list. Every SAT/BDD obligation of the level — kernel miters,
+/// wrapper properties, PCC kill checks — is looked up before an engine
+/// runs and stored after; the report is bit-identical for a cold or warm
+/// cache and for any worker count.
 ///
 /// # Panics
 ///
@@ -470,155 +349,15 @@ pub fn run_cached(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Level4Report {
-    if !mode.is_parallel() {
-        return run_sequential_cached(instrument, cache);
-    }
-
-    // 1–2: synthesize the kernels; miters go through the portfolio.
-    let mut kernels = Vec::new();
-    let dist = distance_step_function();
-    let dist_rtl = synthesize(&dist).expect("distance step synthesizes");
-    kernels.push((
-        "distance".to_owned(),
-        dist_rtl.num_nodes(),
-        prove_equivalence_portfolio_cached(&dist, &dist_rtl, mode, cache),
-    ));
-    let root = root_function();
-    let root_unrolled = unroll(&root, ROOT_ITERATIONS);
-    let root_rtl = synthesize(&root_unrolled).expect("unrolled root synthesizes");
-    kernels.push((
-        "root".to_owned(),
-        root_rtl.num_nodes(),
-        prove_equivalence_portfolio_cached(&root_unrolled, &root_rtl, mode, cache),
-    ));
-
-    // 3–4: wrapper properties as independent obligations.
-    let wrapper = bus_wrapper_fsm("bus_wrapper");
-    let props: Vec<Property> = extended_properties()
-        .into_iter()
-        .filter(provable_on_open_model_ref)
-        .collect();
-    let jobs: Vec<usize> = (0..props.len()).collect();
-    let checked = exec::map(mode, jobs, |_, pi| {
-        let p = &props[pi];
-        let local = std::rc::Rc::new(telemetry::Collector::new());
-        let shared: telemetry::SharedInstrument = local.clone();
-        let (engine, proven): (&'static str, bool) = match p {
-            Property::Invariant { .. } => (
-                "bdd-reach",
-                reach::check_cached(&wrapper, p, &shared, cache) == Verdict::Proven,
-            ),
-            Property::Response { .. } => (
-                "bmc",
-                matches!(
-                    bmc::check_cached(&wrapper, p, 12, &shared, cache),
-                    Verdict::NoViolationUpTo(_)
-                ),
-            ),
-        };
-        shared.counter_add("level4.properties_checked", 1);
-        drop(shared);
-        let collector =
-            std::rc::Rc::try_unwrap(local).expect("obligation dropped every instrument handle");
-        (p.name().to_owned(), engine, proven, collector)
-    });
-    let mut properties = Vec::new();
-    for (name, engine, proven, collector) in checked {
-        collector.replay_into(instrument.as_ref());
-        properties.push((name, engine, proven));
-    }
-
-    // 5: PCC before/after the refinement, fault obligations in parallel.
-    let cfg = PccConfig { bmc_bound: 10 };
-    let initial: Vec<Property> = initial_properties()
-        .into_iter()
-        .filter(provable_on_open_model_ref)
-        .collect();
-    let pcc_initial =
-        check_coverage_cached(&wrapper, &initial, &cfg, mode, cache).expect("initial set holds");
-    let pcc_extended =
-        check_coverage_cached(&wrapper, &props, &cfg, mode, cache).expect("extended set holds");
-
-    Level4Report {
-        kernels,
-        properties,
-        pcc_initial,
-        pcc_extended,
-    }
+    let policy = SupervisionPolicy::default();
+    run_supervised(mode, instrument, cache, &policy, None).0
 }
 
-/// [`prove_equivalence_cached`] under a deterministic effort budget: the
-/// miter query runs through [`sat::Solver::solve_budgeted`] on the single
-/// canonical solver — never the portfolio, whose winner is wall-clock
-/// dependent — so the exhaustion point is a pure function of the CNF and
-/// the budget, independent of worker count.
-///
-/// Returns `Some(equivalent)` on a verdict and `None` when the budget ran
-/// out first. Verdicts are cached under the standard miter fingerprint
-/// (shared with the unbudgeted entry points); exhaustion is never cached,
-/// because a larger budget may still decide the query.
-pub fn prove_equivalence_budgeted(
-    func: &Function,
-    rtl: &Rtl,
-    effort: &exec::Effort,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Option<bool> {
-    if !effort.bounds_sat() {
-        return Some(prove_equivalence_cached(func, rtl, instrument, cache));
-    }
-    let mut ctx = CnfBackend::new();
-    if instrument.enabled() {
-        ctx.builder_mut().set_instrument(instrument.clone());
-    }
-    let (input_bits, any) = build_miter(func, rtl, &mut ctx);
-    let fp = if cache.is_enabled() {
-        let fp = miter_fingerprint(&mut ctx, &input_bits, any);
-        if let Some(payload) = cache.lookup_tagged("level4.miter", fp) {
-            if let Some(equivalent) = cache::decode_bool(&payload) {
-                instrument.counter_add("cache.hits", 1);
-                return Some(equivalent);
-            }
-        }
-        instrument.counter_add("cache.misses", 1);
-        Some(fp)
-    } else {
-        None
-    };
-    let builder = ctx.builder_mut();
-    builder.assert_lit(any);
-    let equivalent = match builder.solve_budgeted(&[], effort).decided() {
-        Some(result) => result.is_unsat(),
-        // Budget exhausted: cube-and-conquer fallback. Split on the
-        // probe solver's top-activity variables and re-solve each cube
-        // under the same per-cube budget; cubes run sequentially so the
-        // exhaustion point stays a pure function of CNF and budget. No
-        // lemma-pool seeding here — a warm pool could move the
-        // exhaustion point and flip Exhausted <-> Decided across runs.
-        None => {
-            instrument.counter_add("sat.cube_splits", 1);
-            let split = builder.solver().top_activity_vars(CUBE_SPLIT_VARS);
-            let cnf = builder.solver().export_cnf();
-            let report = sat::cube::conquer(&cnf, &split, effort, exec::ExecMode::Sequential);
-            report.verdict?.is_unsat()
-        }
-    };
-    if let Some(fp) = fp {
-        cache.insert_tagged("level4.miter", fp, cache::encode_bool(equivalent));
-    }
-    Some(equivalent)
-}
-
-/// Number of top-activity variables the budgeted miter splits on when
-/// its direct solve exhausts (2^k cubes; 3 → 8 cubes, enough to break
-/// symmetric hard instances without exploding the sequential sweep).
-const CUBE_SPLIT_VARS: usize = 3;
-
-/// [`run_cached`] under a [`SupervisionPolicy`]: every level-4 obligation
-/// — two kernel miters, five wrapper properties, two PCC coverage runs —
-/// is panic-isolated (caught, optionally retried once), effort-budgeted,
-/// and reported in the [`ObligationOutcome`] taxonomy alongside the
-/// (possibly partial) [`Level4Report`].
+/// Runs level 4 under a [`SupervisionPolicy`]: every level-4 obligation —
+/// two kernel miters, five wrapper properties, two PCC coverage runs — is
+/// panic-isolated (caught, optionally retried once), effort-budgeted, and
+/// reported in the [`ObligationOutcome`] taxonomy alongside the (possibly
+/// partial) [`Level4Report`].
 ///
 /// Degraded entries keep the report well-formed: an undecided or panicked
 /// miter/property is recorded as not-proven, and a failed PCC run falls
@@ -626,13 +365,20 @@ const CUBE_SPLIT_VARS: usize = 3;
 /// obligations are routed to the deterministic simulation cross-check
 /// ([`mc::simcheck`]): a witnessed violation upgrades them to *Refuted*.
 ///
-/// Determinism: miters use the canonical budgeted solver (no portfolio),
-/// obligations carry private telemetry collectors replayed in obligation
-/// order, and the PCC runs execute sequentially — a panic escaping a
-/// parallel inner PCC sweep would leave worker-count-dependent cache
-/// state behind, so supervised PCC trades parallelism for
-/// reproducibility. The outcome list (and the report) is bit-identical
-/// across worker counts, faults or no faults.
+/// With a `journal`, every obligation's lifecycle — start, cache probe,
+/// per-axis budget spend, panic/retry, provenance-carrying finish,
+/// degradation — lands on its deterministic lane in obligation order, and
+/// the batch scheduling facts (queue depth, worker attribution, wall
+/// latency) on its timing lane. The journal never perturbs results.
+///
+/// Determinism: with a parallel `mode` the miters and the properties fan
+/// out across workers, each on the canonical budgeted solver with a
+/// private telemetry collector replayed in obligation order. The PCC runs
+/// execute sequentially — a panic escaping a parallel inner PCC sweep
+/// would leave worker-count-dependent cache state behind, so supervised
+/// PCC trades parallelism for reproducibility. The outcome list, the
+/// report and the journal's deterministic lane are bit-identical across
+/// worker counts, faults or no faults.
 ///
 /// # Panics
 ///
@@ -643,104 +389,30 @@ pub fn run_supervised(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
     policy: &SupervisionPolicy,
-) -> (Level4Report, Vec<ObligationOutcome>) {
-    run_supervised_journaled(mode, instrument, cache, policy, None)
-}
-
-/// Unwraps one supervised pool slot. The closures dispatched here catch
-/// their own panics ([`supervise::supervised_obligation`]), so the outer
-/// [`exec::JobOutcome`] is always `Ok` in practice; a `Panicked`/`Missing`
-/// slot (a pool fault, not an engine fault) degrades to a panicked
-/// obligation instead of aborting the level.
-fn unwrap_job<R>(
-    out: exec::JobOutcome<(supervise::Supervised<R>, Option<telemetry::Collector>)>,
-) -> (supervise::Supervised<R>, Option<telemetry::Collector>) {
-    match out {
-        exec::JobOutcome::Ok(v) => v,
-        exec::JobOutcome::Panicked { message } => (
-            supervise::Supervised {
-                value: None,
-                panic: Some(message),
-                retried: false,
-                wall_us: 0,
-            },
-            None,
-        ),
-        exec::JobOutcome::Missing => (
-            supervise::Supervised {
-                value: None,
-                panic: Some("missing worker result".to_owned()),
-                retried: false,
-                wall_us: 0,
-            },
-            None,
-        ),
-    }
-}
-
-/// Emits one drained batch's scheduling facts on the journal's timing
-/// lane: the queue shape and the per-job worker attribution. Timing-lane
-/// only — worker ids and queue depths are honest schedule data and differ
-/// run to run.
-fn journal_batch(
-    journal: Option<&telemetry::Journal>,
-    batch: &str,
-    names: &[String],
-    stats: &exec::PoolRunStats,
-) {
-    let Some(j) = journal else { return };
-    j.emit_timing(telemetry::TimingKind::QueueDepth {
-        batch: batch.to_owned(),
-        jobs: stats.jobs as u64,
-        workers: stats.workers as u64,
-        peak_depth: stats.peak_depth() as u64,
-    });
-    for (i, worker) in stats.worker_for_job.iter().enumerate() {
-        if let Some(worker) = worker {
-            j.emit_timing(telemetry::TimingKind::WorkerJob {
-                batch: batch.to_owned(),
-                job: names.get(i).cloned().unwrap_or_else(|| i.to_string()),
-                worker: *worker as u64,
-            });
-        }
-    }
-}
-
-/// [`run_supervised`] with a flight recorder: every obligation's
-/// lifecycle — start, cache probe, per-axis budget spend, panic/retry,
-/// provenance-carrying finish, degradation — is emitted on the journal's
-/// deterministic lane in obligation order, and the batch scheduling facts
-/// (queue depth, worker attribution, wall latency) on its timing lane.
-///
-/// The journal is coordinator-only (it is `!Sync`, so a worker closure
-/// cannot capture it) and instrumentation never perturbs results: the
-/// report and outcomes are bit-identical to [`run_supervised`] with or
-/// without a journal, and the deterministic lane is bit-identical across
-/// worker counts.
-///
-/// # Panics
-///
-/// Same as [`run_supervised`].
-pub fn run_supervised_journaled(
-    mode: exec::ExecMode,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-    policy: &SupervisionPolicy,
     journal: Option<&telemetry::Journal>,
 ) -> (Level4Report, Vec<ObligationOutcome>) {
-    use ObligationStatus::{Panicked, Proved, Refuted, Unknown};
+    let ctx = RunCtx {
+        mode,
+        instrument,
+        cache,
+        policy,
+        journal,
+    };
+    let mut outcomes = Vec::new();
+    let report = run_in(&ctx, &mut outcomes);
+    (report, outcomes)
+}
 
-    let effort = policy.effort;
-    let retry = policy.retry_panicked;
-    let (sim_vectors, sim_cycles) = (policy.sim_vectors, policy.sim_cycles);
-    // Private per-obligation collectors power both the deterministic
-    // telemetry replay *and* the journal's effort attribution, so a
-    // journaled run keeps them even under a no-op instrument.
-    let enabled = instrument.enabled() || journal.is_some();
-    let mut outcomes: Vec<ObligationOutcome> = Vec::new();
+/// The level-4 body: its obligations, declared for the supervised driver.
+pub(crate) fn run_in(ctx: &RunCtx<'_>, outcomes: &mut Vec<ObligationOutcome>) -> Level4Report {
+    use ObligationStatus::{Proved, Refuted, Unknown};
+
+    let cache = ctx.cache;
+    let effort = ctx.policy.effort;
+    let (sim_vectors, sim_cycles) = (ctx.policy.sim_vectors, ctx.policy.sim_cycles);
 
     // 1–2: synthesize deterministically (no SAT involved), then prove the
-    // miters as supervised obligations.
+    // miters.
     let dist = distance_step_function();
     let dist_rtl = synthesize(&dist).expect("distance step synthesizes");
     let root_unrolled = unroll(&root_function(), ROOT_ITERATIONS);
@@ -749,283 +421,141 @@ pub fn run_supervised_journaled(
         ("distance", &dist, &dist_rtl),
         ("root", &root_unrolled, &root_rtl),
     ];
-
-    let miter_names: Vec<String> = miters
+    let obligations = miters
         .iter()
-        .map(|(name, _, _)| format!("miter:{name}"))
-        .collect();
-    if let Some(j) = journal {
-        for name in &miter_names {
-            j.emit(telemetry::EventKind::ObligationStarted {
-                obligation: name.clone(),
-                engine: "level4.miter".to_owned(),
-            });
-        }
-    }
-    let miter_jobs: Vec<usize> = (0..miters.len()).collect();
-    let (miter_results, miter_stats) = exec::map_supervised_stats(mode, miter_jobs, |_, i| {
-        let (_, func, rtl) = miters[i];
-        supervise::supervised_obligation(enabled, retry, |instr| {
-            prove_equivalence_budgeted(func, rtl, &effort, instr, cache)
-        })
-    });
-    journal_batch(journal, "level4.miters", &miter_names, &miter_stats);
-    let mut kernels = Vec::new();
-    for (i, out) in miter_results.into_iter().enumerate() {
-        let (sup, collector) = unwrap_job(out);
-        // Effort attribution reads the private collector *before* replay.
-        let spent = collector
-            .as_ref()
-            .map(telemetry::EffortSpent::from_collector)
-            .unwrap_or_default();
-        if let Some(collector) = collector {
-            collector.replay_into(instrument.as_ref());
-        }
-        let (name, _, rtl) = miters[i];
-        let (status, detail, equivalent) = match sup.value {
-            Some(Some(true)) => (Proved, "equivalent (miter UNSAT)".to_owned(), true),
-            Some(Some(false)) => (Refuted, "distinguishing input exists".to_owned(), false),
-            Some(None) => (
-                Unknown,
-                "SAT budget exhausted before a verdict".to_owned(),
-                false,
-            ),
-            None => (
-                Panicked,
-                format!("panicked: {}", sup.panic.as_deref().unwrap_or("?")),
-                false,
-            ),
-        };
-        kernels.push((name.to_owned(), rtl.num_nodes(), equivalent));
-        if let Some(j) = journal {
-            supervise::journal_obligation(
-                j,
-                &miter_names[i],
-                "level4.miter",
-                sup.panic.as_deref(),
-                sup.retried,
-                sup.wall_us,
-                &spent,
-                Some(&effort),
-                status,
-                &detail,
-            );
-        }
-        outcomes.push(ObligationOutcome {
+        .map(|&(name, func, rtl)| Obligation {
             name: format!("miter:{name}"),
-            status,
-            detail,
-            retried: sup.retried,
-        });
-    }
+            engine: "level4.miter",
+            budgeted: true,
+            run: Box::new(move |instr: &telemetry::SharedInstrument| {
+                prove_equivalence_budgeted(func, rtl, &effort, instr, cache)
+            }),
+        })
+        .collect();
+    let discharged = ctx.discharge(
+        "level4.miters",
+        ctx.mode,
+        obligations,
+        |equivalent| match equivalent {
+            Some(true) => (Proved, "equivalent (miter UNSAT)".to_owned()),
+            Some(false) => (Refuted, "distinguishing input exists".to_owned()),
+            None => (Unknown, "SAT budget exhausted before a verdict".to_owned()),
+        },
+        outcomes,
+    );
+    let kernels = miters
+        .iter()
+        .zip(&discharged)
+        .map(|(&(name, _, rtl), d)| (name.to_owned(), rtl.num_nodes(), d.status == Proved))
+        .collect();
 
-    // 3–4: wrapper properties as supervised obligations, with the
-    // simulation cross-check behind budget exhaustion.
+    // 3–4: wrapper properties, with the simulation cross-check behind
+    // budget exhaustion.
     let wrapper = bus_wrapper_fsm("bus_wrapper");
     let props: Vec<Property> = extended_properties()
         .into_iter()
-        .filter(provable_on_open_model_ref)
+        .filter(provable_on_open_model)
         .collect();
-    let prop_names: Vec<String> = props
+    let obligations = props
         .iter()
-        .map(|p| format!("property:{}", p.name()))
-        .collect();
-    let prop_engines: Vec<&'static str> = props
-        .iter()
-        .map(|p| match p {
-            Property::Invariant { .. } => "bdd-reach",
-            Property::Response { .. } => "bmc",
-        })
-        .collect();
-    if let Some(j) = journal {
-        for (name, engine) in prop_names.iter().zip(&prop_engines) {
-            j.emit(telemetry::EventKind::ObligationStarted {
-                obligation: name.clone(),
-                engine: (*engine).to_owned(),
-            });
-        }
-    }
-    let prop_jobs: Vec<usize> = (0..props.len()).collect();
-    let (prop_results, prop_stats) = exec::map_supervised_stats(mode, prop_jobs, |_, pi| {
-        let p = &props[pi];
-        supervise::supervised_obligation(enabled, retry, |instr| {
-            let (engine, verdict): (&'static str, Verdict) = match p {
-                Property::Invariant { .. } => (
-                    "bdd-reach",
-                    reach::check_budgeted(&wrapper, p, &effort, instr, cache),
-                ),
-                Property::Response { .. } => (
-                    "bmc",
-                    bmc::check_budgeted(&wrapper, p, 12, &effort, instr, cache),
-                ),
-            };
-            instr.counter_add("level4.properties_checked", 1);
-            let cross_check = verdict
-                .is_budget_exhausted()
-                .then(|| mc::simcheck::simulate_violates(&wrapper, p, sim_vectors, sim_cycles));
-            (engine, verdict, cross_check)
-        })
-    });
-    journal_batch(journal, "level4.properties", &prop_names, &prop_stats);
-    let mut properties = Vec::new();
-    for (pi, out) in prop_results.into_iter().enumerate() {
-        let (sup, collector) = unwrap_job(out);
-        let spent = collector
-            .as_ref()
-            .map(telemetry::EffortSpent::from_collector)
-            .unwrap_or_default();
-        if let Some(collector) = collector {
-            collector.replay_into(instrument.as_ref());
-        }
-        let p = &props[pi];
-        let (engine, proven, status, detail): (&'static str, bool, _, String) = match sup.value {
-            Some((engine, verdict, cross_check)) => match verdict {
-                Verdict::Proven => (engine, true, Proved, "proven".to_owned()),
-                Verdict::NoViolationUpTo(k) => (
-                    engine,
-                    true,
-                    Proved,
-                    format!("no violation up to {k} cycles"),
-                ),
-                Verdict::Violated(_) => (engine, false, Refuted, "counterexample found".to_owned()),
-                Verdict::Unknown(mc::UnknownReason::BudgetExhausted) => match cross_check {
-                    Some(true) => (
-                        engine,
-                        false,
-                        Refuted,
-                        "budget exhausted; refuted by simulation cross-check".to_owned(),
-                    ),
-                    _ => (
-                        engine,
-                        false,
-                        Unknown,
-                        format!(
-                            "budget exhausted; simulation cross-check found no violation \
-                             in {sim_vectors} vectors"
-                        ),
-                    ),
-                },
-                Verdict::Unknown(mc::UnknownReason::NotInductive) => {
-                    (engine, false, Unknown, "engine could not decide".to_owned())
-                }
-            },
-            None => {
-                let engine: &'static str = match p {
-                    Property::Invariant { .. } => "bdd-reach",
-                    Property::Response { .. } => "bmc",
-                };
-                (
-                    engine,
-                    false,
-                    Panicked,
-                    format!("panicked: {}", sup.panic.as_deref().unwrap_or("?")),
-                )
-            }
-        };
-        properties.push((p.name().to_owned(), engine, proven));
-        if let Some(j) = journal {
-            supervise::journal_obligation(
-                j,
-                &prop_names[pi],
-                engine,
-                sup.panic.as_deref(),
-                sup.retried,
-                sup.wall_us,
-                &spent,
-                Some(&effort),
-                status,
-                &detail,
-            );
-        }
-        outcomes.push(ObligationOutcome {
+        .map(|p| Obligation {
             name: format!("property:{}", p.name()),
-            status,
-            detail,
-            retried: sup.retried,
-        });
-    }
+            engine: property_engine(p),
+            budgeted: true,
+            run: Box::new(|instr: &telemetry::SharedInstrument| {
+                let verdict = match p {
+                    Property::Invariant { .. } => {
+                        reach::check_budgeted(&wrapper, p, &effort, instr, cache)
+                    }
+                    Property::Response { .. } => {
+                        bmc::check_budgeted(&wrapper, p, 12, &effort, instr, cache)
+                    }
+                };
+                instr.counter_add("level4.properties_checked", 1);
+                let cross_check = verdict
+                    .is_budget_exhausted()
+                    .then(|| mc::simcheck::simulate_violates(&wrapper, p, sim_vectors, sim_cycles));
+                (verdict, cross_check)
+            }),
+        })
+        .collect();
+    let discharged = ctx.discharge(
+        "level4.properties",
+        ctx.mode,
+        obligations,
+        |(verdict, cross_check)| match verdict {
+            Verdict::Proven => (Proved, "proven".to_owned()),
+            Verdict::NoViolationUpTo(k) => (Proved, format!("no violation up to {k} cycles")),
+            Verdict::Violated(_) => (Refuted, "counterexample found".to_owned()),
+            Verdict::Unknown(mc::UnknownReason::BudgetExhausted) => match cross_check {
+                Some(true) => (
+                    Refuted,
+                    "budget exhausted; refuted by simulation cross-check".to_owned(),
+                ),
+                _ => (
+                    Unknown,
+                    format!(
+                        "budget exhausted; simulation cross-check found no violation \
+                         in {sim_vectors} vectors"
+                    ),
+                ),
+            },
+            Verdict::Unknown(mc::UnknownReason::NotInductive) => {
+                (Unknown, "engine could not decide".to_owned())
+            }
+        },
+        outcomes,
+    );
+    let properties = props
+        .iter()
+        .zip(&discharged)
+        .map(|(p, d)| (p.name().to_owned(), property_engine(p), d.status == Proved))
+        .collect();
 
-    // 5: the two PCC coverage runs, supervised sequentially (see the
-    // determinism note above). A panicked or failed run degrades to an
-    // empty report so the flow can still render coverage.
+    // 5: the two PCC coverage runs, each on the calling thread (see the
+    // determinism note on `run_supervised`). They are panic-supervised but
+    // not effort-budgeted; a panicked or failed run degrades to an empty
+    // report so the flow can still render coverage.
     let cfg = PccConfig { bmc_bound: 10 };
     let initial: Vec<Property> = initial_properties()
         .into_iter()
-        .filter(provable_on_open_model_ref)
+        .filter(provable_on_open_model)
         .collect();
-    let empty_report = || PccReport {
-        total: 0,
-        covered: 0,
-        uncovered: Vec::new(),
-        per_property: Vec::new(),
-    };
-    let mut pcc_reports: Vec<PccReport> = Vec::new();
-    for (label, set) in [("pcc:initial", &initial), ("pcc:extended", &props)] {
-        if let Some(j) = journal {
-            j.emit(telemetry::EventKind::ObligationStarted {
-                obligation: label.to_owned(),
-                engine: "pcc".to_owned(),
-            });
-        }
-        let sup = supervise::run_supervised_job(retry, || {
-            check_coverage_cached(&wrapper, set, &cfg, exec::ExecMode::Sequential, cache)
-        });
-        if instrument.enabled() && sup.panics_caught() > 0 {
-            instrument.counter_add("exec.panics_caught", sup.panics_caught());
-        }
-        let (report, status, detail) = match sup.value {
-            Some(Ok(report)) => {
-                let detail = format!("coverage {:.1}%", report.pct());
-                (report, Proved, detail)
-            }
-            Some(Err(err)) => (
-                empty_report(),
-                Refuted,
-                format!("coverage not measurable: {err}"),
-            ),
-            None => (
-                empty_report(),
-                Panicked,
-                format!("panicked: {}", sup.panic.as_deref().unwrap_or("?")),
-            ),
-        };
-        if let Some(j) = journal {
-            // PCC runs are panic-supervised but not effort-budgeted, and
-            // their engines do not carry a per-obligation collector — the
-            // provenance records the outcome with zero attributed effort.
-            supervise::journal_obligation(
-                j,
-                label,
-                "pcc",
-                sup.panic.as_deref(),
-                sup.retried,
-                sup.wall_us,
-                &telemetry::EffortSpent::default(),
-                None,
-                status,
-                &detail,
+    let [pcc_initial, pcc_extended] =
+        [("pcc:initial", &initial), ("pcc:extended", &props)].map(|(name, set)| {
+            let obligation = Obligation {
+                name: name.to_owned(),
+                engine: "pcc",
+                budgeted: false,
+                run: Box::new(|_: &telemetry::SharedInstrument| {
+                    check_coverage_cached(&wrapper, set, &cfg, exec::ExecMode::Sequential, cache)
+                }),
+            };
+            let discharged = ctx.discharge_one(
+                obligation,
+                |coverage| match coverage {
+                    Ok(report) => (Proved, format!("coverage {:.1}%", report.pct())),
+                    Err(err) => (Refuted, format!("coverage not measurable: {err}")),
+                },
+                outcomes,
             );
-        }
-        outcomes.push(ObligationOutcome {
-            name: label.to_owned(),
-            status,
-            detail,
-            retried: sup.retried,
+            discharged
+                .value
+                .and_then(Result::ok)
+                .unwrap_or_else(|| PccReport {
+                    total: 0,
+                    covered: 0,
+                    uncovered: Vec::new(),
+                    per_property: Vec::new(),
+                })
         });
-        pcc_reports.push(report);
-    }
-    let pcc_initial = pcc_reports.remove(0);
-    let pcc_extended = pcc_reports.remove(0);
 
-    (
-        Level4Report {
-            kernels,
-            properties,
-            pcc_initial,
-            pcc_extended,
-        },
-        outcomes,
-    )
+    Level4Report {
+        kernels,
+        properties,
+        pcc_initial,
+        pcc_extended,
+    }
 }
 
 /// Emits the level-4 VHDL deliverables: both synthesized kernels and the
@@ -1062,7 +592,11 @@ mod tests {
     fn parallel_level4_matches_sequential() {
         let reference = run();
         for workers in [2, 8] {
-            let par = run_mode(exec::ExecMode::Parallel { workers }, &telemetry::noop());
+            let par = run_cached(
+                exec::ExecMode::Parallel { workers },
+                &telemetry::noop(),
+                cache::noop(),
+            );
             assert_eq!(par.kernels, reference.kernels);
             assert_eq!(par.properties, reference.properties);
             assert_eq!(par.pcc_initial.covered, reference.pcc_initial.covered);
@@ -1106,6 +640,7 @@ mod tests {
             &telemetry::noop(),
             cache::noop(),
             &policy,
+            None,
         );
         assert_eq!(report.kernels, reference.kernels);
         assert_eq!(report.properties, reference.properties);
@@ -1135,7 +670,7 @@ mod tests {
         let policy = SupervisionPolicy::with_effort(starve);
         let run_once = |mode| {
             let cache = cache::ObligationCache::new();
-            run_supervised(mode, &telemetry::noop(), &cache, &policy)
+            run_supervised(mode, &telemetry::noop(), &cache, &policy, None)
         };
         let (report, outcomes) = run_once(exec::ExecMode::Sequential);
         // The miters still prove: their UNSAT proofs are pure level-0

@@ -17,8 +17,9 @@
 //! seeded error class to the stage that catches it (experiment E12);
 //! [`supervise`] provides the supervised-execution vocabulary (panic
 //! isolation, deterministic effort budgets, degraded partial verdicts)
-//! used by the `*_supervised` entry points of [`flow`], [`level4`], and
-//! [`cascade`].
+//! and the one obligation driver behind every entry point of [`flow`]
+//! and [`level4`]; [`cascade`] supervises its stages with the same
+//! vocabulary.
 //!
 //! # Quickstart
 //!

@@ -19,6 +19,17 @@
 //! * [`DegradationSummary`] — the counts + degraded-obligation list that
 //!   [`crate::flow::FlowReport`] renders in its `degradation` section.
 //!
+//! It also holds the one obligation driver. The flow and level 4 declare
+//! each obligation as data — name, engine tag, whether the policy budget
+//! applies, and the engine closure — and a crate-private driver runs
+//! every one through the same steps: start event, panic-isolated
+//! dispatch, batch scheduling facts, effort attribution, telemetry
+//! replay, classification, flight-recorder record, outcome. The plain
+//! entry points ([`crate::flow::run_full_flow`],
+//! [`crate::level4::run`], …) are that driver under the idle
+//! [`SupervisionPolicy::default`], so there is no second, unsupervised
+//! copy of any obligation.
+//!
 //! Everything here is deterministic by construction: budgets are
 //! effort-based (never wall-clock), panics are rendered to their exact
 //! payload text, retries re-run the same closure on the same inputs, and
@@ -246,9 +257,8 @@ pub(crate) fn run_supervised_job<R>(retry: bool, f: impl Fn() -> R) -> Supervise
 /// telemetry is worker-count independent.
 ///
 /// When telemetry is disabled the closure gets the no-op instrument and no
-/// collector is allocated (the idle path stays byte-identical to the
-/// unsupervised entry points).
-pub(crate) fn supervised_obligation<R>(
+/// collector is allocated.
+fn supervised_obligation<R>(
     enabled: bool,
     retry: bool,
     f: impl Fn(&telemetry::SharedInstrument) -> R,
@@ -270,6 +280,197 @@ pub(crate) fn supervised_obligation<R>(
     (sup, Some(collector))
 }
 
+/// What every supervised obligation of one run shares: the dispatch
+/// mode, the telemetry sink, the obligation cache, the supervision
+/// policy, and the optional flight recorder.
+#[derive(Clone, Copy)]
+pub(crate) struct RunCtx<'a> {
+    pub mode: exec::ExecMode,
+    pub instrument: &'a telemetry::SharedInstrument,
+    pub cache: &'a cache::ObligationCache,
+    pub policy: &'a SupervisionPolicy,
+    pub journal: Option<&'a telemetry::Journal>,
+}
+
+/// One verification obligation, declared as data.
+pub(crate) struct Obligation<'a, R> {
+    /// Stable name (`miter:root`, `pcc:initial`, …).
+    pub name: String,
+    /// Engine tag of the journal's provenance record.
+    pub engine: &'static str,
+    /// Whether the engine runs under the policy's effort budget; only
+    /// those obligations journal per-axis `budget_spend` lines.
+    pub budgeted: bool,
+    /// The engine call. It records into the instrument it is handed,
+    /// which is the obligation's private collector.
+    pub run: Box<dyn Fn(&telemetry::SharedInstrument) -> R + Sync + 'a>,
+}
+
+/// A discharged obligation: the engine's value (`None` when every
+/// attempt panicked) and how the run classified it.
+pub(crate) struct Discharged<R> {
+    pub value: Option<R>,
+    pub status: ObligationStatus,
+    pub detail: String,
+}
+
+impl RunCtx<'_> {
+    /// The one obligation driver. Every supervised obligation of the
+    /// flow, level 4 included, goes through these steps:
+    ///
+    /// 1. journal an `obligation_started` per obligation, in batch order;
+    /// 2. dispatch the batch across `mode`'s workers, each obligation
+    ///    panic-isolated with a private collector;
+    /// 3. journal the batch's queue shape and worker attribution (timing
+    ///    lane);
+    ///
+    /// then per obligation, in batch order:
+    ///
+    /// 4. degrade a pool fault to a panicked obligation;
+    /// 5. attribute effort from the private collector;
+    /// 6. replay the collector into the run's instrument;
+    /// 7. classify the value with `classify` (a panic classifies itself);
+    /// 8. journal the obligation's flight-recorder record;
+    /// 9. push its [`ObligationOutcome`] onto `outcomes`.
+    ///
+    /// Coordinator-side steps run in batch order, so the deterministic
+    /// lane, the merged telemetry and the outcomes are bit-identical for
+    /// any worker count.
+    pub(crate) fn discharge<R: Send>(
+        &self,
+        batch: &str,
+        mode: exec::ExecMode,
+        obligations: Vec<Obligation<'_, R>>,
+        classify: impl Fn(&R) -> (ObligationStatus, String),
+        outcomes: &mut Vec<ObligationOutcome>,
+    ) -> Vec<Discharged<R>> {
+        if let Some(j) = self.journal {
+            for o in &obligations {
+                j.emit(telemetry::EventKind::ObligationStarted {
+                    obligation: o.name.clone(),
+                    engine: o.engine.to_owned(),
+                });
+            }
+        }
+        // Private collectors feed both the telemetry replay and the
+        // journal's effort attribution, so a journaled run keeps them
+        // even under a no-op instrument.
+        let enabled = self.instrument.enabled() || self.journal.is_some();
+        let retry = self.policy.retry_panicked;
+        let jobs: Vec<usize> = (0..obligations.len()).collect();
+        let (results, stats) = exec::map_supervised_stats(mode, jobs, |_, i| {
+            supervised_obligation(enabled, retry, &*obligations[i].run)
+        });
+        if let Some(j) = self.journal {
+            journal_batch(j, batch, &obligations, &stats);
+        }
+        results
+            .into_iter()
+            .zip(obligations)
+            .map(|(out, o)| {
+                let (sup, collector) = unwrap_job(out);
+                let spent = collector
+                    .as_ref()
+                    .map(telemetry::EffortSpent::from_collector)
+                    .unwrap_or_default();
+                if let Some(collector) = collector {
+                    collector.replay_into(self.instrument.as_ref());
+                }
+                let (status, detail) = match &sup.value {
+                    Some(value) => classify(value),
+                    None => (
+                        ObligationStatus::Panicked,
+                        format!("panicked: {}", sup.panic.as_deref().unwrap_or("?")),
+                    ),
+                };
+                if let Some(j) = self.journal {
+                    let budget = o.budgeted.then_some(&self.policy.effort);
+                    journal_obligation(j, &o, &sup, &spent, budget, status, &detail);
+                }
+                outcomes.push(ObligationOutcome {
+                    name: o.name,
+                    status,
+                    detail: detail.clone(),
+                    retried: sup.retried,
+                });
+                Discharged {
+                    value: sup.value,
+                    status,
+                    detail,
+                }
+            })
+            .collect()
+    }
+
+    /// [`RunCtx::discharge`] for one obligation run on the calling
+    /// thread, as its own batch.
+    pub(crate) fn discharge_one<R: Send>(
+        &self,
+        obligation: Obligation<'_, R>,
+        classify: impl Fn(&R) -> (ObligationStatus, String),
+        outcomes: &mut Vec<ObligationOutcome>,
+    ) -> Discharged<R> {
+        let batch = obligation.name.clone();
+        let mut discharged = self.discharge(
+            &batch,
+            exec::ExecMode::Sequential,
+            vec![obligation],
+            classify,
+            outcomes,
+        );
+        discharged.pop().expect("one obligation, one result")
+    }
+}
+
+/// Unwraps one supervised pool slot. The dispatched closures catch their
+/// own panics ([`supervised_obligation`]), so the outer
+/// [`exec::JobOutcome`] is always `Ok` in practice; a `Panicked`/`Missing`
+/// slot (a pool fault, not an engine fault) degrades to a panicked
+/// obligation instead of aborting the run.
+fn unwrap_job<R>(
+    out: exec::JobOutcome<(Supervised<R>, Option<telemetry::Collector>)>,
+) -> (Supervised<R>, Option<telemetry::Collector>) {
+    let panic = match out {
+        exec::JobOutcome::Ok(v) => return v,
+        exec::JobOutcome::Panicked { message } => message,
+        exec::JobOutcome::Missing => "missing worker result".to_owned(),
+    };
+    let sup = Supervised {
+        value: None,
+        panic: Some(panic),
+        retried: false,
+        wall_us: 0,
+    };
+    (sup, None)
+}
+
+/// Emits one drained batch's scheduling facts on the journal's timing
+/// lane: the queue shape and the per-job worker attribution. Timing-lane
+/// only — worker ids and queue depths are honest schedule data and differ
+/// run to run.
+fn journal_batch<R>(
+    journal: &telemetry::Journal,
+    batch: &str,
+    obligations: &[Obligation<'_, R>],
+    stats: &exec::PoolRunStats,
+) {
+    journal.emit_timing(telemetry::TimingKind::QueueDepth {
+        batch: batch.to_owned(),
+        jobs: stats.jobs as u64,
+        workers: stats.workers as u64,
+        peak_depth: stats.peak_depth() as u64,
+    });
+    for (o, worker) in obligations.iter().zip(&stats.worker_for_job) {
+        if let Some(worker) = worker {
+            journal.emit_timing(telemetry::TimingKind::WorkerJob {
+                batch: batch.to_owned(),
+                job: o.name.clone(),
+                worker: *worker as u64,
+            });
+        }
+    }
+}
+
 /// Emits one finished obligation's full flight-recorder record: panic and
 /// retry events, the cache probe, per-axis budget spend, the
 /// [`telemetry::Provenance`] line, a degradation entry for inconclusive
@@ -277,31 +478,26 @@ pub(crate) fn supervised_obligation<R>(
 /// latency.
 ///
 /// Called by the coordinator in obligation order, after the obligation's
-/// private collector has been read into `effort` and *before* the
-/// collector is replayed — so the deterministic lane is bit-identical
-/// across worker counts. `budget` is `Some` only for obligations that ran
-/// under the policy's effort budget (engine obligations); flow-level
-/// obligations pass `None` and emit no `budget_spend` lines.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn journal_obligation(
+/// private collector has been read into `effort` — so the deterministic
+/// lane is bit-identical across worker counts. `budget` is `Some` only
+/// for obligations that ran under the policy's effort budget.
+fn journal_obligation<R>(
     journal: &telemetry::Journal,
-    name: &str,
-    engine: &str,
-    panic: Option<&str>,
-    retried: bool,
-    wall_us: u64,
+    o: &Obligation<'_, R>,
+    sup: &Supervised<R>,
     effort: &telemetry::EffortSpent,
     budget: Option<&exec::Effort>,
     status: ObligationStatus,
     detail: &str,
 ) {
-    if let Some(message) = panic {
+    let (name, engine) = (o.name.as_str(), o.engine);
+    if let Some(message) = &sup.panic {
         journal.emit(telemetry::EventKind::Panic {
             obligation: name.to_owned(),
-            message: message.to_owned(),
+            message: message.clone(),
         });
     }
-    if retried {
+    if sup.retried {
         journal.emit(telemetry::EventKind::Retry {
             obligation: name.to_owned(),
         });
@@ -338,7 +534,7 @@ pub(crate) fn journal_obligation(
             fingerprint: cache::FingerprintBuilder::new(engine).text(name).finish().0,
             effort: *effort,
             outcome: status.as_str().to_owned(),
-            retried,
+            retried: sup.retried,
         },
     ));
     if matches!(
@@ -354,7 +550,7 @@ pub(crate) fn journal_obligation(
     if journal.wall_enabled() {
         journal.emit_timing(telemetry::TimingKind::ObligationWall {
             obligation: name.to_owned(),
-            wall_us,
+            wall_us: sup.wall_us,
         });
     }
 }

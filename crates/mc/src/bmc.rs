@@ -132,7 +132,8 @@ fn check_effort(
 /// `cache.hits` / `cache.misses` telemetry counters.
 ///
 /// Passing [`cache::noop()`] makes this byte-identical to
-/// [`check_instrumented`] — the fingerprint is not even computed.
+/// [`check_instrumented`] — the fingerprint is not even computed. This is
+/// [`check_budgeted`] with an unbounded effort.
 pub fn check_cached(
     rtl: &Rtl,
     property: &Property,
@@ -140,20 +141,8 @@ pub fn check_cached(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    if !cache.is_enabled() {
-        return check_instrumented(rtl, property, bound, instrument);
-    }
-    let fp = crate::obligation::fingerprint("bmc", rtl, property, &[u64::from(bound)]);
-    if let Some(payload) = cache.lookup_tagged("bmc", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let verdict = check_instrumented(rtl, property, bound, instrument);
-    cache.insert_tagged("bmc", fp, crate::cachefmt::encode_verdict(&verdict));
-    verdict
+    let unbounded = exec::Effort::unbounded();
+    check_budgeted(rtl, property, bound, &unbounded, instrument, cache)
 }
 
 /// [`check_cached`] under a deterministic SAT effort budget. The cache
@@ -170,9 +159,6 @@ pub fn check_budgeted(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    if !effort.bounds_sat() {
-        return check_cached(rtl, property, bound, instrument, cache);
-    }
     if !cache.is_enabled() {
         return check_effort(rtl, property, bound, effort, instrument);
     }

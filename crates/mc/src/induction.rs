@@ -122,7 +122,8 @@ fn check_effort(
 /// [`check_instrumented`] backed by the obligation cache (engine tag
 /// `"induction"`, parameter `k`). A hit replays the stored verdict —
 /// including a base-case counterexample trace — without constructing a
-/// solver; [`cache::noop()`] short-circuits to the uncached path.
+/// solver; [`cache::noop()`] short-circuits to the uncached path. This is
+/// [`check_budgeted`] with an unbounded effort.
 pub fn check_cached(
     rtl: &Rtl,
     property: &Property,
@@ -130,20 +131,8 @@ pub fn check_cached(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    if !cache.is_enabled() {
-        return check_instrumented(rtl, property, k, instrument);
-    }
-    let fp = crate::obligation::fingerprint("induction", rtl, property, &[u64::from(k)]);
-    if let Some(payload) = cache.lookup_tagged("induction", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let verdict = check_instrumented(rtl, property, k, instrument);
-    cache.insert_tagged("induction", fp, crate::cachefmt::encode_verdict(&verdict));
-    verdict
+    let unbounded = exec::Effort::unbounded();
+    check_budgeted(rtl, property, k, &unbounded, instrument, cache)
 }
 
 /// [`check_cached`] under a deterministic SAT effort budget. Cache
@@ -160,9 +149,6 @@ pub fn check_budgeted(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    if !effort.bounds_sat() {
-        return check_cached(rtl, property, k, instrument, cache);
-    }
     if !cache.is_enabled() {
         return check_effort(rtl, property, k, effort, instrument);
     }

@@ -161,7 +161,7 @@ fn check_counting(rtl: &Rtl, property: &Property, node_budget: Option<usize>) ->
 /// `cache.hits` / `cache.misses` counters on `instrument`; engine runs
 /// additionally report their BDD allocation as `bdd.nodes_allocated`
 /// (the effort axis the observability journal attributes per
-/// obligation).
+/// obligation). This is [`check_budgeted`] with an unbounded effort.
 ///
 /// # Panics
 ///
@@ -174,43 +174,18 @@ pub fn check_cached(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    assert!(
-        matches!(property, Property::Invariant { .. }),
-        "reachability expects an invariant property"
-    );
-    assert!(
-        rtl.state_bits() <= 28,
-        "state space too wide for the naive BDD order ({} bits)",
-        rtl.state_bits()
-    );
-    if !cache.is_enabled() {
-        let (verdict, nodes) = check_counting(rtl, property, None);
-        instrument.counter_add("bdd.nodes_allocated", nodes);
-        return verdict;
-    }
-    let fp = crate::obligation::fingerprint("reach", rtl, property, &[]);
-    if let Some(payload) = cache.lookup_tagged("reach", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let (verdict, nodes) = check_counting(rtl, property, None);
-    instrument.counter_add("bdd.nodes_allocated", nodes);
-    cache.insert_tagged("reach", fp, crate::cachefmt::encode_verdict(&verdict));
-    verdict
+    check_budgeted(rtl, property, &exec::Effort::unbounded(), instrument, cache)
 }
 
 /// [`check_cached`] under a BDD node budget taken from
-/// `effort.bdd_nodes`. The cache fingerprint is the *standard* one
-/// (engine `"reach"`, no parameters), so conclusive verdicts are shared
-/// with unbudgeted callers; budget-exhausted verdicts are never inserted.
-/// An effort with no `bdd_nodes` axis delegates to [`check_cached`].
+/// `effort.bdd_nodes` (no `bdd_nodes` axis means no budget). The cache
+/// fingerprint is the *standard* one (engine `"reach"`, no parameters),
+/// so conclusive verdicts are shared with unbudgeted callers;
+/// budget-exhausted verdicts are never inserted.
 ///
 /// # Panics
 ///
-/// As [`check`].
+/// As [`check_cached`].
 pub fn check_budgeted(
     rtl: &Rtl,
     property: &Property,
@@ -218,10 +193,9 @@ pub fn check_budgeted(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    let Some(nodes) = effort.bdd_nodes else {
-        return check_cached(rtl, property, instrument, cache);
-    };
-    let budget = Some(usize::try_from(nodes).unwrap_or(usize::MAX));
+    let budget = effort
+        .bdd_nodes
+        .map(|nodes| usize::try_from(nodes).unwrap_or(usize::MAX));
     assert!(
         matches!(property, Property::Invariant { .. }),
         "reachability expects an invariant property"
@@ -231,23 +205,24 @@ pub fn check_budgeted(
         "state space too wide for the naive BDD order ({} bits)",
         rtl.state_bits()
     );
-    if !cache.is_enabled() {
-        let (verdict, nodes) = check_counting(rtl, property, budget);
-        instrument.counter_add("bdd.nodes_allocated", nodes);
-        return verdict;
-    }
-    let fp = crate::obligation::fingerprint("reach", rtl, property, &[]);
-    if let Some(payload) = cache.lookup_tagged("reach", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
+    let fp = cache
+        .is_enabled()
+        .then(|| crate::obligation::fingerprint("reach", rtl, property, &[]));
+    if let Some(fp) = fp {
+        if let Some(payload) = cache.lookup_tagged("reach", fp) {
+            if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
+                instrument.counter_add("cache.hits", 1);
+                return verdict;
+            }
         }
+        instrument.counter_add("cache.misses", 1);
     }
-    instrument.counter_add("cache.misses", 1);
     let (verdict, nodes) = check_counting(rtl, property, budget);
     instrument.counter_add("bdd.nodes_allocated", nodes);
-    if !verdict.is_budget_exhausted() {
-        cache.insert_tagged("reach", fp, crate::cachefmt::encode_verdict(&verdict));
+    if let Some(fp) = fp {
+        if !verdict.is_budget_exhausted() {
+            cache.insert_tagged("reach", fp, crate::cachefmt::encode_verdict(&verdict));
+        }
     }
     verdict
 }

@@ -425,12 +425,12 @@ impl Service {
         self.cache.set_tenant(Some(&tenant));
         let started = Instant::now();
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-            flow::run_full_flow_job_journaled(
+            flow::run_full_flow_job(
                 &job.spec,
                 &self.instrument,
                 self.config.mode,
                 &self.cache,
-                &job_journal,
+                Some(&job_journal),
             )
         }));
         let wall_us = if self.config.wall_clock {

@@ -38,10 +38,7 @@ use std::fs;
 use std::path::Path;
 use std::time::Instant;
 use symbad_core::cascade;
-use symbad_core::flow::{
-    run_full_flow_cached, run_full_flow_cached_journaled, run_full_flow_mode,
-    run_full_flow_supervised_journaled, FlowReport,
-};
+use symbad_core::flow::{run_full_flow_cached, run_full_flow_supervised, FlowReport};
 use symbad_core::supervise::SupervisionPolicy;
 use symbad_core::workload::Workload;
 use telemetry::{
@@ -496,30 +493,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let entries_loaded = cache::ObligationCache::load_or_empty(cache_dir).len();
     let obligations = cache::ObligationCache::new();
 
-    // The primary run doubles as the phase-level flight recording: every
-    // phase transition and the FPGA reconfiguration summary land on the
-    // journal's deterministic lane. Obligation-level attribution comes
-    // from the supervised run below.
-    let journal = Journal::with_wall_clock();
-    let report = run_full_flow_cached_journaled(
-        &workload,
-        &instr,
-        exec::ExecMode::Sequential,
-        &obligations,
-        &journal,
-    )?;
+    let report = run_full_flow_cached(&workload, &instr, exec::ExecMode::Sequential, &obligations)?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let cold = obligations.stats();
 
     // Warm rerun on the now-populated cache: every verification obligation
     // is replayed from its cached verdict, and the report — verdicts,
     // counterexamples, coverage, JSON rendering — must be bit-identical.
-    let warm_report = run_full_flow_cached_journaled(
+    let warm_report = run_full_flow_cached(
         &workload,
         &telemetry::noop(),
         exec::ExecMode::Sequential,
         &obligations,
-        &journal,
     )?;
     assert_eq!(
         warm_report.to_json(),
@@ -607,21 +592,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sat_bench.micro_conflict_reduction * 100.0,
     );
 
-    // Flight recorder proper: rerun the flow supervised and journaled (a
-    // fresh cache again, so every obligation does real engine work and the
-    // attributed effort is non-trivial). The journal records the full
-    // obligation lifecycle — started / cache probe / budget spend /
-    // finished with provenance — on the deterministic lane, and wall
-    // times, queue depths, and worker attribution on the timing lane.
+    // Flight recorder: rerun the flow supervised and journaled (a fresh
+    // cache again, so every obligation does real engine work and the
+    // attributed effort is non-trivial). The journal records every phase,
+    // the FPGA reconfiguration summary, and the full obligation lifecycle
+    // — started / cache probe / budget spend / finished with provenance —
+    // on the deterministic lane, and wall times, queue depths, and worker
+    // attribution on the timing lane.
+    let journal = Journal::with_wall_clock();
     let fr_start = Instant::now();
     let fr_cache = cache::ObligationCache::new();
-    let supervised = run_full_flow_supervised_journaled(
+    let supervised = run_full_flow_supervised(
         &workload,
         &instr,
         exec::ExecMode::Sequential,
         &fr_cache,
         &SupervisionPolicy::default(),
-        &journal,
+        Some(&journal),
     )?;
     journal.emit_timing(TimingKind::RunWall {
         label: "flow.supervised".to_owned(),
@@ -673,10 +660,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let compare = if mode.is_parallel() {
         let seq_start = Instant::now();
-        let seq_report = run_full_flow_mode(&workload, exec::ExecMode::Sequential)?;
+        let noop = telemetry::noop();
+        let seq_report =
+            run_full_flow_cached(&workload, &noop, exec::ExecMode::Sequential, cache::noop())?;
         let flow_seq_ms = seq_start.elapsed().as_secs_f64() * 1e3;
         let par_start = Instant::now();
-        let par_report = run_full_flow_mode(&workload, mode)?;
+        let par_report = run_full_flow_cached(&workload, &noop, mode, cache::noop())?;
         let flow_par_ms = par_start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             par_report.to_json(),

@@ -1,5 +1,5 @@
 //! The supervised flow end to end:
-//! [`symbad_core::flow::run_full_flow_supervised_journaled`] executes the
+//! [`symbad_core::flow::run_full_flow_supervised`] executes the
 //! whole methodology under panic isolation and a deterministic effort
 //! budget with the flight recorder attached, then proves the degradation
 //! contract by rerunning the flow with 1, 2, and 8 workers (fresh
@@ -32,7 +32,7 @@
 //! ```
 
 use std::fs;
-use symbad_core::flow::{run_full_flow_supervised_journaled, FlowReport};
+use symbad_core::flow::{run_full_flow_supervised, FlowReport};
 use symbad_core::supervise::SupervisionPolicy;
 use symbad_core::workload::Workload;
 use telemetry::{EventKind, FlowProfile, Journal};
@@ -62,13 +62,13 @@ fn run_with(
     // differ across worker counts.
     let cache = cache::ObligationCache::new();
     let journal = Journal::new();
-    let report = run_full_flow_supervised_journaled(
+    let report = run_full_flow_supervised(
         &Workload::small(),
         &telemetry::noop(),
         exec::ExecMode::from_workers(workers),
         &cache,
         policy,
-        &journal,
+        Some(&journal),
     )?;
     Ok((report, journal))
 }

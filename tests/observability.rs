@@ -10,7 +10,7 @@
 //! flight recording of a faulty run must still not depend on the worker
 //! count.
 
-use symbad_core::flow::run_full_flow_supervised_journaled;
+use symbad_core::flow::run_full_flow_supervised;
 use symbad_core::supervise::SupervisionPolicy;
 use symbad_core::workload::Workload;
 use telemetry::{journal, EventKind, FlowProfile, Journal};
@@ -36,13 +36,13 @@ fn journaled(workers: usize) -> Journal {
     exec::silence_injected_panics();
     let cache = cache::ObligationCache::new();
     let journal = Journal::new();
-    run_full_flow_supervised_journaled(
+    run_full_flow_supervised(
         &Workload::small(),
         &telemetry::noop(),
         exec::ExecMode::from_workers(workers),
         &cache,
         &policy(),
-        &journal,
+        Some(&journal),
     )
     .expect("supervised flow runs");
     journal
@@ -122,13 +122,13 @@ fn prometheus_exposition_round_trips() {
     exec::silence_injected_panics();
     let cache = cache::ObligationCache::new();
     let journal = Journal::new();
-    run_full_flow_supervised_journaled(
+    run_full_flow_supervised(
         &Workload::small(),
         &instr,
         exec::ExecMode::Sequential,
         &cache,
         &policy(),
-        &journal,
+        Some(&journal),
     )
     .expect("supervised flow runs");
     let text = telemetry::prometheus_text(&collector);

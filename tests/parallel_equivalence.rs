@@ -1,15 +1,13 @@
 //! The parallel backbone's contract: verdicts, counterexamples, coverage,
 //! and rendered reports are bit-identical across worker counts.
 //!
-//! Every verification obligation (SAT portfolio race excepted — its
-//! verdict is objective but its winner is wall-clock-dependent and its
-//! model is therefore diagnostic-only) builds its own engine state, so
-//! fan-out must not change a single bit of any result. These tests pin
-//! that invariant for workers ∈ {1, 2, 8} against the sequential run.
+//! Every verification obligation builds its own engine state, so fan-out
+//! must not change a single bit of any result. These tests pin that
+//! invariant for workers ∈ {1, 2, 8} against the sequential run.
 
 use mc::prop::{BoolExpr, Property};
 use symbad_core::cascade;
-use symbad_core::flow::run_full_flow_mode;
+use symbad_core::flow::run_full_flow_cached;
 use symbad_core::workload::Workload;
 
 const MODES: [exec::ExecMode; 3] = [
@@ -21,11 +19,17 @@ const MODES: [exec::ExecMode; 3] = [
 #[test]
 fn flow_report_json_is_bit_identical_across_worker_counts() {
     let w = Workload::small();
-    let reference = run_full_flow_mode(&w, exec::ExecMode::Sequential)
-        .expect("sequential flow runs")
-        .to_json();
+    let reference = run_full_flow_cached(
+        &w,
+        &telemetry::noop(),
+        exec::ExecMode::Sequential,
+        cache::noop(),
+    )
+    .expect("sequential flow runs")
+    .to_json();
     for mode in MODES {
-        let report = run_full_flow_mode(&w, mode).expect("parallel flow runs");
+        let report = run_full_flow_cached(&w, &telemetry::noop(), mode, cache::noop())
+            .expect("parallel flow runs");
         assert_eq!(
             report.to_json(),
             reference,
@@ -42,14 +46,18 @@ fn clause_sharing_and_lemma_pools_never_move_the_flow_report() {
     // sharing is off (uncached flow), on with a cold pool, or on with a
     // pool warmed by a previous run — at every worker count.
     let w = Workload::small();
-    let reference = run_full_flow_mode(&w, exec::ExecMode::Sequential)
-        .expect("sequential flow runs")
-        .to_json();
+    let reference = run_full_flow_cached(
+        &w,
+        &telemetry::noop(),
+        exec::ExecMode::Sequential,
+        cache::noop(),
+    )
+    .expect("sequential flow runs")
+    .to_json();
     for mode in [exec::ExecMode::Sequential].into_iter().chain(MODES) {
         let obligations = cache::ObligationCache::new();
-        let cold =
-            symbad_core::flow::run_full_flow_cached(&w, &telemetry::noop(), mode, &obligations)
-                .expect("cold cached flow runs");
+        let cold = run_full_flow_cached(&w, &telemetry::noop(), mode, &obligations)
+            .expect("cold cached flow runs");
         assert_eq!(
             cold.to_json(),
             reference,
@@ -58,7 +66,7 @@ fn clause_sharing_and_lemma_pools_never_move_the_flow_report() {
         // Warm pool, cold verdicts: every miter re-solves, now seeded
         // from the pool the cold run populated.
         let warmed = obligations.retain_lemmas();
-        let warm = symbad_core::flow::run_full_flow_cached(&w, &telemetry::noop(), mode, &warmed)
+        let warm = run_full_flow_cached(&w, &telemetry::noop(), mode, &warmed)
             .expect("warm-pool flow runs");
         assert_eq!(
             warm.to_json(),
@@ -140,27 +148,29 @@ fn instrumented_flow_telemetry_matches_sequential_key_state() {
     let w = Workload::small();
     let seq = telemetry::Collector::shared();
     let seq_instr: telemetry::SharedInstrument = seq.clone();
-    symbad_core::flow::run_full_flow_instrumented_mode(&w, &seq_instr, exec::ExecMode::Sequential)
+    run_full_flow_cached(&w, &seq_instr, exec::ExecMode::Sequential, cache::noop())
         .expect("sequential flow runs");
     for workers in [2, 8] {
         let par = telemetry::Collector::shared();
         let par_instr: telemetry::SharedInstrument = par.clone();
-        symbad_core::flow::run_full_flow_instrumented_mode(
+        run_full_flow_cached(
             &w,
             &par_instr,
             exec::ExecMode::Parallel { workers },
+            cache::noop(),
         )
         .expect("parallel flow runs");
-        // Counter totals must agree exactly for the engine-independent
-        // keys; the miter SAT counters move to the (uninstrumented)
-        // portfolio in parallel mode, so sat.* totals legitimately
-        // differ and are excluded here.
+        // Counter totals must agree exactly.
         for key in [
             "sim.polls",
             "bus.transactions",
             "fpga.reconfigurations",
             "bmc.sat_calls",
             "level4.properties_checked",
+            "sat.solve_calls",
+            "sat.decisions",
+            "sat.conflicts",
+            "sat.propagations",
         ] {
             assert_eq!(
                 par.counter(key),

@@ -77,13 +77,13 @@ fn single_default_job_is_bit_identical_to_the_supervised_flow() {
     // Reference: the library entry point on a fresh cache, journaled.
     let reference_cache = cache::ObligationCache::new();
     let reference_journal = telemetry::Journal::new();
-    let reference = flow::run_full_flow_supervised_journaled(
+    let reference = flow::run_full_flow_supervised(
         &Workload::small(),
         &telemetry::noop(),
         exec::ExecMode::Sequential,
         &reference_cache,
         &SupervisionPolicy::default(),
-        &reference_journal,
+        Some(&reference_journal),
     )
     .expect("supervised flow runs");
 

@@ -32,6 +32,7 @@ fn supervised_with(
         exec::ExecMode::from_workers(workers),
         &cache,
         policy,
+        None,
     )
     .expect("supervised flow runs")
 }

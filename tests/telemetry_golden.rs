@@ -13,7 +13,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test telemetry_golden
 //! ```
 
-use symbad_core::flow::run_full_flow_instrumented;
+use symbad_core::flow::run_full_flow_cached;
 use symbad_core::level3;
 use symbad_core::workload::Workload;
 use symbad_suite::testkit::assert_golden;
@@ -42,7 +42,13 @@ fn level3_chrome_trace_is_byte_identical() {
 fn flow_report_json_is_byte_identical() {
     let collector = Collector::shared();
     let instr: SharedInstrument = collector.clone();
-    let report = run_full_flow_instrumented(&Workload::small(), &instr).expect("flow runs");
+    let report = run_full_flow_cached(
+        &Workload::small(),
+        &instr,
+        exec::ExecMode::Sequential,
+        cache::noop(),
+    )
+    .expect("flow runs");
     assert!(report.all_ok());
     assert_golden("flow_report.json", &report.to_json());
 }
