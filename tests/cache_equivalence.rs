@@ -258,10 +258,16 @@ fn hard_cnf(n: usize) -> sat::Cnf {
 /// Solves `cnf` cold with a collector share attached and returns its
 /// pool-bound exports.
 fn exports_of(cnf: &sat::Cnf) -> Vec<Vec<sat::Lit>> {
+    collected_exports(cnf, sat::ShareFilter::permissive(16))
+}
+
+/// Solves `cnf` cold with a collector share using `filter` (capped at
+/// the pool's per-entry limit) and returns its pool-bound exports.
+fn collected_exports(cnf: &sat::Cnf, filter: sat::ShareFilter) -> Vec<Vec<sat::Lit>> {
     let mut solver = sat::Solver::new();
     cnf.load_into(&mut solver);
     solver.set_share(sat::SolverShare::collector(
-        sat::ShareFilter::permissive(16),
+        filter,
         cache::pool::MAX_CLAUSES_PER_ENTRY,
     ));
     solver.solve();
@@ -269,6 +275,28 @@ fn exports_of(cnf: &sat::Cnf) -> Vec<Vec<sat::Lit>> {
         .take_share()
         .expect("collector share is attached")
         .into_pool_exports()
+}
+
+/// Pins the lemma-pool export stream end to end: which learnt clauses
+/// the collector admits (permissive and level 4's default filter), their
+/// normal form, and the persisted `lemmas-v1.json` layout. The
+/// share-mutant corrupts exports on purpose, so the pin is skipped there.
+#[cfg(not(feature = "share-mutant"))]
+#[test]
+fn lemma_pool_export_stream_matches_golden() {
+    let dir = scratch_dir("lemma-golden");
+    let cnf = hard_cnf(32);
+    let permissive = exports_of(&cnf);
+    let default = collected_exports(&cnf, sat::ShareFilter::default());
+    assert!(!permissive.is_empty() && !default.is_empty());
+    let obligations = cache::ObligationCache::new();
+    let lemmas = obligations.lemmas();
+    lemmas.insert(cache::Fingerprint(0x0101_0101_0101_0101), &permissive);
+    lemmas.insert(cache::Fingerprint(0x0202_0202_0202_0202), &default);
+    obligations.save(&dir).expect("cache saves");
+    let text = fs::read_to_string(dir.join("lemmas-v1.json")).expect("lemma file reads");
+    symbad_suite::testkit::assert_golden("lemma_pool_hard.json", &text);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
