@@ -148,24 +148,6 @@ pub fn sat_branch_tpg(
     cond_id: CondId,
     dir: bool,
 ) -> Result<Option<Vec<u64>>, FormalError> {
-    sat_branch_tpg_cached(func, cond_id, dir, cache::noop())
-}
-
-/// [`sat_branch_tpg`] backed by the obligation cache (engine tag
-/// `"atpg.branch"`). The fingerprint covers the synthesized probe CNF,
-/// the input literal layout, and the probe root, so a hit replays either
-/// the stored test vector or the stored unreachability proof without
-/// solving. [`cache::noop()`] skips fingerprinting entirely.
-///
-/// # Errors
-///
-/// As [`sat_branch_tpg`] (synthesis runs before any cache lookup).
-pub fn sat_branch_tpg_cached(
-    func: &Function,
-    cond_id: CondId,
-    dir: bool,
-    cache: &cache::ObligationCache,
-) -> Result<Option<Vec<u64>>, FormalError> {
     let instrumented =
         instrument_branch(func, cond_id, dir).ok_or(FormalError::NoSuchCondition(cond_id))?;
     let rtl = synthesize(&instrumented)?;
@@ -177,34 +159,9 @@ pub fn sat_branch_tpg_cached(
         .collect();
     let lowered = lower(&rtl, &mut ctx, &input_bits, &[]);
     let probe_bit = lowered.outputs(&rtl)[0].1[0];
-    let fp = if cache.is_enabled() {
-        let flat: Vec<Lit> = input_bits.iter().flatten().copied().collect();
-        let cnf = ctx.builder_mut().solver().export_cnf();
-        let fp = cache::FingerprintBuilder::new("atpg.branch")
-            .lits(&flat)
-            .lits(&[probe_bit])
-            .cnf(&cnf)
-            .finish();
-        if let Some(payload) = cache.lookup_tagged("atpg.branch", fp) {
-            if let Some(model) = decode_model(&payload) {
-                return Ok(model);
-            }
-        }
-        Some(fp)
-    } else {
-        None
-    };
     let builder = ctx.builder_mut();
     builder.assert_lit(probe_bit);
-    let result = if builder.solve().is_unsat() {
-        None
-    } else {
-        Some(read_model(builder, &input_bits))
-    };
-    if let Some(fp) = fp {
-        cache.insert_tagged("atpg.branch", fp, encode_model(result.as_deref()));
-    }
-    Ok(result)
+    Ok(solve_for_vector(builder, &input_bits))
 }
 
 /// Injects a bit fault behaviourally: every assignment to `fault.var` has
@@ -287,22 +244,6 @@ fn inject_block(stmts: &[Stmt], fault: BitFault, func: &Function) -> Vec<Stmt> {
 /// Returns [`FormalError::Synth`] when either version cannot be
 /// synthesized.
 pub fn sat_fault_tpg(func: &Function, fault: BitFault) -> Result<Option<Vec<u64>>, FormalError> {
-    sat_fault_tpg_cached(func, fault, cache::noop())
-}
-
-/// [`sat_fault_tpg`] backed by the obligation cache (engine tag
-/// `"atpg.fault"`). The fingerprint covers the good/faulty miter CNF, the
-/// shared input literal layout, and the "outputs differ" root, so a hit
-/// replays the stored test vector or untestability proof without solving.
-///
-/// # Errors
-///
-/// As [`sat_fault_tpg`] (both syntheses run before any cache lookup).
-pub fn sat_fault_tpg_cached(
-    func: &Function,
-    fault: BitFault,
-    cache: &cache::ObligationCache,
-) -> Result<Option<Vec<u64>>, FormalError> {
     let good = synthesize(func)?;
     let bad = synthesize(&inject_fault(func, fault))?;
     let mut ctx = CnfBackend::new();
@@ -328,33 +269,8 @@ pub fn sat_fault_tpg_cached(
             Some(a) => Some(builder.or_gate(a, d)),
         })
         .expect("at least one output bit");
-    let fp = if cache.is_enabled() {
-        let flat: Vec<Lit> = input_bits.iter().flatten().copied().collect();
-        let cnf = builder.solver().export_cnf();
-        let fp = cache::FingerprintBuilder::new("atpg.fault")
-            .lits(&flat)
-            .lits(&[any])
-            .cnf(&cnf)
-            .finish();
-        if let Some(payload) = cache.lookup_tagged("atpg.fault", fp) {
-            if let Some(model) = decode_model(&payload) {
-                return Ok(model);
-            }
-        }
-        Some(fp)
-    } else {
-        None
-    };
     builder.assert_lit(any);
-    let result = if builder.solve().is_unsat() {
-        None
-    } else {
-        Some(read_model(builder, &input_bits))
-    };
-    if let Some(fp) = fp {
-        cache.insert_tagged("atpg.fault", fp, encode_model(result.as_deref()));
-    }
-    Ok(result)
+    Ok(solve_for_vector(builder, &input_bits))
 }
 
 /// Completes a testbench's *bit coverage* formally: for every fault left
@@ -373,46 +289,10 @@ pub fn complete_faults_with_sat(
     func: &Function,
     tb: &Testbench,
 ) -> Result<(Testbench, u32), FormalError> {
-    complete_faults_with_sat_mode(func, tb, exec::ExecMode::Sequential)
-}
-
-/// [`complete_faults_with_sat`] with each undetected fault generated as an
-/// independent obligation, optionally across worker threads. Obligations
-/// share nothing (each builds its own miter and solver) and results are
-/// merged in fault order, so the extended testbench is bit-identical to
-/// the sequential one for every mode.
-///
-/// # Errors
-///
-/// Propagates synthesis failures (the first, in fault order).
-pub fn complete_faults_with_sat_mode(
-    func: &Function,
-    tb: &Testbench,
-    mode: exec::ExecMode,
-) -> Result<(Testbench, u32), FormalError> {
-    complete_faults_with_sat_cached(func, tb, mode, cache::noop())
-}
-
-/// [`complete_faults_with_sat_mode`] with every per-fault obligation
-/// backed by the shared obligation cache.
-///
-/// # Errors
-///
-/// As [`complete_faults_with_sat_mode`].
-pub fn complete_faults_with_sat_cached(
-    func: &Function,
-    tb: &Testbench,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-) -> Result<(Testbench, u32), FormalError> {
-    let cov = crate::metrics::bit_coverage(func, tb);
-    let results = exec::map(mode, cov.undetected, |_, fault| {
-        sat_fault_tpg_cached(func, fault, cache)
-    });
     let mut out = tb.clone();
     let mut untestable = 0u32;
-    for r in results {
-        match r? {
+    for fault in crate::metrics::bit_coverage(func, tb).undetected {
+        match sat_fault_tpg(func, fault)? {
             Some(v) => out.vectors.push(v),
             None => untestable += 1,
         }
@@ -420,35 +300,13 @@ pub fn complete_faults_with_sat_cached(
     Ok((out, untestable))
 }
 
-/// Payload codec for TPG results: `none` proves the target untestable /
-/// unreachable; `m:v1,v2,…` is a concrete input vector (possibly empty
-/// for zero-input functions, encoded as bare `m:`).
-fn encode_model(model: Option<&[u64]>) -> String {
-    match model {
-        None => "none".to_owned(),
-        Some(values) => {
-            let body: Vec<String> = values.iter().map(u64::to_string).collect();
-            format!("m:{}", body.join(","))
-        }
+/// Solves the asserted query: `None` proves the target unreachable or
+/// untestable, `Some` is the input vector read back from the model.
+fn solve_for_vector(builder: &mut sat::CnfBuilder, input_bits: &[Vec<Lit>]) -> Option<Vec<u64>> {
+    if builder.solve().is_unsat() {
+        return None;
     }
-}
-
-fn decode_model(payload: &str) -> Option<Option<Vec<u64>>> {
-    if payload == "none" {
-        return Some(None);
-    }
-    let body = payload.strip_prefix("m:")?;
-    if body.is_empty() {
-        return Some(Some(Vec::new()));
-    }
-    body.split(',')
-        .map(|v| v.parse().ok())
-        .collect::<Option<Vec<u64>>>()
-        .map(Some)
-}
-
-fn read_model(builder: &sat::CnfBuilder, input_bits: &[Vec<Lit>]) -> Vec<u64> {
-    input_bits
+    let vector = input_bits
         .iter()
         .map(|bits| {
             let mut v = 0u64;
@@ -459,7 +317,8 @@ fn read_model(builder: &sat::CnfBuilder, input_bits: &[Vec<Lit>]) -> Vec<u64> {
             }
             v
         })
-        .collect()
+        .collect();
+    Some(vector)
 }
 
 /// Completes a testbench formally: for every branch direction left
@@ -471,46 +330,11 @@ fn read_model(builder: &sat::CnfBuilder, input_bits: &[Vec<Lit>]) -> Vec<u64> {
 ///
 /// Propagates synthesis failures.
 pub fn complete_with_sat(func: &Function, tb: &Testbench) -> Result<(Testbench, u32), FormalError> {
-    complete_with_sat_mode(func, tb, exec::ExecMode::Sequential)
-}
-
-/// [`complete_with_sat`] with each uncovered branch targeted as an
-/// independent obligation, optionally across worker threads. Vectors are
-/// merged in branch order, so the extended testbench is bit-identical to
-/// the sequential one for every mode.
-///
-/// # Errors
-///
-/// Propagates synthesis failures (the first, in branch order).
-pub fn complete_with_sat_mode(
-    func: &Function,
-    tb: &Testbench,
-    mode: exec::ExecMode,
-) -> Result<(Testbench, u32), FormalError> {
-    complete_with_sat_cached(func, tb, mode, cache::noop())
-}
-
-/// [`complete_with_sat_mode`] with every per-branch obligation backed by
-/// the shared obligation cache.
-///
-/// # Errors
-///
-/// As [`complete_with_sat_mode`].
-pub fn complete_with_sat_cached(
-    func: &Function,
-    tb: &Testbench,
-    mode: exec::ExecMode,
-    cache: &cache::ObligationCache,
-) -> Result<(Testbench, u32), FormalError> {
-    let merged = crate::metrics::evaluate(func, &tb.vectors);
-    let report = merged.report();
-    let results = exec::map(mode, report.uncovered_branches, |_, (cond, dir)| {
-        sat_branch_tpg_cached(func, cond, dir, cache)
-    });
+    let report = crate::metrics::evaluate(func, &tb.vectors).report();
     let mut out = tb.clone();
     let mut unreachable = 0u32;
-    for r in results {
-        match r? {
+    for (cond, dir) in report.uncovered_branches {
+        match sat_branch_tpg(func, cond, dir)? {
             Some(v) => {
                 // Cross-check with the interpreter before trusting SAT.
                 let run = Interpreter::new(func).run(&v);
@@ -662,73 +486,6 @@ mod tests {
             "every fault either detected or proven untestable: {after:?}"
         );
         assert!(after.detected > before.detected);
-    }
-
-    #[test]
-    fn parallel_completion_is_bit_identical() {
-        let f = needle();
-        let tb = Testbench {
-            vectors: vec![vec![0]],
-        };
-        let branch_ref = complete_with_sat(&f, &tb).expect("works");
-        let fault_ref = complete_faults_with_sat(&f, &tb).expect("works");
-        for workers in [2, 8] {
-            let mode = exec::ExecMode::Parallel { workers };
-            let branches = complete_with_sat_mode(&f, &tb, mode).expect("works");
-            assert_eq!(branches.0.vectors, branch_ref.0.vectors);
-            assert_eq!(branches.1, branch_ref.1);
-            let faults = complete_faults_with_sat_mode(&f, &tb, mode).expect("works");
-            assert_eq!(faults.0.vectors, fault_ref.0.vectors);
-            assert_eq!(faults.1, fault_ref.1);
-        }
-    }
-
-    #[test]
-    fn cached_tpg_replays_vectors_and_proofs() {
-        let f = needle();
-        let cache = cache::ObligationCache::new();
-        let target = cond_of(&f, 0);
-        let cold = sat_branch_tpg_cached(&f, target, true, &cache).expect("synthesizable");
-        assert!(cold.is_some());
-        let warm = sat_branch_tpg_cached(&f, target, true, &cache).expect("synthesizable");
-        assert_eq!(warm, cold);
-        assert_eq!(cache.stats().hits, 1);
-
-        // Untestable-fault proofs cache too (`none` payload).
-        let mut fb = FunctionBuilder::new("deadvar", 8);
-        let a = fb.param("a", 8);
-        let x = fb.local("x", 8);
-        fb.assign(x, Expr::var(a));
-        fb.ret(Expr::var(a));
-        let g = fb.build();
-        let fault = BitFault {
-            var: g.var_by_name("x").unwrap(),
-            bit: 3,
-            stuck_at: true,
-        };
-        assert_eq!(sat_fault_tpg_cached(&g, fault, &cache).unwrap(), None);
-        assert_eq!(sat_fault_tpg_cached(&g, fault, &cache).unwrap(), None);
-        assert_eq!(cache.stats().hits, 2);
-
-        // A cached run equals the uncached reference wholesale.
-        let tb = Testbench {
-            vectors: vec![vec![0]],
-        };
-        let reference = complete_faults_with_sat(&f, &tb).expect("works");
-        let cached = complete_faults_with_sat_cached(&f, &tb, exec::ExecMode::Sequential, &cache)
-            .expect("works");
-        assert_eq!(cached.0.vectors, reference.0.vectors);
-        assert_eq!(cached.1, reference.1);
-    }
-
-    #[test]
-    fn model_payloads_round_trip() {
-        for model in [None, Some(vec![]), Some(vec![0]), Some(vec![3, u64::MAX])] {
-            let encoded = encode_model(model.as_deref());
-            assert_eq!(decode_model(&encoded), Some(model));
-        }
-        assert_eq!(decode_model("m:x"), None);
-        assert_eq!(decode_model(""), None);
     }
 
     /// Helper: the `i`-th condition id of a function.

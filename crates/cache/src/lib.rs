@@ -14,16 +14,15 @@
 //! In the paper's terms this serves the level-4 "model checking and SAT
 //! solving" stage and the PCC refinement loop (§3.4), where the extended
 //! property set re-checks every mutant the initial set already visited:
-//! the [`ObligationCache`] is shared across the per-config LP/ATPG/PCC
-//! fan-out (lock-striped, so `exec::ExecMode::Parallel` workers and SAT
-//! portfolio winners populate it concurrently) and persisted to
-//! `target/symbad-cache/` as versioned, hand-rolled JSON (the build is
-//! offline — no serde), so a warm rerun of `flow::run_full_flow` skips
-//! already-proved obligations entirely.
+//! the [`ObligationCache`] is shared across the flow's obligations
+//! (lock-striped, so `exec::ExecMode::Parallel` workers populate it
+//! concurrently) and persisted to `target/symbad-cache/` as versioned,
+//! hand-rolled JSON (the build is offline — no serde), so a warm rerun of
+//! `flow::run_full_flow` skips already-proved obligations entirely.
 //!
 //! Payloads are plain strings encoded by the engine that owns the entry
-//! (`mc` encodes verdicts and counterexample traces, `atpg` encodes test
-//! vectors, `pcc`/`level4` booleans via [`encode_bool`]); a payload that
+//! (`mc` encodes verdicts and counterexample traces, `pcc`/`level4`
+//! booleans via [`encode_bool`]); a payload that
 //! fails to decode is treated as a miss, never as an error.
 //!
 //! ```

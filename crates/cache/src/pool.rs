@@ -132,12 +132,14 @@ impl LemmaPool {
         }
         let mut shard = self.shard(fp).lock().expect("lemma shard poisoned");
         let entry = shard.entry(fp.0).or_default();
-        let before = entry.len();
+        // Compare content, not length: at the cap a shorter clause can
+        // displace a longer one and leave the length unchanged.
+        let before = entry.clone();
         entry.append(&mut incoming);
         entry.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         entry.dedup();
         entry.truncate(MAX_CLAUSES_PER_ENTRY);
-        if entry.len() != before {
+        if *entry != before {
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -267,6 +269,23 @@ mod tests {
         assert_eq!(got.len(), MAX_CLAUSES_PER_ENTRY);
         // The unit survived the truncation (shortest first).
         assert_eq!(got[0], vec![lit(0, false)]);
+    }
+
+    #[test]
+    fn displacing_insert_at_the_cap_is_counted() {
+        let pool = LemmaPool::new();
+        let f = fp("a");
+        let full: Vec<Vec<Lit>> = (0..MAX_CLAUSES_PER_ENTRY)
+            .map(|i| vec![lit(i, true), lit(i + 1, false)])
+            .collect();
+        pool.insert(f, &full);
+        // A unit displaces the longest stored clause: same length, new
+        // content, so it counts.
+        pool.insert(f, &[vec![lit(0, false)]]);
+        assert_eq!(pool.stats().inserts, 2);
+        // Re-inserting a stored clause changes nothing and does not count.
+        pool.insert(f, &[full[0].clone()]);
+        assert_eq!(pool.stats().inserts, 2);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl TagStats {
 /// verdict payloads.
 ///
 /// Lookups and inserts take one shard lock each; the instance is shared
-/// by reference across `exec::map` workers and SAT-portfolio winners.
+/// by reference across `exec::map` workers.
 /// A [`ObligationCache::disabled`] instance (see [`crate::noop`]) ignores
 /// all traffic, keeping un-cached entry points byte-identical to the
 /// pre-cache code paths.

@@ -9,7 +9,9 @@
 //! description" (§2). This module seeds one representative error of each
 //! class and shows the corresponding stage catching it.
 
-use crate::supervise::{ObligationOutcome, ObligationStatus, SupervisionPolicy};
+use crate::supervise::{
+    Obligation, ObligationOutcome, ObligationStatus, RunCtx, SupervisionPolicy,
+};
 use behav::{Expr, Function, FunctionBuilder};
 use hdl::fsm::FsmBuilder;
 use lp::lpv::{check_deadline, check_liveness, DeadlineVerdict, LivenessVerdict};
@@ -153,19 +155,16 @@ pub fn wrapper(correct: bool) -> hdl::Rtl {
 }
 
 /// Runs the whole cascade: each stage on its buggy artifact (must catch)
-/// and on the corrected artifact (must certify).
+/// and on the corrected artifact (must certify). This is
+/// [`run_supervised`] on the calling thread under the idle
+/// [`SupervisionPolicy`], without the outcome list.
 pub fn run() -> CascadeReport {
-    run_mode(exec::ExecMode::Sequential)
-}
-
-/// [`run`] with each stage executed as an independent obligation,
-/// optionally across worker threads: [`run_supervised`] under the idle
-/// [`SupervisionPolicy`], without the outcome list. Every stage builds
-/// its own artifacts and engines, and each is deterministic, so the
-/// report is bit-identical to the sequential run (stages stay in flow
-/// order).
-pub fn run_mode(mode: exec::ExecMode) -> CascadeReport {
-    run_supervised(mode, cache::noop(), &SupervisionPolicy::default()).0
+    run_supervised(
+        exec::ExecMode::Sequential,
+        cache::noop(),
+        &SupervisionPolicy::default(),
+    )
+    .0
 }
 
 /// Stage metadata used to fabricate a degraded [`StageResult`] when a
@@ -199,74 +198,88 @@ const STAGE_META: [(&str, u8, &str); 5] = [
     ),
 ];
 
-/// Runs the cascade under a [`SupervisionPolicy`]: each stage runs
-/// panic-isolated (caught, optionally retried once), the model-checking
-/// stage consults `cache` and honours the policy's effort budget via
-/// [`bmc::check_budgeted`], and the report is accompanied by the
-/// per-stage [`ObligationOutcome`] taxonomy. A
+/// Runs the cascade under a [`SupervisionPolicy`]: the five stages are
+/// obligations of the supervised driver, dispatched across `mode`'s
+/// workers. Each stage runs panic-isolated (caught, optionally retried
+/// once); the model-checking stage consults `cache` and honours the
+/// policy's effort budget via [`bmc::check_budgeted`]. The report is
+/// accompanied by the per-stage [`ObligationOutcome`] taxonomy. A
 /// panicked stage degrades to a fabricated `StageResult` (from the
 /// crate-private `STAGE_META` table) with `caught: false`,
-/// `clean_passes: false`, and the panic message as detail — the cascade
-/// always returns all five stages, bit-identically for any worker count.
+/// `clean_passes: false`, and the driver's `panicked: …` detail — the
+/// cascade always returns all five stages in flow order, bit-identically
+/// for any worker count.
 pub fn run_supervised(
     mode: exec::ExecMode,
     cache: &cache::ObligationCache,
     policy: &SupervisionPolicy,
 ) -> (CascadeReport, Vec<ObligationOutcome>) {
+    let instrument = telemetry::noop();
+    let ctx = RunCtx {
+        mode,
+        instrument: &instrument,
+        cache,
+        policy,
+        journal: None,
+    };
     let effort = policy.effort;
-    let retry = policy.retry_panicked;
-    let jobs: Vec<usize> = (0..STAGE_META.len()).collect();
-    let supervised = exec::map(mode, jobs, |_, i| {
-        crate::supervise::run_supervised_job(retry, || match i {
-            0 => (stage_atpg(), false),
-            1 => (stage_lpv_liveness(), false),
-            2 => (stage_lpv_deadline(), false),
-            3 => (stage_symbc(), false),
-            _ => stage_model_checking(cache, &effort),
+    let engine_free: [fn() -> StageResult; 4] = [
+        stage_atpg,
+        stage_lpv_liveness,
+        stage_lpv_deadline,
+        stage_symbc,
+    ];
+    let mut obligations: Vec<Obligation<'_, (StageResult, bool)>> = engine_free
+        .into_iter()
+        .zip(STAGE_META)
+        .map(|(stage, (name, _, _))| Obligation {
+            name: format!("cascade:{name}"),
+            engine: "cascade",
+            budgeted: false,
+            run: Box::new(move |_: &telemetry::SharedInstrument| (stage(), false)),
         })
+        .collect();
+    obligations.push(Obligation {
+        name: format!("cascade:{}", STAGE_META[4].0),
+        engine: "cascade",
+        budgeted: true,
+        run: Box::new(move |instr: &telemetry::SharedInstrument| {
+            stage_model_checking(instr, cache, &effort)
+        }),
     });
 
-    let mut stages = Vec::new();
     let mut outcomes = Vec::new();
-    for (i, sup) in supervised.into_iter().enumerate() {
-        let (stage, status, detail) = match sup.value {
-            Some((stage, budget_exhausted)) => {
-                let status = if budget_exhausted {
-                    ObligationStatus::Unknown
-                } else if stage.caught && stage.clean_passes {
-                    ObligationStatus::Proved
-                } else {
-                    ObligationStatus::Refuted
-                };
-                let detail = stage.detail.clone();
-                (stage, status, detail)
-            }
-            None => {
-                let (name, level, seeded_error) = STAGE_META[i];
-                let msg = sup.panic.as_deref().unwrap_or("?");
-                let detail = format!("stage panicked: {msg}");
-                (
-                    StageResult {
-                        stage: name,
-                        level,
-                        seeded_error,
-                        caught: false,
-                        clean_passes: false,
-                        detail: detail.clone(),
-                    },
-                    ObligationStatus::Panicked,
-                    detail,
-                )
-            }
-        };
-        outcomes.push(ObligationOutcome {
-            name: format!("cascade:{}", stage.stage),
-            status,
-            detail,
-            retried: sup.retried,
-        });
-        stages.push(stage);
-    }
+    let discharged = ctx.discharge(
+        "cascade",
+        mode,
+        obligations,
+        |(stage, budget_exhausted)| {
+            let status = if *budget_exhausted {
+                ObligationStatus::Unknown
+            } else if stage.caught && stage.clean_passes {
+                ObligationStatus::Proved
+            } else {
+                ObligationStatus::Refuted
+            };
+            (status, stage.detail.clone())
+        },
+        &mut outcomes,
+    );
+    let stages = discharged
+        .into_iter()
+        .zip(STAGE_META)
+        .map(|(d, (stage, level, seeded_error))| match d.value {
+            Some((result, _)) => result,
+            None => StageResult {
+                stage,
+                level,
+                seeded_error,
+                caught: false,
+                clean_passes: false,
+                detail: d.detail,
+            },
+        })
+        .collect();
     (CascadeReport { stages }, outcomes)
 }
 
@@ -384,6 +397,7 @@ fn stage_symbc() -> StageResult {
 /// either query exhausted the budget (the stage then certifies nothing —
 /// an exhausted verdict is evidence of nothing).
 fn stage_model_checking(
+    instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
     effort: &exec::Effort,
 ) -> (StageResult, bool) {
@@ -395,8 +409,8 @@ fn stage_model_checking(
         BoolExpr::eq("state", 0),
         1,
     );
-    let buggy_verdict = bmc::check_budgeted(&buggy, &p, 10, effort, &telemetry::noop(), cache);
-    let clean_verdict = bmc::check_budgeted(&clean, &p, 10, effort, &telemetry::noop(), cache);
+    let buggy_verdict = bmc::check_budgeted(&buggy, &p, 10, effort, instrument, cache);
+    let clean_verdict = bmc::check_budgeted(&clean, &p, 10, effort, instrument, cache);
     let budget_exhausted =
         buggy_verdict.is_budget_exhausted() || clean_verdict.is_budget_exhausted();
     let stage = StageResult {
@@ -454,8 +468,10 @@ mod tests {
     #[test]
     fn parallel_cascade_is_bit_identical() {
         let reference = run();
+        let policy = SupervisionPolicy::default();
         for workers in [2, 8] {
-            assert_eq!(run_mode(exec::ExecMode::Parallel { workers }), reference);
+            let mode = exec::ExecMode::Parallel { workers };
+            assert_eq!(run_supervised(mode, cache::noop(), &policy).0, reference);
         }
     }
 

@@ -31,7 +31,7 @@ use hdl::Rtl;
 use mc::prop::{BoolExpr, Property};
 use mc::{bmc, reach, Verdict};
 use media::kernels::{distance_step_function, root_function, ROOT_ITERATIONS};
-use pcc::{check_coverage_cached, PccConfig, PccReport};
+use pcc::{check_coverage, PccConfig, PccReport};
 
 /// Outcome of the level-4 phase.
 #[derive(Debug, Clone)]
@@ -108,7 +108,7 @@ pub fn prove_equivalence_budgeted(
                 instrument.counter_add("sat.cube_splits", 1);
                 let split = builder.solver().top_activity_vars(CUBE_SPLIT_VARS);
                 let cnf = builder.solver().export_cnf();
-                let report = sat::cube::conquer(&cnf, &split, effort, exec::ExecMode::Sequential);
+                let report = sat::cube::conquer(&cnf, &split, effort);
                 report.verdict?.is_unsat()
             }
         }
@@ -374,9 +374,9 @@ pub fn run_cached(
 /// Determinism: with a parallel `mode` the miters and the properties fan
 /// out across workers, each on the canonical budgeted solver with a
 /// private telemetry collector replayed in obligation order. The PCC runs
-/// execute sequentially — a panic escaping a parallel inner PCC sweep
-/// would leave worker-count-dependent cache state behind, so supervised
-/// PCC trades parallelism for reproducibility. The outcome list, the
+/// execute sequentially on the calling thread — a panic escaping a
+/// parallel PCC sweep would leave worker-count-dependent cache state
+/// behind, so supervised PCC trades parallelism for reproducibility. The outcome list, the
 /// report and the journal's deterministic lane are bit-identical across
 /// worker counts, faults or no faults.
 ///
@@ -528,7 +528,7 @@ pub(crate) fn run_in(ctx: &RunCtx<'_>, outcomes: &mut Vec<ObligationOutcome>) ->
                 engine: "pcc",
                 budgeted: false,
                 run: Box::new(|_: &telemetry::SharedInstrument| {
-                    check_coverage_cached(&wrapper, set, &cfg, exec::ExecMode::Sequential, cache)
+                    check_coverage(&wrapper, set, &cfg, cache)
                 }),
             };
             let discharged = ctx.discharge_one(

@@ -19,9 +19,10 @@
 //! * [`DegradationSummary`] — the counts + degraded-obligation list that
 //!   [`crate::flow::FlowReport`] renders in its `degradation` section.
 //!
-//! It also holds the one obligation driver. The flow and level 4 declare
-//! each obligation as data — name, engine tag, whether the policy budget
-//! applies, and the engine closure — and a crate-private driver runs
+//! It also holds the one obligation driver. The flow, level 4 and the
+//! cascade declare each obligation as data — name, engine tag, whether
+//! the policy budget applies, and the engine closure — and a crate-private
+//! driver runs
 //! every one through the same steps: start event, panic-isolated
 //! dispatch, batch scheduling facts, effort attribution, telemetry
 //! replay, classification, flight-recorder record, outcome. The plain
@@ -180,7 +181,7 @@ impl DegradationSummary {
 
 /// Result of running one obligation closure under supervision.
 #[derive(Debug)]
-pub(crate) struct Supervised<R> {
+struct Supervised<R> {
     /// The closure's result, when some attempt completed.
     pub value: Option<R>,
     /// The first attempt's panic message, when it panicked.
@@ -209,7 +210,7 @@ impl<R> Supervised<R> {
 /// of [`exec::panic_message`], and the retry re-runs the same closure on
 /// the same inputs — so for a deterministic fault the retry panics at the
 /// same point and the recorded outcome is schedule-independent.
-pub(crate) fn run_supervised_job<R>(retry: bool, f: impl Fn() -> R) -> Supervised<R> {
+fn run_supervised_job<R>(retry: bool, f: impl Fn() -> R) -> Supervised<R> {
     let start = std::time::Instant::now();
     let mut sup = match catch_unwind(AssertUnwindSafe(&f)) {
         Ok(value) => Supervised {
@@ -316,7 +317,7 @@ pub(crate) struct Discharged<R> {
 
 impl RunCtx<'_> {
     /// The one obligation driver. Every supervised obligation of the
-    /// flow, level 4 included, goes through these steps:
+    /// flow, level 4 and the cascade goes through these steps:
     ///
     /// 1. journal an `obligation_started` per obligation, in batch order;
     /// 2. dispatch the batch across `mode`'s workers, each obligation

@@ -1,20 +1,20 @@
 //! Zero-dependency worker-pool execution layer.
 //!
 //! The verification cascade is embarrassingly parallel at the obligation
-//! level: per-property BMC runs, per-fault ATPG queries, per-configuration
-//! LPV checks, and SAT portfolio races share no mutable state. This crate
-//! provides the two primitives those engines need — an order-preserving
-//! parallel [`map`] and a first-verdict-wins [`race`] — built on
-//! `std::thread::scope` and channels only (the workspace builds offline,
-//! so no rayon/crossbeam).
+//! level: per-property BMC runs, per-stage cascade checks, and
+//! per-configuration LPV checks share no mutable state. This crate
+//! provides the pool those obligations fan out on — an order-preserving
+//! parallel [`map`], its panic-isolating twin [`map_supervised`], and the
+//! deficit-round-robin [`DrrScheduler`] the batch service drains tenants
+//! with — built on `std::thread::scope` and channels only (the workspace
+//! builds offline, so no rayon/crossbeam).
 //!
 //! Determinism contract: [`map`] returns results in *item order*
 //! regardless of completion order, so a caller that merges per-obligation
-//! outputs sequentially observes exactly the sequential schedule. [`race`]
-//! is reserved for obligations whose *verdict* is objective (e.g. SAT vs
-//! UNSAT of one CNF) — any winner yields the same answer.
+//! outputs sequentially observes exactly the sequential schedule.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fair;
 
@@ -22,7 +22,6 @@ pub use fair::DrrScheduler;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex, MutexGuard};
 
 /// Locks a mutex, recovering from poisoning. The worker-pool queue and
@@ -269,34 +268,6 @@ impl ExecMode {
     }
 }
 
-/// Cooperative cancellation token shared by the contestants of a [`race`].
-#[derive(Debug, Default)]
-pub struct Cancel {
-    flag: AtomicBool,
-}
-
-impl Cancel {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Cancel::default()
-    }
-
-    /// Signals every observer to stop at its next check.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`Cancel::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    /// The raw flag, for engines that poll an `&AtomicBool` directly.
-    pub fn flag(&self) -> &AtomicBool {
-        &self.flag
-    }
-}
-
 /// Applies `f` to every item and returns the results **in item order**.
 ///
 /// Sequential mode (and `workers <= 1`) runs on the calling thread.
@@ -481,73 +452,6 @@ where
     (slots, stats)
 }
 
-/// Runs the contestant closures until the first one produces a result;
-/// the winner's `(index, result)` is returned and every other contestant
-/// is told to stop via the shared [`Cancel`] token.
-///
-/// Contestants must treat cancellation as "abandon, answer unused" —
-/// which is only sound when every contestant that *does* finish would
-/// produce an equivalent verdict (e.g. a SAT portfolio on one CNF).
-///
-/// Sequential mode runs **only item 0** (the canonical configuration) to
-/// completion — this keeps the sequential schedule independent of the
-/// portfolio size. Returns `None` when `items` is empty or no contestant
-/// produced a result.
-///
-/// Panic isolation: every contestant runs under `catch_unwind`. A
-/// panicking contestant simply drops out of the race — it produces no
-/// result and does *not* cancel the others, so the remaining contestants
-/// still decide the obligation. Only when every contestant panics (or
-/// returns `None`) does the race return `None`.
-pub fn race<T, R, F>(mode: ExecMode, items: Vec<T>, f: F) -> Option<(usize, R)>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T, &Cancel) -> Option<R> + Sync,
-{
-    if items.is_empty() {
-        return None;
-    }
-    let cancel = Cancel::new();
-    if !mode.is_parallel() {
-        let item = items.into_iter().next().unwrap();
-        return catch_unwind(AssertUnwindSafe(|| f(0, item, &cancel)))
-            .unwrap_or(None)
-            .map(|r| (0, r));
-    }
-
-    let contestants = items.len().min(mode.workers());
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut winner = None;
-    std::thread::scope(|scope| {
-        for (idx, item) in items.into_iter().take(contestants).enumerate() {
-            let tx = tx.clone();
-            let cancel = &cancel;
-            let f = &f;
-            scope.spawn(move || {
-                match catch_unwind(AssertUnwindSafe(|| f(idx, item, cancel))) {
-                    Ok(Some(r)) => {
-                        // First sender wins; later sends land in a channel
-                        // nobody reads past the first message.
-                        let _ = tx.send((idx, r));
-                        cancel.cancel();
-                    }
-                    // A finished contestant with no result concedes and
-                    // cancels (the pre-supervision behaviour); a panicked
-                    // one just drops out so the others keep searching.
-                    Ok(None) => cancel.cancel(),
-                    Err(_) => {}
-                }
-            });
-        }
-        drop(tx);
-        winner = rx.recv().ok();
-        cancel.cancel();
-        // Scope exit joins the losers; they observe the cancel flag.
-    });
-    winner
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,38 +493,6 @@ mod tests {
             map(ExecMode::Parallel { workers: 4 }, vec![9], |i, x| (i, x)),
             vec![(0, 9)]
         );
-    }
-
-    #[test]
-    fn sequential_race_runs_canonical_item_only() {
-        use std::sync::atomic::AtomicUsize;
-        let touched = AtomicUsize::new(0);
-        let won = race(ExecMode::Sequential, vec![10, 20, 30], |idx, item, _| {
-            touched.fetch_add(1, Ordering::Relaxed);
-            Some((idx, item))
-        });
-        assert_eq!(won, Some((0, (0, 10))));
-        assert_eq!(touched.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn parallel_race_returns_a_winner_and_cancels_losers() {
-        let won = race(
-            ExecMode::Parallel { workers: 4 },
-            vec![0u64, 1, 2, 3],
-            |_, item, cancel| {
-                if item == 2 {
-                    return Some("fast");
-                }
-                // Losers spin until cancelled.
-                while !cancel.is_cancelled() {
-                    std::thread::yield_now();
-                }
-                None
-            },
-        );
-        let (_, verdict) = won.expect("one contestant finishes");
-        assert_eq!(verdict, "fast");
     }
 
     #[test]
@@ -706,38 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn race_survives_panicking_contestants() {
-        silence_injected_panics();
-        // Contestant 0 panics; contestant 1 wins anyway.
-        let won = race(
-            ExecMode::Parallel { workers: 4 },
-            vec![0u64, 1],
-            |_, item, _| {
-                if item == 0 {
-                    panic!("injected panic in contestant");
-                }
-                Some("survivor")
-            },
-        );
-        assert_eq!(won.map(|(_, r)| r), Some("survivor"));
-        // Every contestant panicking yields no winner — not an abort.
-        let none = race(
-            ExecMode::Parallel { workers: 2 },
-            vec![0u64, 1],
-            |_, _, _| -> Option<u32> { panic!("injected panic in contestant") },
-        );
-        assert!(none.is_none());
-        // Sequential mode runs only the canonical contestant; its panic
-        // means no result.
-        let seq = race(
-            ExecMode::Sequential,
-            vec![0u64, 1],
-            |_, _, _| -> Option<u32> { panic!("injected panic in contestant") },
-        );
-        assert!(seq.is_none());
-    }
-
-    #[test]
     fn supervised_stats_attribute_every_job() {
         let items: Vec<u64> = (0..20).collect();
         // Sequential: everything runs on worker 0, queue drains in order.
@@ -773,15 +613,5 @@ mod tests {
         );
         assert!(eouts.is_empty());
         assert_eq!(estats.peak_depth(), 0);
-    }
-
-    #[test]
-    fn race_on_empty_is_none() {
-        let r: Option<(usize, u32)> = race(
-            ExecMode::Parallel { workers: 2 },
-            Vec::<u32>::new(),
-            |_, x, _| Some(x),
-        );
-        assert!(r.is_none());
     }
 }

@@ -1,8 +1,8 @@
 //! Deterministic coverage-guided differential fuzzing for the
 //! verification engines.
 //!
-//! The flow's engines overlap on purpose — SAT vs BDD vs portfolio, BMC
-//! vs k-induction vs BDD reachability, cached vs uncached, sequential vs
+//! The flow's engines overlap on purpose — SAT vs BDD, BMC vs
+//! k-induction vs BDD reachability, cached vs uncached, sequential vs
 //! parallel, instrumented vs plain. This crate turns that redundancy into
 //! an oracle: seeded generators produce inputs with *planted* or
 //! *exhaustively computed* ground truth, every independent implementation
@@ -51,15 +51,15 @@ use sim::faults::mix64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// CNF instances with planted models / planted unsat cores across
-    /// the CDCL solver, the BDD engine, the portfolio, incremental
-    /// re-solving, and DIMACS round trips.
+    /// the CDCL solver, the BDD engine, incremental re-solving, and
+    /// DIMACS round trips.
     Sat,
     /// Malformed and truncated DIMACS text against the parser's
     /// no-panic contract.
     Dimacs,
     /// Random sequential netlists with BFS-exact reachability ground
     /// truth across BMC, k-induction, BDD reachability, caching, and
-    /// worker counts.
+    /// instrumentation.
     Mc,
     /// Random bus topologies, fault plans, and traffic scripts across
     /// replay determinism, instrumentation, and accounting oracles.
@@ -68,16 +68,15 @@ pub enum Family {
     /// and its behavioural-IR kernels.
     Media,
     /// Random panic and budget scripts against the supervised execution
-    /// layer: pool survival, deterministic budget exhaustion, race
-    /// survival.
+    /// layer: pool survival and deterministic budget exhaustion.
     Supervise,
     /// Random behavioural-IR functions through the tree-walking
     /// interpreter and the register bytecode VM, whole instrumented
     /// outputs compared bit for bit.
     Vm,
-    /// Learnt-clause sharing: exported clauses brute-force checked for
-    /// entailment, mailbox/import/cooperative-portfolio seeding checked
-    /// to never change a verdict or invalidate a model.
+    /// The lemma pool's export and import paths: exported clauses
+    /// brute-force checked for entailment, level-0 import seeding
+    /// checked to never change a verdict or invalidate a model.
     Share,
 }
 

@@ -6,7 +6,7 @@
 //! explicit-state breadth-first search over all states and input
 //! combinations is exact and cheap. Every output is input-independent by
 //! construction, so an invariant's truth value at a state is well
-//! defined; the BFS yields the earliest violation depth, and five
+//! defined; the BFS yields the earliest violation depth, and these
 //! independent engines must agree with it and with each other:
 //!
 //! * [`mc::bmc`] within the bound (earliest-depth trace, replayed
@@ -14,8 +14,7 @@
 //! * [`mc::induction`] (sound verdicts only; `Unknown` is allowed),
 //! * [`mc::reach`] BDD reachability (exact),
 //! * cached cold/warm runs vs the uncached engine,
-//! * [`mc::bmc::check_many`] across worker counts vs the sequential run,
-//!   and instrumented vs plain.
+//! * instrumented vs plain BMC.
 
 use crate::rng::FuzzRng;
 use crate::shrink;
@@ -463,38 +462,6 @@ pub fn evaluate(case: &McCase) -> Evaluation {
     if store.stats().hits != 1 {
         return fail(
             "warm cached bmc rerun did not hit the cache".into(),
-            counters,
-        );
-    }
-
-    // A multi-property batch across worker counts, against per-property runs.
-    let props = vec![
-        prop.clone(),
-        Property::invariant("tight", BoolExpr::le("o0", 0)),
-    ];
-    let seq = mc::bmc::check_many(
-        &rtl,
-        &props,
-        case.bound,
-        exec::ExecMode::Sequential,
-        &telemetry::noop(),
-    );
-    let par = mc::bmc::check_many(
-        &rtl,
-        &props,
-        case.bound,
-        exec::ExecMode::Parallel { workers: 3 },
-        &telemetry::noop(),
-    );
-    if seq != par {
-        return fail(
-            "check_many verdicts differ between 1 and 3 workers".into(),
-            counters,
-        );
-    }
-    if seq[0] != bmc {
-        return fail(
-            "check_many[0] differs from the single-property engine".into(),
             counters,
         );
     }

@@ -5,11 +5,11 @@
 //! with every clause forced to satisfy it (SAT), or a full sign-cube
 //! over a small variable subset buried in random filler (UNSAT) — and
 //! then demands agreement between: the CDCL solver, brute-force
-//! enumeration, the BDD package (verdict *and* model count), the
-//! portfolio (sequential and parallel), a second incremental solve on
-//! the same solver, an assumption-pinned replay of the planted model, an
-//! instrumented solver, and a DIMACS render/parse round trip. Any model
-//! returned is validated against the clauses directly.
+//! enumeration, the BDD package (verdict *and* model count), a second
+//! incremental solve on the same solver, an assumption-pinned replay of
+//! the planted model, an instrumented solver, and a DIMACS render/parse
+//! round trip. Any model returned is validated against the clauses
+//! directly.
 
 use crate::rng::FuzzRng;
 use crate::shrink;
@@ -206,20 +206,6 @@ fn extract_model(solver: &Solver, vars: &[Var]) -> Vec<bool> {
         .collect()
 }
 
-fn lit_clauses(case: &CnfCase) -> Vec<Vec<Lit>> {
-    case.clauses
-        .iter()
-        .map(|clause| {
-            clause
-                .iter()
-                .map(|&l| {
-                    Lit::with_polarity(Var::from_index((l.unsigned_abs() - 1) as usize), l > 0)
-                })
-                .collect()
-        })
-        .collect()
-}
-
 fn bdd_verdict(case: &CnfCase) -> (bool, u64) {
     let mut mgr = bdd::Manager::new();
     let mut formula = mgr.constant(true);
@@ -296,32 +282,6 @@ pub fn evaluate(case: &CnfCase) -> Evaluation {
             format!("bdd sat_count {bdd_count} contradicts verdict {verdict}"),
             counters,
         );
-    }
-
-    // Engine 3: the portfolio, sequentially and raced across workers.
-    let cnf = sat::Cnf {
-        num_vars: case.num_vars,
-        clauses: lit_clauses(case),
-    };
-    for mode in [
-        exec::ExecMode::Sequential,
-        exec::ExecMode::Parallel { workers: 2 },
-    ] {
-        let outcome = sat::solve_portfolio(&cnf, mode);
-        if outcome.result.is_sat() != verdict {
-            return report(
-                format!("portfolio ({mode:?}) disagrees with solver verdict {verdict}"),
-                counters,
-            );
-        }
-        if let Some(model) = &outcome.model {
-            if let Some(ci) = violated_clause(&case.clauses, model) {
-                return report(
-                    format!("portfolio model violates clause {ci} ({mode:?})"),
-                    counters,
-                );
-            }
-        }
     }
 
     // Incremental re-solve on the same solver must not change its mind.

@@ -1,5 +1,5 @@
-//! The clause-sharing oracle family: every clause a solver exports must
-//! be entailed by the formula it was learnt from, and no import may ever
+//! The lemma-pool oracle family: every clause a solver exports must be
+//! entailed by the formula it was learnt from, and no import may ever
 //! change an answer.
 //!
 //! Each iteration runs three sub-cases:
@@ -11,17 +11,11 @@
 //! the CNF alone). The legs:
 //!
 //! 1. **Entailment**: brute force proves `cnf ∧ ¬c` UNSAT for every
-//!    exported clause `c` — the ground truth the sharing design rests on.
-//! 2. **Mailbox transport**: the exports travel through a real
-//!    [`sat::share::mailbox`] ring (randomized capacity) into a fresh
-//!    solver at decision level 0; its verdict must match the planted
-//!    expectation and the cold solver, and any model must satisfy the
-//!    original clauses.
-//! 3. **Seeded re-solve**: a solver seeded via [`sat::Solver::import_clause`]
-//!    under a randomized import budget agrees with the cold verdict.
-//! 4. **Cooperative portfolio**: [`sat::solve_portfolio_cooperative`]
-//!    (sequential and 2-worker, seeded with the exports) agrees with the
-//!    plain racing portfolio.
+//!    exported clause `c` — the ground truth the lemma pool rests on.
+//! 2. **Seeded re-solve**: a fresh solver seeded at decision level 0 via
+//!    [`sat::Solver::import_clause`] under a randomized import budget
+//!    agrees with the planted expectation and the cold verdict, and any
+//!    model satisfies the original clauses.
 //!
 //! **Chained cases**: a sequence of small planted cases solved through
 //! ONE share handle (mirroring the cross-obligation lemma pool, where a
@@ -48,7 +42,7 @@
 //! With `--features share-mutant` the exporter flips one literal in
 //! every 64th offered clause; the conflict-rich legs catch the
 //! non-entailed clause within the first few iterations, and the small
-//! case's legs 1–4 guard the transport and seeding paths.
+//! case's legs 1–2 guard the seeding path.
 
 use crate::rng::FuzzRng;
 use crate::sat_fuzz::{self, CnfCase};
@@ -83,24 +77,6 @@ fn extract_model(solver: &Solver, vars: &[Var]) -> Vec<bool> {
     vars.iter()
         .map(|&v| solver.value(v) == Some(true))
         .collect()
-}
-
-fn lit_cnf(case: &CnfCase) -> sat::Cnf {
-    sat::Cnf {
-        num_vars: case.num_vars,
-        clauses: case
-            .clauses
-            .iter()
-            .map(|clause| {
-                clause
-                    .iter()
-                    .map(|&l| {
-                        Lit::with_polarity(Var::from_index((l.unsigned_abs() - 1) as usize), l > 0)
-                    })
-                    .collect()
-            })
-            .collect(),
-    }
 }
 
 /// Is `clause` (solver literals) entailed by the case's CNF? Brute
@@ -164,10 +140,10 @@ fn collect_exports(
     (share.into_pool_exports(), stats, cold)
 }
 
-/// Runs every sharing leg on `case` and reports the first disagreement.
+/// Runs every small-case leg on `case` and reports the first
+/// disagreement.
 pub fn evaluate(case: &CnfCase, rng: &mut FuzzRng) -> Evaluation {
     let pool_cap = 64 + rng.below(4) as usize * 64; // 64..=256
-    let mailbox_capacity = 1 + rng.below(128) as usize; // 1..=128
     let import_budget = 1 + rng.below(96) as usize; // 1..=96
 
     let (exports, stats, cold) = collect_exports(case, rng, pool_cap);
@@ -176,7 +152,6 @@ pub fn evaluate(case: &CnfCase, rng: &mut FuzzRng) -> Evaluation {
         stats.export_rejected,
         exports.len() as u64,
         cold as u64,
-        mailbox_capacity as u64,
     ];
     let report = |detail: String| Evaluation {
         disagreement: Some(detail),
@@ -200,35 +175,8 @@ pub fn evaluate(case: &CnfCase, rng: &mut FuzzRng) -> Evaluation {
         }
     }
 
-    // Leg 2: exports through a real mailbox ring into a fresh solver at
-    // decision level 0; the verdict must not move.
-    let (mut tx, mut rx) = sat::share::mailbox(mailbox_capacity);
-    for clause in &exports {
-        tx.push(clause.clone());
-    }
-    let (mut transported, tvars) = load_solver(case);
-    let mut conflicted = false;
-    while let Some(clause) = rx.pop() {
-        if transported.import_clause(&clause) == sat::ImportResult::Conflict {
-            conflicted = true;
-            break;
-        }
-    }
-    if conflicted && cold {
-        return report("mailbox imports conflicted on a satisfiable case".into());
-    }
-    let tv = transported.solve().is_sat();
-    if tv != cold {
-        return report(format!("mailbox-seeded solver flipped {cold} -> {tv}"));
-    }
-    if tv {
-        let model = extract_model(&transported, &tvars);
-        if let Some(ci) = sat_fuzz::violated_clause(&case.clauses, &model) {
-            return report(format!("mailbox-seeded model violates clause {ci}"));
-        }
-    }
-
-    // Leg 3: budget-limited seeding via import_clause.
+    // Leg 2: budget-limited seeding via import_clause at decision level 0;
+    // the verdict must not move.
     let (mut seeded, svars) = load_solver(case);
     for clause in exports.iter().take(import_budget) {
         if seeded.import_clause(clause) == sat::ImportResult::Conflict {
@@ -245,27 +193,6 @@ pub fn evaluate(case: &CnfCase, rng: &mut FuzzRng) -> Evaluation {
         let model = extract_model(&seeded, &svars);
         if let Some(ci) = sat_fuzz::violated_clause(&case.clauses, &model) {
             return report(format!("import-seeded model violates clause {ci}"));
-        }
-    }
-
-    // Leg 4: the cooperative portfolio, seeded with the exports, against
-    // the plain racing portfolio.
-    let cnf = lit_cnf(case);
-    for mode in [
-        exec::ExecMode::Sequential,
-        exec::ExecMode::Parallel { workers: 2 },
-    ] {
-        let coop =
-            sat::solve_portfolio_cooperative(&cnf, mode, &sat::ShareConfig::default(), &exports);
-        if coop.outcome.result.is_sat() != cold {
-            return report(format!(
-                "cooperative portfolio ({mode:?}) disagrees with cold verdict {cold}"
-            ));
-        }
-        if let Some(model) = &coop.outcome.model {
-            if let Some(ci) = sat_fuzz::violated_clause(&case.clauses, model) {
-                return report(format!("cooperative portfolio model violates clause {ci}"));
-            }
         }
     }
 

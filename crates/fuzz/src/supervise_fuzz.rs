@@ -1,7 +1,7 @@
 //! The supervision oracle family: random panic and budget scripts
 //! against the supervised execution layer's survival invariants.
 //!
-//! Each iteration generates three scripts:
+//! Each iteration generates two scripts:
 //!
 //! 1. **Pool survival** — a batch of jobs, each scripted to panic (with a
 //!    unique marker message) or to return a value. The expected
@@ -14,10 +14,6 @@
 //!    [`exec::Effort`] by two fresh solvers: both must reach the same
 //!    outcome (exhausted at the same point, or the same verdict), and a
 //!    decided budgeted verdict must agree with the unbudgeted reference.
-//! 3. **Race survival** — a [`exec::race`] whose contestants panic,
-//!    concede, or answer by script: the winner (if any) must be a
-//!    contestant whose script really answers, and a panicking contestant
-//!    must never take the pool down.
 //!
 //! All injected panics carry the `injected panic` marker so
 //! [`exec::silence_injected_panics`] keeps the test output clean.
@@ -26,15 +22,13 @@ use crate::rng::FuzzRng;
 use crate::{Failure, FamilyOutcome};
 use sat::{Lit, Solver, Var};
 
-/// One scripted job for the pool/race scripts.
+/// One scripted job for the pool script.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Job {
     /// Panic with `injected panic #<code>`.
     Panic(u64),
     /// Return the value.
     Value(u64),
-    /// (Race only) concede without an answer.
-    Concede,
 }
 
 /// Generation profile decoded from the coverage-steering bias word.
@@ -70,7 +64,6 @@ fn run_job(job: Job) -> u64 {
     match job {
         Job::Panic(code) => panic!("{}", job_message(code)),
         Job::Value(v) => v.wrapping_mul(3).wrapping_add(1),
-        Job::Concede => unreachable!("concede is race-only"),
     }
 }
 
@@ -80,7 +73,6 @@ fn render_jobs(label: &str, jobs: &[Job]) -> String {
         .map(|j| match j {
             Job::Panic(code) => format!("panic#{code}"),
             Job::Value(v) => format!("value:{v}"),
-            Job::Concede => "concede".to_owned(),
         })
         .collect();
     format!("{label} script: [{}]", script.join(", "))
@@ -150,7 +142,6 @@ pub fn run_one(rng: &mut FuzzRng, bias: u64) -> FamilyOutcome {
                 message: job_message(code),
             },
             Job::Value(v) => exec::JobOutcome::Ok(v.wrapping_mul(3).wrapping_add(1)),
-            Job::Concede => unreachable!(),
         })
         .collect();
     let panicking = jobs.iter().filter(|j| matches!(j, Job::Panic(_))).count();
@@ -227,72 +218,6 @@ pub fn run_one(rng: &mut FuzzRng, bias: u64) -> FamilyOutcome {
             );
         }
     }
-
-    // ── Script 3: race survival ───────────────────────────────────────
-    let m = rng.range_usize(2, 4);
-    let contestants: Vec<Job> = (0..m)
-        .map(|_| match rng.below(3) {
-            0 => Job::Panic(rng.below(1 << 16)),
-            1 => Job::Concede,
-            _ => Job::Value(rng.below(1 << 16)),
-        })
-        .collect();
-    let race_f = |idx: usize, j: Job, _cancel: &exec::Cancel| match j {
-        Job::Panic(code) => panic!("{}", job_message(code)),
-        Job::Concede => None,
-        Job::Value(v) => Some((idx as u64) << 32 | v),
-    };
-    // Sequential race runs contestant 0 only; its outcome is fully
-    // scripted.
-    let seq = exec::race(exec::ExecMode::Sequential, contestants.clone(), race_f);
-    let seq_expected = match contestants[0] {
-        Job::Value(v) => Some((0, v)),
-        _ => None,
-    };
-    if seq != seq_expected.map(|(i, v)| (i, (i as u64) << 32 | v)) {
-        fail(
-            &mut failure,
-            format!("sequential race returned {seq:?}, script says {seq_expected:?}"),
-            render_jobs("race", &contestants),
-        );
-    }
-    // Parallel race: the winner (if any) must be a contestant whose
-    // script answers, carrying its exact scripted value — and an
-    // all-panic/concede field must yield no winner at all.
-    let par = exec::race(
-        exec::ExecMode::Parallel { workers: m },
-        contestants.clone(),
-        race_f,
-    );
-    let answerers: Vec<usize> = contestants
-        .iter()
-        .enumerate()
-        .filter_map(|(i, j)| matches!(j, Job::Value(_)).then_some(i))
-        .collect();
-    match par {
-        Some((idx, value)) => {
-            let valid = matches!(contestants.get(idx), Some(&Job::Value(v))
-                if value == (idx as u64) << 32 | v);
-            if !valid {
-                fail(
-                    &mut failure,
-                    format!("race winner ({idx}, {value}) is not a scripted answerer"),
-                    render_jobs("race", &contestants),
-                );
-            }
-        }
-        None => {
-            if !answerers.is_empty() {
-                fail(
-                    &mut failure,
-                    format!("race found no winner but contestants {answerers:?} answer"),
-                    render_jobs("race", &contestants),
-                );
-            }
-        }
-    }
-    counters.push(m as u64);
-    counters.push(answerers.len() as u64);
 
     FamilyOutcome { counters, failure }
 }

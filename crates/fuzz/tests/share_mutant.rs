@@ -1,4 +1,4 @@
-//! Mutant sanity check for the clause-sharing oracle: with the
+//! Mutant sanity check for the lemma-pool export oracle: with the
 //! `share-mutant` feature the exporter flips one literal in every 64th
 //! clause it offers, producing clauses the source formula does not
 //! entail. The share differential family must catch the corruption well

@@ -33,9 +33,9 @@ pub mod rational;
 pub mod simplex;
 
 pub use lpv::{
-    check_deadline, check_deadline_batch, check_liveness, check_liveness_batch, check_unreachable,
-    dimension_fifo, dimension_fifo_batch, ChannelRates, DeadlineVerdict, FifoBound,
-    LivenessVerdict, MarkingConstraint, MarkingRelation, Reachability, TaskGraph,
+    check_deadline, check_liveness, check_unreachable, dimension_fifo, dimension_fifo_batch,
+    ChannelRates, DeadlineVerdict, FifoBound, LivenessVerdict, MarkingConstraint, MarkingRelation,
+    Reachability, TaskGraph,
 };
 pub use petri::{PetriNet, PlaceId, TransitionId};
 pub use rational::Rational;

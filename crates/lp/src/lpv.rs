@@ -606,26 +606,6 @@ pub fn dimension_fifo(rates: &ChannelRates) -> FifoBound {
     }
 }
 
-/// Checks the liveness of each configuration's Petri net as an
-/// independent obligation, optionally across worker threads. The exact
-/// rational simplex is deterministic, so verdicts are bit-identical to
-/// mapping [`check_liveness`] over the slice in order.
-pub fn check_liveness_batch(nets: &[PetriNet], mode: exec::ExecMode) -> Vec<LivenessVerdict> {
-    let jobs: Vec<usize> = (0..nets.len()).collect();
-    exec::map(mode, jobs, |_, i| check_liveness(&nets[i]))
-}
-
-/// Checks each `(task graph, deadline)` pair as an independent
-/// obligation, optionally across worker threads; verdicts are
-/// bit-identical to mapping [`check_deadline`] over the slice in order.
-pub fn check_deadline_batch(
-    jobs: &[(&TaskGraph, u64)],
-    mode: exec::ExecMode,
-) -> Vec<DeadlineVerdict> {
-    let idx: Vec<usize> = (0..jobs.len()).collect();
-    exec::map(mode, idx, |_, i| check_deadline(jobs[i].0, jobs[i].1))
-}
-
 /// Dimensions each channel as an independent obligation, optionally
 /// across worker threads; bounds are bit-identical to mapping
 /// [`dimension_fifo`] over the slice in order.
@@ -888,10 +868,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_helpers_are_bit_identical_to_sequential() {
-        let nets = vec![ring(1), ring(0), ring(3)];
-        let g = diamond();
-        let jobs = vec![(&g, 14u64), (&g, 13), (&g, 20)];
+    fn fifo_batch_is_bit_identical_to_sequential() {
         let rates = vec![
             ChannelRates {
                 producer_burst: 1,
@@ -908,16 +885,12 @@ mod tests {
                 horizon: 100,
             },
         ];
-        let live_ref: Vec<_> = nets.iter().map(check_liveness).collect();
-        let dead_ref: Vec<_> = jobs.iter().map(|(g, d)| check_deadline(g, *d)).collect();
         let fifo_ref: Vec<_> = rates.iter().map(dimension_fifo).collect();
         for mode in [
             exec::ExecMode::Sequential,
             exec::ExecMode::Parallel { workers: 2 },
             exec::ExecMode::Parallel { workers: 8 },
         ] {
-            assert_eq!(check_liveness_batch(&nets, mode), live_ref);
-            assert_eq!(check_deadline_batch(&jobs, mode), dead_ref);
             assert_eq!(dimension_fifo_batch(&rates, mode), fifo_ref);
         }
     }

@@ -177,70 +177,6 @@ pub fn check_budgeted(
     verdict
 }
 
-/// Checks each property as an independent obligation, optionally across
-/// worker threads ([`exec::ExecMode::Parallel`]). Verdicts — including
-/// counterexample traces — are bit-identical to running
-/// [`check_instrumented`] over the slice sequentially: every obligation
-/// builds its own unroller and solver from the same deterministic inputs,
-/// so the schedule cannot influence the result.
-///
-/// Telemetry: each obligation records into a private
-/// [`telemetry::Collector`], and the collectors are replayed into
-/// `instrument` in property order after all obligations finish, so the
-/// merged counters/gauges/histograms match the sequential stream
-/// regardless of which worker finished first.
-pub fn check_many(
-    rtl: &Rtl,
-    properties: &[Property],
-    bound: u32,
-    mode: exec::ExecMode,
-    instrument: &telemetry::SharedInstrument,
-) -> Vec<Verdict> {
-    check_many_cached(rtl, properties, bound, mode, instrument, cache::noop())
-}
-
-/// [`check_many`] backed by the obligation cache shared across workers
-/// (the store is lock-striped, so parallel obligations look up and insert
-/// concurrently). Within one call every obligation is distinct, so the
-/// hit/miss split is deterministic for a given starting cache regardless
-/// of the worker schedule.
-pub fn check_many_cached(
-    rtl: &Rtl,
-    properties: &[Property],
-    bound: u32,
-    mode: exec::ExecMode,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Vec<Verdict> {
-    let enabled = instrument.enabled();
-    let jobs: Vec<usize> = (0..properties.len()).collect();
-    let results = exec::map(mode, jobs, |_, pi| {
-        let property = &properties[pi];
-        if !enabled {
-            return (
-                check_cached(rtl, property, bound, &telemetry::noop(), cache),
-                None,
-            );
-        }
-        let local = std::rc::Rc::new(telemetry::Collector::new());
-        let shared: telemetry::SharedInstrument = local.clone();
-        let verdict = check_cached(rtl, property, bound, &shared, cache);
-        drop(shared);
-        let collector =
-            std::rc::Rc::try_unwrap(local).expect("obligation dropped every instrument handle");
-        (verdict, Some(collector))
-    });
-    results
-        .into_iter()
-        .map(|(verdict, collector)| {
-            if let Some(c) = collector {
-                c.replay_into(instrument.as_ref());
-            }
-            verdict
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,39 +229,6 @@ mod tests {
         assert_eq!(depths.last(), Some(&(5, 5)));
         // The underlying SAT solver flushed its own counters too.
         assert_eq!(collector.counter("sat.solve_calls"), 6);
-    }
-
-    #[test]
-    fn check_many_matches_sequential_bit_for_bit() {
-        let rtl = counter();
-        let properties = vec![
-            Property::invariant("never5", BoolExpr::ne("q", 5)),
-            Property::invariant("in_range", BoolExpr::le("q", 7)),
-            Property::invariant("never3", BoolExpr::ne("q", 3)),
-        ];
-
-        // Sequential reference with full instrumentation.
-        let seq_collector = telemetry::Collector::shared();
-        let seq_instr: telemetry::SharedInstrument = seq_collector.clone();
-        let reference: Vec<Verdict> = properties
-            .iter()
-            .map(|p| check_instrumented(&rtl, p, 10, &seq_instr))
-            .collect();
-
-        for mode in [
-            exec::ExecMode::Sequential,
-            exec::ExecMode::Parallel { workers: 2 },
-            exec::ExecMode::Parallel { workers: 8 },
-        ] {
-            let collector = telemetry::Collector::shared();
-            let instr: telemetry::SharedInstrument = collector.clone();
-            let verdicts = check_many(&rtl, &properties, 10, mode, &instr);
-            // Verdicts (including full counterexample traces) identical.
-            assert_eq!(verdicts, reference, "mode {mode:?}");
-            // Merged telemetry reproduces the sequential keyed state.
-            assert_eq!(collector.counters(), seq_collector.counters());
-            assert_eq!(collector.gauges(), seq_collector.gauges());
-        }
     }
 
     #[test]

@@ -167,60 +167,6 @@ pub fn check_budgeted(
     verdict
 }
 
-/// Attempts each invariant as an independent k-induction obligation,
-/// optionally across worker threads. Verdicts are bit-identical to
-/// mapping [`check`] over the slice sequentially (each obligation builds
-/// its own unroller and solver).
-pub fn check_many(
-    rtl: &Rtl,
-    properties: &[Property],
-    k: u32,
-    mode: exec::ExecMode,
-) -> Vec<Verdict> {
-    let jobs: Vec<usize> = (0..properties.len()).collect();
-    exec::map(mode, jobs, |_, pi| check(rtl, &properties[pi], k))
-}
-
-/// [`check_many`] with a shared obligation cache and per-obligation
-/// telemetry collectors replayed in property order (the same merging
-/// discipline as [`bmc::check_many_cached`](crate::bmc::check_many_cached)).
-pub fn check_many_cached(
-    rtl: &Rtl,
-    properties: &[Property],
-    k: u32,
-    mode: exec::ExecMode,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> Vec<Verdict> {
-    let enabled = instrument.enabled();
-    let jobs: Vec<usize> = (0..properties.len()).collect();
-    let results = exec::map(mode, jobs, |_, pi| {
-        let property = &properties[pi];
-        if !enabled {
-            return (
-                check_cached(rtl, property, k, &telemetry::noop(), cache),
-                None,
-            );
-        }
-        let local = std::rc::Rc::new(telemetry::Collector::new());
-        let shared: telemetry::SharedInstrument = local.clone();
-        let verdict = check_cached(rtl, property, k, &shared, cache);
-        drop(shared);
-        let collector =
-            std::rc::Rc::try_unwrap(local).expect("obligation dropped every instrument handle");
-        (verdict, Some(collector))
-    });
-    results
-        .into_iter()
-        .map(|(verdict, collector)| {
-            if let Some(c) = collector {
-                c.replay_into(instrument.as_ref());
-            }
-            verdict
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,24 +230,6 @@ mod tests {
                 v == Verdict::Proven || v == Verdict::Unknown(UnknownReason::NotInductive),
                 "unsound verdict {v:?} at k={k}"
             );
-        }
-    }
-
-    #[test]
-    fn check_many_agrees_with_sequential() {
-        let rtl = mod_counter(3, 5);
-        let properties = vec![
-            Property::invariant("lt5", BoolExpr::lt("q", 5)),
-            Property::invariant("ne6", BoolExpr::ne("q", 6)),
-            Property::invariant("lt3", BoolExpr::lt("q", 3)),
-        ];
-        let reference: Vec<Verdict> = properties.iter().map(|p| check(&rtl, p, 2)).collect();
-        for mode in [
-            exec::ExecMode::Sequential,
-            exec::ExecMode::Parallel { workers: 2 },
-            exec::ExecMode::Parallel { workers: 8 },
-        ] {
-            assert_eq!(check_many(&rtl, &properties, 2, mode), reference);
         }
     }
 

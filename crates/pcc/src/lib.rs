@@ -229,62 +229,31 @@ fn fails_on(rtl: &Rtl, property: &Property, cfg: &PccConfig) -> bool {
     }
 }
 
-/// Measures the completeness of `properties` against the full fault list.
+/// Measures the completeness of `properties` against the full fault list,
+/// one fault at a time in enumeration order. Every `(design, property)`
+/// decision — good-design pre-check and per-mutant kill checks alike — is
+/// looked up in `cache` before an engine runs and stored after
+/// ([`cache::noop()`] skips both). The report stays bit-identical to the
+/// uncached run for any starting cache, because cached payloads are the
+/// engines' own verdicts.
 ///
 /// # Errors
 ///
 /// Returns [`PccError::PropertyFailsOnGoodDesign`] when any property fails
 /// on the unmodified design — coverage of a broken specification is
-/// meaningless.
+/// meaningless. The first failing property in declaration order is named.
 pub fn check_coverage(
     rtl: &Rtl,
     properties: &[Property],
     cfg: &PccConfig,
-) -> Result<PccReport, PccError> {
-    check_coverage_mode(rtl, properties, cfg, exec::ExecMode::Sequential)
-}
-
-/// [`check_coverage`] with per-fault obligations optionally spread across
-/// worker threads. Each fault builds its own mutant and engines, so the
-/// report — covered count, uncovered fault list (in enumeration order),
-/// per-property kill counts — is bit-identical to the sequential run for
-/// every mode.
-///
-/// # Errors
-///
-/// As [`check_coverage`]; the *first* failing property (in declaration
-/// order) is reported, matching the sequential behaviour.
-pub fn check_coverage_mode(
-    rtl: &Rtl,
-    properties: &[Property],
-    cfg: &PccConfig,
-    mode: exec::ExecMode,
-) -> Result<PccReport, PccError> {
-    check_coverage_cached(rtl, properties, cfg, mode, cache::noop())
-}
-
-/// [`check_coverage_mode`] backed by the obligation cache: every
-/// `(design, property)` decision — good-design pre-check and per-mutant
-/// kill checks alike — is looked up before an engine runs and stored
-/// after. The report stays bit-identical to the uncached run for any
-/// starting cache, because cached payloads are the engines' own verdicts.
-///
-/// # Errors
-///
-/// As [`check_coverage`].
-pub fn check_coverage_cached(
-    rtl: &Rtl,
-    properties: &[Property],
-    cfg: &PccConfig,
-    mode: exec::ExecMode,
     cache: &cache::ObligationCache,
 ) -> Result<PccReport, PccError> {
-    // Pre-check every property on the fault-free design in parallel, but
-    // report the first failure in declaration order (the sequential answer).
-    let good_jobs: Vec<usize> = (0..properties.len()).collect();
-    let good = exec::map(mode, good_jobs, |_, pi| {
-        fails_on_cached(rtl, &properties[pi], cfg, cache)
-    });
+    // Pre-check every property on the fault-free design, then report the
+    // first failure in declaration order.
+    let good: Vec<bool> = properties
+        .iter()
+        .map(|p| fails_on_cached(rtl, p, cfg, cache))
+        .collect();
     if let Some(pi) = good.iter().position(|&fails| fails) {
         return Err(PccError::PropertyFailsOnGoodDesign {
             property: properties[pi].name().to_owned(),
@@ -292,13 +261,16 @@ pub fn check_coverage_cached(
     }
     let faults = enumerate_faults(rtl);
     // One obligation per fault: which properties kill its mutant.
-    let kills: Vec<Vec<bool>> = exec::map(mode, faults.clone(), |_, fault| {
-        let m = mutant(rtl, fault);
-        properties
-            .iter()
-            .map(|p| fails_on_cached(&m, p, cfg, cache))
-            .collect()
-    });
+    let kills: Vec<Vec<bool>> = faults
+        .iter()
+        .map(|&fault| {
+            let m = mutant(rtl, fault);
+            properties
+                .iter()
+                .map(|p| fails_on_cached(&m, p, cfg, cache))
+                .collect()
+        })
+        .collect();
     let mut uncovered = Vec::new();
     let mut covered = 0usize;
     let mut per_property = vec![0usize; properties.len()];
@@ -377,7 +349,8 @@ mod tests {
         // A single weak property: q stays in range (trivially true, even
         // for most mutants, since 2 bits can't exceed 3).
         let weak = vec![Property::invariant("range", BoolExpr::le("q", 3))];
-        let weak_report = check_coverage(&rtl, &weak, &cfg).expect("holds on good design");
+        let weak_report =
+            check_coverage(&rtl, &weak, &cfg, cache::noop()).expect("holds on good design");
         // A stronger set pins the q/at_max relationship and the exact
         // counting order via one step-response property per state.
         let mut strong = vec![
@@ -398,7 +371,8 @@ mod tests {
                 1,
             ));
         }
-        let strong_report = check_coverage(&rtl, &strong, &cfg).expect("holds on good design");
+        let strong_report =
+            check_coverage(&rtl, &strong, &cfg, cache::noop()).expect("holds on good design");
         assert!(weak_report.pct() < strong_report.pct());
         assert!(
             strong_report.pct() == 100.0,
@@ -413,27 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_coverage_report_is_bit_identical() {
-        let rtl = counter();
-        let cfg = PccConfig { bmc_bound: 12 };
-        let properties = vec![
-            Property::invariant("range", BoolExpr::le("q", 3)),
-            Property::response("step_0", BoolExpr::eq("q", 0), BoolExpr::eq("q", 1), 1),
-        ];
-        let reference = check_coverage(&rtl, &properties, &cfg).expect("good design");
-        for workers in [2, 8] {
-            let report = check_coverage_mode(
-                &rtl,
-                &properties,
-                &cfg,
-                exec::ExecMode::Parallel { workers },
-            )
-            .expect("good design");
-            assert_eq!(report, reference);
-        }
-    }
-
-    #[test]
     fn cached_coverage_reruns_without_new_engine_work() {
         let rtl = counter();
         let cfg = PccConfig { bmc_bound: 12 };
@@ -442,23 +395,15 @@ mod tests {
             Property::response("step_0", BoolExpr::eq("q", 0), BoolExpr::eq("q", 1), 1),
         ];
         let cache = cache::ObligationCache::new();
-        let cold =
-            check_coverage_cached(&rtl, &properties, &cfg, exec::ExecMode::Sequential, &cache)
-                .expect("good design");
+        let cold = check_coverage(&rtl, &properties, &cfg, &cache).expect("good design");
         // The cached run decides exactly what the uncached one decides.
-        let reference = check_coverage(&rtl, &properties, &cfg).expect("good design");
+        let reference =
+            check_coverage(&rtl, &properties, &cfg, cache::noop()).expect("good design");
         assert_eq!(cold, reference);
 
         let after_cold = cache.stats();
         let obligations = properties.len() * (1 + enumerate_faults(&rtl).len());
-        let warm = check_coverage_cached(
-            &rtl,
-            &properties,
-            &cfg,
-            exec::ExecMode::Parallel { workers: 4 },
-            &cache,
-        )
-        .expect("good design");
+        let warm = check_coverage(&rtl, &properties, &cfg, &cache).expect("good design");
         assert_eq!(warm, cold);
         let after_warm = cache.stats();
         // Every warm obligation hit; none escaped to an engine.
@@ -470,7 +415,7 @@ mod tests {
     fn failing_property_on_good_design_is_an_error() {
         let rtl = counter();
         let bad = vec![Property::invariant("wrong", BoolExpr::lt("q", 3))];
-        let err = check_coverage(&rtl, &bad, &PccConfig::default()).unwrap_err();
+        let err = check_coverage(&rtl, &bad, &PccConfig::default(), cache::noop()).unwrap_err();
         assert_eq!(
             err,
             PccError::PropertyFailsOnGoodDesign {
@@ -482,7 +427,8 @@ mod tests {
     #[test]
     fn empty_property_set_covers_nothing() {
         let rtl = counter();
-        let report = check_coverage(&rtl, &[], &PccConfig::default()).expect("vacuously ok");
+        let report =
+            check_coverage(&rtl, &[], &PccConfig::default(), cache::noop()).expect("vacuously ok");
         assert_eq!(report.covered, 0);
         assert_eq!(report.uncovered.len(), report.total);
         assert_eq!(report.pct(), 0.0);

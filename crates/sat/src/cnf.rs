@@ -233,7 +233,7 @@ impl CnfBuilder {
 
     /// Solves under assumptions.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.solver.solve_with(assumptions)
+        self.solver.solve_under_assumptions(assumptions)
     }
 
     /// Solves under assumptions with a deterministic effort budget (see

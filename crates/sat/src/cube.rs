@@ -3,17 +3,15 @@
 //! When a budgeted solve runs out of `Effort` without a verdict, the
 //! caller can split the search space on the solver's highest-activity
 //! unassigned variables: `k` split variables yield `2^k` *cubes*
-//! (complete sign assignments to the split set), each solved as an
-//! independent obligation through [`exec::map`] with the full budget.
+//! (complete sign assignments to the split set), each solved in index
+//! order by a fresh solver with the full budget.
 //!
-//! The merge is deterministic regardless of worker count because
-//! `exec::map` is order-preserving and the verdict is taken in cube
-//! index order: the first `Sat` cube (by index) wins with its model;
-//! `Unsat` only when *every* cube decided `Unsat`; otherwise the split
-//! is still exhausted and the caller keeps its `Unknown` verdict. A
-//! `Sat` short-circuit past exhausted lower-index cubes is sound —
-//! satisfiability of one cube settles the formula no matter what the
-//! others would have said.
+//! The verdict is taken in cube index order: the first `Sat` cube (by
+//! index) wins with its model; `Unsat` only when *every* cube decided
+//! `Unsat`; otherwise the split is still exhausted and the caller keeps
+//! its `Unknown` verdict. A `Sat` short-circuit past exhausted
+//! lower-index cubes is sound — satisfiability of one cube settles the
+//! formula no matter what the others would have said.
 
 use crate::solver::{BudgetedResult, Cnf, SolveResult, Solver};
 use crate::types::{Lit, Var};
@@ -36,16 +34,11 @@ fn snapshot_model(solver: &Solver, num_vars: usize) -> Vec<bool> {
         .collect()
 }
 
-/// Splits `cnf` on `split_on` and conquers the cubes in parallel,
-/// merging verdicts in cube index order. Each cube is a fresh solver
-/// run under `effort` with the cube literals as assumptions, so the
-/// per-call cost is bounded by `2^k · effort`.
-pub fn conquer(
-    cnf: &Cnf,
-    split_on: &[Var],
-    effort: &exec::Effort,
-    mode: exec::ExecMode,
-) -> CubeReport {
+/// Splits `cnf` on `split_on` and conquers the cubes in index order,
+/// merging their verdicts. Each cube is a fresh solver run under
+/// `effort` with the cube literals as assumptions, so the per-call cost
+/// is bounded by `2^k · effort`.
+pub fn conquer(cnf: &Cnf, split_on: &[Var], effort: &exec::Effort) -> CubeReport {
     if split_on.is_empty() {
         return CubeReport {
             verdict: None,
@@ -65,18 +58,21 @@ pub fn conquer(
         })
         .collect();
     let total = cubes.len();
-    let results = exec::map(mode, cubes, |_, cube: Vec<Lit>| {
-        let mut solver = Solver::new();
-        cnf.load_into(&mut solver);
-        let result = solver.solve_budgeted(&cube, effort);
-        let model = match result {
-            BudgetedResult::Decided(SolveResult::Sat) => {
-                Some(snapshot_model(&solver, cnf.num_vars))
-            }
-            _ => None,
-        };
-        (result, model)
-    });
+    let results: Vec<(BudgetedResult, Option<Vec<bool>>)> = cubes
+        .iter()
+        .map(|cube| {
+            let mut solver = Solver::new();
+            cnf.load_into(&mut solver);
+            let result = solver.solve_budgeted(cube, effort);
+            let model = match result {
+                BudgetedResult::Decided(SolveResult::Sat) => {
+                    Some(snapshot_model(&solver, cnf.num_vars))
+                }
+                _ => None,
+            };
+            (result, model)
+        })
+        .collect();
     let mut all_unsat = true;
     for (result, model) in results {
         match result {
@@ -95,34 +91,6 @@ pub fn conquer(
         verdict: all_unsat.then_some(SolveResult::Unsat),
         cubes: total,
         model: None,
-    }
-}
-
-/// Full cube-and-conquer entry: a direct budgeted attempt first, then —
-/// only if that exhausts — a split on the probe's `split_vars` hottest
-/// unassigned variables (VSIDS activity from the failed attempt, ties
-/// broken by variable index so the split set is deterministic).
-pub fn solve_cube_and_conquer(
-    cnf: &Cnf,
-    effort: &exec::Effort,
-    split_vars: usize,
-    mode: exec::ExecMode,
-) -> CubeReport {
-    let mut probe = Solver::new();
-    cnf.load_into(&mut probe);
-    match probe.solve_budgeted(&[], effort) {
-        BudgetedResult::Decided(result) => {
-            let model = (result == SolveResult::Sat).then(|| snapshot_model(&probe, cnf.num_vars));
-            CubeReport {
-                verdict: Some(result),
-                cubes: 0,
-                model,
-            }
-        }
-        BudgetedResult::Exhausted => {
-            let split = probe.top_activity_vars(split_vars.max(1));
-            conquer(cnf, &split, effort, mode)
-        }
     }
 }
 
@@ -161,26 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_decision_skips_the_split() {
-        let cnf = Cnf {
-            num_vars: 2,
-            clauses: vec![
-                vec![Lit::pos(Var::from_index(0))],
-                vec![Lit::neg(Var::from_index(1))],
-            ],
-        };
-        let report = solve_cube_and_conquer(
-            &cnf,
-            &exec::Effort::bounded(64),
-            2,
-            exec::ExecMode::Sequential,
-        );
-        assert_eq!(report.verdict, Some(SolveResult::Sat));
-        assert_eq!(report.cubes, 0);
-        assert!(model_satisfies(&cnf, report.model.as_ref().unwrap()));
-    }
-
-    #[test]
     fn exhausted_unsat_query_is_decided_by_cubes() {
         // PHP(6,5) exhausts a tiny conflict budget directly, but each
         // cube (with two pigeons pinned) is easier; with the cube-side
@@ -202,34 +150,9 @@ mod tests {
             sat_decisions: None,
             bdd_nodes: None,
         };
-        let report = conquer(&cnf, &split, &generous, exec::ExecMode::Sequential);
+        let report = conquer(&cnf, &split, &generous);
         assert_eq!(report.cubes, 8);
         assert_eq!(report.verdict, Some(SolveResult::Unsat));
-    }
-
-    #[test]
-    fn cube_report_is_identical_across_worker_counts() {
-        let cnf = php_cnf(6, 5);
-        let effort = exec::Effort {
-            sat_conflicts: Some(100_000),
-            sat_decisions: None,
-            bdd_nodes: None,
-        };
-        let mut probe = Solver::new();
-        cnf.load_into(&mut probe);
-        let starved = exec::Effort {
-            sat_conflicts: Some(20),
-            sat_decisions: None,
-            bdd_nodes: None,
-        };
-        let _ = probe.solve_budgeted(&[], &starved);
-        let split = probe.top_activity_vars(2);
-
-        let baseline = conquer(&cnf, &split, &effort, exec::ExecMode::Sequential);
-        for workers in [1usize, 2, 8] {
-            let got = conquer(&cnf, &split, &effort, exec::ExecMode::Parallel { workers });
-            assert_eq!(got, baseline, "workers={workers}");
-        }
     }
 
     #[test]
@@ -249,7 +172,6 @@ mod tests {
             &cnf,
             &[Var::from_index(0), Var::from_index(1)],
             &exec::Effort::bounded(1024),
-            exec::ExecMode::Sequential,
         );
         assert_eq!(report.verdict, Some(SolveResult::Sat));
         assert_eq!(report.cubes, 4);

@@ -9,7 +9,11 @@
 //! * first-UIP conflict analysis,
 //! * VSIDS-style activity-based decision heuristics,
 //! * Luby-sequence restarts,
-//! * incremental solving under assumptions.
+//! * incremental solving under assumptions,
+//! * deterministic effort budgets ([`Solver::solve_budgeted`]) with a
+//!   cube-and-conquer fallback ([`cube::conquer`]),
+//! * learnt-clause export and level-0 import for the cross-obligation
+//!   lemma pool ([`share`]).
 //!
 //! [`cnf::CnfBuilder`] layers Tseitin gate encodings (AND/OR/XOR/MUX/equality)
 //! on top, which is how the `hdl` crate bit-blasts netlists into CNF.
@@ -32,11 +36,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cnf;
 pub mod cube;
 pub mod dimacs;
-pub mod portfolio;
 pub mod share;
 pub mod solver;
 pub mod types;
@@ -44,10 +48,6 @@ pub mod types;
 pub use cnf::CnfBuilder;
 pub use cube::CubeReport;
 pub use dimacs::Dimacs;
-pub use portfolio::{
-    solve_portfolio, solve_portfolio_cooperative, CooperativeOutcome, PortfolioConfig,
-    PortfolioOutcome,
-};
-pub use share::{ImportResult, ShareConfig, ShareFilter, ShareStats, SolverShare};
+pub use share::{ImportResult, ShareFilter, ShareStats, SolverShare};
 pub use solver::{BudgetedResult, Cnf, SolveResult, Solver};
 pub use types::{Lit, Var};

@@ -1,34 +1,29 @@
-//! Learnt-clause sharing between cooperating solvers.
+//! Learnt-clause export for the cross-obligation lemma pool.
 //!
-//! The portfolio historically *raced* divergent configurations and threw
-//! the losers' work away. This module upgrades racing to cooperation:
-//! solvers export short, low-glue learnt clauses through bounded
-//! lock-free single-producer/single-consumer mailboxes, and import each
-//! other's exports at decision level 0 between restarts.
+//! A [`SolverShare::collector`] attached to a [`crate::Solver`] records
+//! the short, low-glue clauses the solver learns. Level 4 stores them in
+//! the lemma pool under the obligation's canonical-CNF fingerprint, and
+//! the next solver over a fingerprint-identical formula imports them with
+//! [`crate::Solver::import_clause`] before it searches.
 //!
 //! Soundness rests on three legs (see DESIGN.md §16):
 //!
 //! 1. **Entailment.** Every learnt clause is a resolvent of the solver's
 //!    *permanent* clause set (assumptions enter the search as scoped
 //!    decisions, never as clauses), so every export is entailed by the
-//!    formula all group members share.
+//!    formula it was learnt from.
 //! 2. **Level-0 import.** Imports are integrated only while the importing
 //!    solver rests at decision level 0 — the same discipline as
 //!    [`crate::Solver::add_clause`] — so watched-literal and trail
 //!    invariants are never violated mid-search.
-//! 3. **Identical formulas.** A share group is built over one CNF; the
-//!    cross-obligation lemma pool extends the reach to *distinct*
-//!    obligations only through the 128-bit canonical-CNF fingerprint, so
-//!    a clause can only ever reach a solver whose formula entails it.
+//! 3. **Identical formulas.** The pool is keyed by the 128-bit
+//!    canonical-CNF fingerprint, so a clause can only ever reach a solver
+//!    whose formula entails it.
 //!
-//! Sharing may change *effort* (conflicts, decisions, who wins a race) —
+//! Exporting and importing may change *effort* (conflicts, decisions) —
 //! never *answers*.
 
 use crate::types::Lit;
-use std::cell::UnsafeCell;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Admission filter for exports: only clauses short enough *and* with low
 /// enough glue (LBD — the number of distinct decision levels among the
@@ -68,48 +63,13 @@ impl ShareFilter {
     }
 }
 
-/// Configuration of one share group: mailbox depth, per-drain import
-/// budget, pool-export cap, and the export filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShareConfig {
-    /// Capacity of each directed worker-to-worker mailbox. Full mailboxes
-    /// drop (sharing is best-effort; dropping is always sound).
-    pub mailbox_capacity: usize,
-    /// Maximum clauses a solver integrates per drain (one drain at solve
-    /// entry, one per restart), bounding the import-side overhead.
-    pub import_budget: usize,
-    /// Maximum clauses a solver buffers for the cross-obligation lemma
-    /// pool.
-    pub pool_cap: usize,
-    /// Export admission filter.
-    pub filter: ShareFilter,
-}
-
-impl Default for ShareConfig {
-    fn default() -> Self {
-        ShareConfig {
-            mailbox_capacity: 128,
-            import_budget: 64,
-            pool_cap: 256,
-            filter: ShareFilter::default(),
-        }
-    }
-}
-
-/// Traffic counters of one [`SolverShare`] endpoint.
+/// Export counters of one [`SolverShare`] collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShareStats {
     /// Clauses that passed the filter and were exported.
     pub exported: u64,
     /// Learnt clauses rejected by the length/glue filter.
     pub export_rejected: u64,
-    /// Exports dropped because a peer's mailbox was full.
-    pub dropped_full: u64,
-    /// Imported clauses integrated into the solver.
-    pub imported: u64,
-    /// Imported clauses that simplified away (already satisfied,
-    /// tautological, or out of variable range).
-    pub import_redundant: u64,
 }
 
 /// Outcome of integrating one foreign clause at decision level 0.
@@ -125,153 +85,26 @@ pub enum ImportResult {
     Conflict,
 }
 
-/// The bounded SPSC ring both endpoints share. `head` is owned by the
-/// consumer, `tail` by the producer; the `Release` store on the owner's
-/// index paired with the `Acquire` load on the other side publishes the
-/// slot contents. The single-producer/single-consumer discipline is
-/// enforced by construction: [`mailbox`] returns exactly one non-`Clone`
-/// sender and one non-`Clone` receiver, and their methods take `&mut
-/// self`.
-struct Ring {
-    slots: Box<[UnsafeCell<Option<Vec<Lit>>>]>,
-    head: AtomicUsize,
-    tail: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-// SAFETY: each slot is written only by the unique ShareSender and read
-// only by the unique ShareReceiver, and never concurrently for the same
-// index — the producer stops at `head - 1` (ring full) and the consumer
-// at `tail` (ring empty), with Release/Acquire pairs on the indices
-// ordering the slot accesses.
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
-
-/// The producing end of one directed clause mailbox (see [`mailbox`]).
-pub struct ShareSender {
-    ring: Arc<Ring>,
-}
-
-/// The consuming end of one directed clause mailbox (see [`mailbox`]).
-pub struct ShareReceiver {
-    ring: Arc<Ring>,
-}
-
-impl fmt::Debug for ShareSender {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShareSender")
-            .field("capacity", &(self.ring.slots.len() - 1))
-            .finish()
-    }
-}
-
-impl fmt::Debug for ShareReceiver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShareReceiver")
-            .field("capacity", &(self.ring.slots.len() - 1))
-            .finish()
-    }
-}
-
-/// Creates one bounded single-producer/single-consumer clause mailbox of
-/// the given capacity (at least 1). Pushing into a full mailbox drops the
-/// clause — sharing is best-effort and dropping is always sound.
-pub fn mailbox(capacity: usize) -> (ShareSender, ShareReceiver) {
-    let slots = (0..capacity.max(1) + 1)
-        .map(|_| UnsafeCell::new(None))
-        .collect::<Vec<_>>()
-        .into_boxed_slice();
-    let ring = Arc::new(Ring {
-        slots,
-        head: AtomicUsize::new(0),
-        tail: AtomicUsize::new(0),
-        dropped: AtomicU64::new(0),
-    });
-    (ShareSender { ring: ring.clone() }, ShareReceiver { ring })
-}
-
-impl ShareSender {
-    /// Enqueues `clause`, or drops it (returning `false`) when the ring
-    /// is full.
-    pub fn push(&mut self, clause: Vec<Lit>) -> bool {
-        let ring = &*self.ring;
-        let tail = ring.tail.load(Ordering::Relaxed);
-        let next = (tail + 1) % ring.slots.len();
-        if next == ring.head.load(Ordering::Acquire) {
-            ring.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        // SAFETY: slot `tail` is outside the consumer's visible range
-        // until the Release store below, and this is the unique producer.
-        unsafe {
-            *ring.slots[tail].get() = Some(clause);
-        }
-        ring.tail.store(next, Ordering::Release);
-        true
-    }
-
-    /// Clauses dropped so far because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl ShareReceiver {
-    /// Dequeues the oldest pending clause, if any.
-    pub fn pop(&mut self) -> Option<Vec<Lit>> {
-        let ring = &*self.ring;
-        let head = ring.head.load(Ordering::Relaxed);
-        if head == ring.tail.load(Ordering::Acquire) {
-            return None;
-        }
-        // SAFETY: the Acquire above ordered the producer's slot write
-        // before this read, and this is the unique consumer.
-        let clause = unsafe { (*ring.slots[head].get()).take() };
-        ring.head
-            .store((head + 1) % ring.slots.len(), Ordering::Release);
-        clause
-    }
-}
-
-/// One worker's bundle of sharing endpoints, attached to a
-/// [`crate::Solver`] via [`crate::Solver::set_share`]: outboxes toward
-/// every peer, inboxes from every peer, the export filter/budget, and a
-/// bounded buffer of exports destined for the cross-obligation lemma
-/// pool.
+/// A lemma-pool collector, attached to a [`crate::Solver`] via
+/// [`crate::Solver::set_share`]: the export filter and a bounded buffer
+/// of the clauses that passed it.
+#[derive(Debug)]
 pub struct SolverShare {
-    outboxes: Vec<ShareSender>,
-    inboxes: Vec<ShareReceiver>,
     filter: ShareFilter,
-    import_budget: usize,
     pool_cap: usize,
     pool_exports: Vec<Vec<Lit>>,
-    export_count: u64,
     stats: ShareStats,
 }
 
-impl fmt::Debug for SolverShare {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolverShare")
-            .field("peers", &self.outboxes.len())
-            .field("filter", &self.filter)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
 impl SolverShare {
-    /// A mailbox-less endpoint that only collects pool-bound exports —
-    /// what the sequential cached paths attach so their learnt clauses
-    /// seed the cross-obligation lemma pool.
+    /// A collector that keeps up to `pool_cap` of the learnt clauses
+    /// `filter` admits — what level 4 attaches so an obligation's learnt
+    /// clauses seed the cross-obligation lemma pool.
     pub fn collector(filter: ShareFilter, pool_cap: usize) -> Self {
         SolverShare {
-            outboxes: Vec::new(),
-            inboxes: Vec::new(),
             filter,
-            import_budget: 0,
             pool_cap,
             pool_exports: Vec::new(),
-            export_count: 0,
             stats: ShareStats::default(),
         }
     }
@@ -283,7 +116,7 @@ impl SolverShare {
     }
 
     /// Offers one just-learnt clause for export. The clause is normalised
-    /// (literals sorted) so receivers and the pool see a canonical form.
+    /// (literals sorted) so the pool sees a canonical form.
     pub(crate) fn offer(&mut self, lits: &[Lit], glue: u32) {
         if !self.filter.admits(lits.len(), glue) {
             self.stats.export_rejected += 1;
@@ -291,117 +124,37 @@ impl SolverShare {
         }
         let mut clause = lits.to_vec();
         clause.sort_unstable();
-        self.export_count += 1;
+        self.stats.exported += 1;
         #[cfg(feature = "share-mutant")]
         {
             // Injected bug: every 64th export flips its first literal,
             // breaking entailment. The `share` fuzz family's per-export
             // entailment oracle (and `fuzz/tests/share_mutant.rs`) must
             // catch this; never enable outside that check.
-            if self.export_count.is_multiple_of(64) {
+            if self.stats.exported.is_multiple_of(64) {
                 clause[0] = !clause[0];
-            }
-        }
-        for outbox in &mut self.outboxes {
-            if !outbox.push(clause.clone()) {
-                self.stats.dropped_full += 1;
             }
         }
         if self.pool_exports.len() < self.pool_cap {
             self.pool_exports.push(clause);
         }
-        self.stats.exported += 1;
     }
 
-    /// Drains up to `import_budget` pending clauses from the inboxes,
-    /// round-robin across peers.
-    pub(crate) fn take_imports(&mut self) -> Vec<Vec<Lit>> {
-        let mut imports = Vec::new();
-        if self.inboxes.is_empty() || self.import_budget == 0 {
-            return imports;
-        }
-        let mut exhausted = vec![false; self.inboxes.len()];
-        'outer: loop {
-            let mut any = false;
-            for (i, inbox) in self.inboxes.iter_mut().enumerate() {
-                if exhausted[i] {
-                    continue;
-                }
-                match inbox.pop() {
-                    Some(clause) => {
-                        imports.push(clause);
-                        any = true;
-                        if imports.len() >= self.import_budget {
-                            break 'outer;
-                        }
-                    }
-                    None => exhausted[i] = true,
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        imports
-    }
-
-    /// Records the outcome of integrating one import.
-    pub(crate) fn note_import(&mut self, result: ImportResult) {
-        match result {
-            ImportResult::Added | ImportResult::Conflict => self.stats.imported += 1,
-            ImportResult::Redundant => self.stats.import_redundant += 1,
-        }
-    }
-
-    /// Snapshot of this endpoint's traffic counters.
+    /// Snapshot of this collector's export counters.
     pub fn stats(&self) -> ShareStats {
         self.stats
     }
 
-    /// Clauses this endpoint exported so far (sorted-literal canonical
-    /// form), without consuming the endpoint.
+    /// Clauses this collector kept so far (sorted-literal canonical
+    /// form), without consuming the collector.
     pub fn pool_exports(&self) -> &[Vec<Lit>] {
         &self.pool_exports
     }
 
-    /// Consumes the endpoint, yielding its pool-bound exports.
+    /// Consumes the collector, yielding its pool-bound exports.
     pub fn into_pool_exports(self) -> Vec<Vec<Lit>> {
         self.pool_exports
     }
-}
-
-/// Builds a fully connected share group of `n` workers: `n · (n − 1)`
-/// directed mailboxes, bundled into one [`SolverShare`] handle per
-/// worker. Worker `i`'s handle owns the sending end of every `i → j`
-/// ring and the receiving end of every `j → i` ring.
-pub fn build_group(n: usize, config: &ShareConfig) -> Vec<SolverShare> {
-    let n = n.max(1);
-    let mut outboxes: Vec<Vec<ShareSender>> = (0..n).map(|_| Vec::new()).collect();
-    let mut inboxes: Vec<Vec<ShareReceiver>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, out) in outboxes.iter_mut().enumerate() {
-        for (j, inb) in inboxes.iter_mut().enumerate() {
-            if i == j {
-                continue;
-            }
-            let (tx, rx) = mailbox(config.mailbox_capacity);
-            out.push(tx);
-            inb.push(rx);
-        }
-    }
-    outboxes
-        .into_iter()
-        .zip(inboxes)
-        .map(|(out, inb)| SolverShare {
-            outboxes: out,
-            inboxes: inb,
-            filter: config.filter,
-            import_budget: config.import_budget,
-            pool_cap: config.pool_cap,
-            pool_exports: Vec::new(),
-            export_count: 0,
-            stats: ShareStats::default(),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -411,57 +164,6 @@ mod tests {
 
     fn lit(i: usize, pos: bool) -> Lit {
         Lit::with_polarity(Var::from_index(i), pos)
-    }
-
-    #[test]
-    fn mailbox_round_trips_in_order() {
-        let (mut tx, mut rx) = mailbox(4);
-        assert_eq!(rx.pop(), None);
-        assert!(tx.push(vec![lit(0, true)]));
-        assert!(tx.push(vec![lit(1, false)]));
-        assert_eq!(rx.pop(), Some(vec![lit(0, true)]));
-        assert_eq!(rx.pop(), Some(vec![lit(1, false)]));
-        assert_eq!(rx.pop(), None);
-    }
-
-    #[test]
-    fn full_mailbox_drops_and_counts() {
-        let (mut tx, mut rx) = mailbox(2);
-        assert!(tx.push(vec![lit(0, true)]));
-        assert!(tx.push(vec![lit(1, true)]));
-        assert!(!tx.push(vec![lit(2, true)]));
-        assert_eq!(tx.dropped(), 1);
-        // Draining frees capacity again.
-        assert_eq!(rx.pop(), Some(vec![lit(0, true)]));
-        assert!(tx.push(vec![lit(3, true)]));
-        assert_eq!(rx.pop(), Some(vec![lit(1, true)]));
-        assert_eq!(rx.pop(), Some(vec![lit(3, true)]));
-    }
-
-    #[test]
-    fn mailbox_is_safe_across_threads() {
-        let (mut tx, mut rx) = mailbox(8);
-        let total = 10_000usize;
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for i in 0..total {
-                    // Spin until accepted so every clause arrives.
-                    let clause = vec![lit(i % 4, i.is_multiple_of(2))];
-                    while !tx.push(clause.clone()) {
-                        std::hint::spin_loop();
-                    }
-                }
-            });
-            let mut received = 0usize;
-            while received < total {
-                if let Some(clause) = rx.pop() {
-                    assert_eq!(clause, vec![lit(received % 4, received.is_multiple_of(2))]);
-                    received += 1;
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        });
     }
 
     #[test]
@@ -502,48 +204,6 @@ mod tests {
         }
         assert_eq!(share.pool_exports().len(), 3);
         assert_eq!(share.stats().exported, 10);
-    }
-
-    #[test]
-    fn group_wires_every_direction() {
-        let config = ShareConfig::default();
-        let mut group = build_group(3, &config);
-        assert_eq!(group.len(), 3);
-        for handle in &group {
-            assert_eq!(handle.outboxes.len(), 2);
-            assert_eq!(handle.inboxes.len(), 2);
-        }
-        // An export from worker 0 reaches workers 1 and 2 but not 0.
-        group[0].offer(&[lit(0, true)], 1);
-        assert!(group[0].take_imports().is_empty());
-        let got1 = group.get_mut(1).unwrap().take_imports();
-        let got2 = group.get_mut(2).unwrap().take_imports();
-        #[cfg(not(feature = "share-mutant"))]
-        {
-            assert_eq!(got1, vec![vec![lit(0, true)]]);
-            assert_eq!(got2, vec![vec![lit(0, true)]]);
-        }
-        #[cfg(feature = "share-mutant")]
-        {
-            assert_eq!(got1.len(), 1);
-            assert_eq!(got2.len(), 1);
-        }
-    }
-
-    #[test]
-    fn import_budget_caps_one_drain() {
-        let config = ShareConfig {
-            import_budget: 3,
-            ..ShareConfig::default()
-        };
-        let mut group = build_group(2, &config);
-        for i in 0..10 {
-            group[0].offer(&[lit(i, true)], 1);
-        }
-        let first = group.get_mut(1).unwrap().take_imports();
-        assert_eq!(first.len(), 3);
-        let second = group.get_mut(1).unwrap().take_imports();
-        assert_eq!(second.len(), 3);
     }
 
     #[cfg(feature = "share-mutant")]

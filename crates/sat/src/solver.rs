@@ -3,7 +3,6 @@
 
 use crate::share::{ImportResult, SolverShare};
 use crate::types::{Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,8 +164,8 @@ impl VarOrder {
 /// A conflict-driven clause-learning SAT solver.
 ///
 /// Supports incremental use: clauses persist across [`solve`](Solver::solve)
-/// calls, and [`solve_with`](Solver::solve_with) solves under temporary
-/// assumptions.
+/// calls, and [`solve_under_assumptions`](Solver::solve_under_assumptions)
+/// solves under temporary assumptions.
 #[derive(Debug)]
 pub struct Solver {
     clauses: Vec<Clause>,
@@ -190,14 +189,8 @@ pub struct Solver {
     /// no clause-deletion path) so telemetry reads are O(1) instead of a
     /// full clause-database scan.
     num_learnt: usize,
-    /// Saved-phase default for freshly allocated variables (portfolio
-    /// diversification knob; `false` is the canonical configuration).
-    default_polarity: bool,
     /// Luby restart multiplier (conflicts before restart = scale × luby).
     restart_scale: u64,
-    /// Xorshift state for occasional random decisions; 0 disables them
-    /// (the canonical configuration).
-    rng: u64,
     /// Optional telemetry sink; `None` (the default) keeps the search loop
     /// free of any instrumentation cost.
     instrument: Option<telemetry::SharedInstrument>,
@@ -213,10 +206,8 @@ pub struct Solver {
     budget_conflicts: Option<u64>,
     /// See [`Solver::budget_conflicts`](struct field above).
     budget_decisions: Option<u64>,
-    /// Optional clause-sharing endpoint (portfolio cooperation and/or
-    /// lemma-pool collection). `None` — the default — keeps every
-    /// non-sharing path behaviourally identical to the pre-sharing
-    /// solver: no glue computation, no clause clones, no import drains.
+    /// Optional lemma-pool collector. `None` — the default — keeps every
+    /// non-collecting path free of glue computation and clause clones.
     share: Option<SolverShare>,
     /// Unit propagations seen by the test-only `mutant` feature, which
     /// silently drops every third one to prove the fuzzer's differential
@@ -254,9 +245,7 @@ impl Default for Solver {
             decisions: 0,
             propagations: 0,
             num_learnt: 0,
-            default_polarity: false,
             restart_scale: 100,
-            rng: 0,
             instrument: None,
             flushed: (0, 0, 0),
             flush_calls: 0,
@@ -280,24 +269,6 @@ impl Solver {
         }
     }
 
-    /// Sets the saved-phase default for variables allocated *after* this
-    /// call (portfolio diversification; canonical default is `false`).
-    pub fn set_default_polarity(&mut self, polarity: bool) {
-        self.default_polarity = polarity;
-    }
-
-    /// Sets the Luby restart multiplier (default 100 conflicts).
-    pub fn set_restart_scale(&mut self, scale: u64) {
-        self.restart_scale = scale.max(1);
-    }
-
-    /// Enables occasional pseudo-random branching seeded with `seed`
-    /// (`0` disables it — the canonical configuration). Diversifies a
-    /// portfolio; any seed still yields a deterministic solver.
-    pub fn set_decision_seed(&mut self, seed: u64) {
-        self.rng = seed;
-    }
-
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assign.len() as u32);
@@ -305,7 +276,7 @@ impl Solver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
-        self.polarity.push(self.default_polarity);
+        self.polarity.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.grow(self.assign.len());
@@ -345,7 +316,7 @@ impl Solver {
         self.propagations
     }
 
-    /// Attaches a telemetry instrument. After every [`Solver::solve_with`]
+    /// Attaches a telemetry instrument. After every solve call
     /// the solver emits decision/conflict/propagation counter deltas and a
     /// conflicts-per-call histogram sample.
     pub fn set_instrument(&mut self, instrument: telemetry::SharedInstrument) {
@@ -413,26 +384,23 @@ impl Solver {
         }
     }
 
-    /// Attaches a clause-sharing endpoint (see [`crate::share`]). The
-    /// solver then exports learnt clauses that pass the endpoint's
-    /// length/glue filter and drains the endpoint's inboxes at solve
-    /// entry and on every restart — always at decision level 0, so CDCL
-    /// invariants hold.
+    /// Attaches a lemma-pool collector (see [`crate::share`]). The solver
+    /// then offers every learnt clause that passes the collector's
+    /// length/glue filter.
     pub fn set_share(&mut self, share: SolverShare) {
         self.share = Some(share);
     }
 
-    /// Detaches and returns the sharing endpoint (with its pool-bound
-    /// exports and traffic stats), if one was attached.
+    /// Detaches and returns the collector (with its pool-bound exports
+    /// and export counters), if one was attached.
     pub fn take_share(&mut self) -> Option<SolverShare> {
         self.share.take()
     }
 
-    /// Integrates one *entailed* foreign clause — a peer's learnt clause
-    /// over the same CNF, or a lemma-pool entry keyed by this CNF's
-    /// canonical fingerprint — at decision level 0. The clause attaches
-    /// as a learnt clause, so [`Solver::export_cnf`] keeps reporting the
-    /// original problem. Clauses referencing unallocated variables are
+    /// Integrates one *entailed* foreign clause — a lemma-pool entry
+    /// keyed by this CNF's canonical fingerprint — at decision level 0.
+    /// The clause attaches as a learnt clause, so [`Solver::export_cnf`]
+    /// keeps reporting the original problem. Clauses referencing unallocated variables are
     /// rejected as [`ImportResult::Redundant`] (the defensive stance for
     /// pool entries read back from disk). An imported *unit* lands on
     /// the level-0 trail and therefore shows up in later `export_cnf`
@@ -485,31 +453,6 @@ impl Solver {
                 ImportResult::Added
             }
         }
-    }
-
-    /// Drains the share endpoint's inboxes (bounded by its import
-    /// budget) and integrates each clause. Returns `false` when an
-    /// import closed the formula — a sound Unsat verdict. Must be called
-    /// at decision level 0.
-    fn drain_shared_imports(&mut self) -> bool {
-        if self.share.is_none() {
-            return true;
-        }
-        let imports = self
-            .share
-            .as_mut()
-            .map(|s| s.take_imports())
-            .unwrap_or_default();
-        for clause in imports {
-            let result = self.import_clause(&clause);
-            if let Some(share) = self.share.as_mut() {
-                share.note_import(result);
-            }
-            if result == ImportResult::Conflict {
-                return false;
-            }
-        }
-        true
     }
 
     /// Glue (LBD) of a just-learnt clause: the number of distinct
@@ -800,35 +743,17 @@ impl Solver {
     /// enter the search as scoped decisions, never as clauses, so no
     /// learnt clause can depend on a retracted assumption.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.solve_inner(assumptions, None)
-            .expect("uninterrupted solve always reaches a verdict")
+        self.solve_inner(assumptions)
+            .expect("unbudgeted solve always reaches a verdict")
     }
 
-    /// Alias of [`Solver::solve_under_assumptions`] kept for the
-    /// workspace's historical call sites.
-    pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.solve_under_assumptions(assumptions)
-    }
-
-    /// Like [`Solver::solve_with`], but abandons the search (returning
-    /// `None`) once `interrupt` becomes true — the cancellation hook for
-    /// portfolio races. The solver is left at decision level 0 and stays
-    /// usable; no telemetry is flushed for an abandoned call.
-    pub fn solve_cancellable(
-        &mut self,
-        assumptions: &[Lit],
-        interrupt: &AtomicBool,
-    ) -> Option<SolveResult> {
-        self.solve_inner(assumptions, Some(interrupt))
-    }
-
-    /// Like [`Solver::solve_with`], but gives up deterministically once
-    /// the search has spent `effort`'s conflict or decision allowance
-    /// (measured from this call's starting counters, so budgets compose
-    /// across incremental calls). An unbounded `effort` is exactly
-    /// `solve_with`. Budgets are effort-based, never wall-clock: the same
-    /// query with the same budget exhausts at the same point on every
-    /// machine and worker count. On exhaustion the solver backtracks to
+    /// Like [`Solver::solve_under_assumptions`], but gives up
+    /// deterministically once the search has spent `effort`'s conflict or
+    /// decision allowance (measured from this call's starting counters, so
+    /// budgets compose across incremental calls). An unbounded `effort` is
+    /// exactly `solve_under_assumptions`. Budgets are effort-based, never
+    /// wall-clock: the same query with the same budget exhausts at the
+    /// same point on every machine and worker count. On exhaustion the solver backtracks to
     /// level 0 and keeps its learnt clauses, so retrying with a larger
     /// budget resumes rather than restarts.
     pub fn solve_budgeted(&mut self, assumptions: &[Lit], effort: &exec::Effort) -> BudgetedResult {
@@ -857,7 +782,7 @@ impl Solver {
         self.budget_decisions = effort
             .sat_decisions
             .map(|cap| self.decisions.saturating_add(cap));
-        let result = self.solve_inner(assumptions, None);
+        let result = self.solve_inner(assumptions);
         self.budget_conflicts = None;
         self.budget_decisions = None;
         match result {
@@ -879,11 +804,7 @@ impl Solver {
         self.flush_telemetry();
     }
 
-    fn solve_inner(
-        &mut self,
-        assumptions: &[Lit],
-        interrupt: Option<&AtomicBool>,
-    ) -> Option<SolveResult> {
+    fn solve_inner(&mut self, assumptions: &[Lit]) -> Option<SolveResult> {
         if self.unsat {
             self.flush_telemetry();
             return Some(SolveResult::Unsat);
@@ -893,12 +814,7 @@ impl Solver {
             self.flush_telemetry();
             return Some(SolveResult::Unsat);
         }
-        if !self.drain_shared_imports() {
-            self.unsat = true;
-            self.flush_telemetry();
-            return Some(SolveResult::Unsat);
-        }
-        let result = self.search(assumptions, interrupt);
+        let result = self.search(assumptions);
         if let Some(r) = result {
             if r.is_sat() {
                 // Snapshot the model before clearing search state.
@@ -958,48 +874,12 @@ impl Solver {
         }
     }
 
-    /// Draws the next pseudo-random word (xorshift64; `rng != 0` always).
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
-    /// Occasionally (1 in 8 decisions, when seeded) proposes a uniformly
-    /// scanned unassigned variable instead of the activity-heap choice.
-    fn pick_random_branch(&mut self) -> Option<Var> {
-        if self.rng == 0 || self.num_vars() == 0 || !self.next_rand().is_multiple_of(8) {
-            return None;
-        }
-        let n = self.num_vars();
-        let start = (self.next_rand() % n as u64) as usize;
-        for off in 0..n {
-            let i = (start + off) % n;
-            if self.assign[i] == UNASSIGNED {
-                return Some(Var(i as u32));
-            }
-        }
-        None
-    }
-
-    fn search(
-        &mut self,
-        assumptions: &[Lit],
-        interrupt: Option<&AtomicBool>,
-    ) -> Option<SolveResult> {
+    fn search(&mut self, assumptions: &[Lit]) -> Option<SolveResult> {
         let mut restart_count = 1u64;
         let mut conflict_budget = self.restart_scale * Self::luby(restart_count);
         let mut conflicts_here = 0u64;
 
         loop {
-            if let Some(flag) = interrupt {
-                if flag.load(Ordering::Relaxed) {
-                    return None;
-                }
-            }
             // Deterministic effort budget ([`Solver::solve_budgeted`]):
             // abandon the search once either lifetime counter reaches its
             // absolute ceiling. Checked on the same progress axis on every
@@ -1068,14 +948,6 @@ impl Solver {
                     restart_count += 1;
                     conflict_budget = self.restart_scale * Self::luby(restart_count);
                     self.backtrack_to(0);
-                    // Integrate peer clauses while at decision level 0 —
-                    // the only point mid-search where add-clause
-                    // invariants hold. A conflicting import is a sound
-                    // Unsat verdict (imports are entailed).
-                    if !self.drain_shared_imports() {
-                        self.unsat = true;
-                        return Some(SolveResult::Unsat);
-                    }
                 }
             } else {
                 // Re-apply assumptions that got undone (e.g. by restarts).
@@ -1096,8 +968,7 @@ impl Solver {
                     }
                     continue;
                 }
-                let choice = self.pick_random_branch().or_else(|| self.pick_branch());
-                match choice {
+                match self.pick_branch() {
                     None => return Some(SolveResult::Sat),
                     Some(v) => {
                         self.decisions += 1;
@@ -1130,8 +1001,8 @@ impl Solver {
     /// clauses (units are enqueued on the trail at add time, never stored
     /// in the clause database), plus the empty clause when the formula is
     /// already known unsatisfiable. Call between solve calls (the solver
-    /// rests at decision level 0 then). This is how a portfolio hands the
-    /// same problem to independently configured solvers.
+    /// rests at decision level 0 then). This is what the obligation
+    /// fingerprint and the cube-and-conquer fallback consume.
     pub fn export_cnf(&self) -> Cnf {
         let mut clauses: Vec<Vec<Lit>> = Vec::new();
         if self.unsat {
@@ -1180,6 +1051,14 @@ impl Cnf {
 mod tests {
     use super::*;
 
+    impl Solver {
+        /// Sets the Luby restart multiplier (default 100 conflicts), so a
+        /// regression test can restart on every conflict.
+        fn set_restart_scale(&mut self, scale: u64) {
+            self.restart_scale = scale.max(1);
+        }
+    }
+
     fn vars(s: &mut Solver, n: usize) -> Vec<Var> {
         (0..n).map(|_| s.new_var()).collect()
     }
@@ -1199,7 +1078,7 @@ mod tests {
         s.add_clause([Lit::pos(v[0]), Lit::pos(v[1])]);
         s.add_clause([Lit::neg(v[0]), Lit::pos(v[2])]);
         assert!(s.solve().is_sat());
-        assert!(s.solve_with(&[Lit::neg(v[1])]).is_sat());
+        assert!(s.solve_under_assumptions(&[Lit::neg(v[1])]).is_sat());
         assert_eq!(collector.counter("sat.solve_calls"), 2);
         // Two flushes means two histogram samples, and the counter matches
         // the solver's own running total (deltas, not double-counted sums).
@@ -1423,11 +1302,13 @@ mod tests {
         let b = s.new_var();
         s.add_clause([Lit::neg(a), Lit::pos(b)]); // a -> b
                                                   // Under assumption a ∧ ¬b: unsat.
-        assert!(s.solve_with(&[Lit::pos(a), Lit::neg(b)]).is_unsat());
+        assert!(s
+            .solve_under_assumptions(&[Lit::pos(a), Lit::neg(b)])
+            .is_unsat());
         // Without assumptions: still sat.
         assert!(s.solve().is_sat());
         // Under a alone: b must be true.
-        assert!(s.solve_with(&[Lit::pos(a)]).is_sat());
+        assert!(s.solve_under_assumptions(&[Lit::pos(a)]).is_sat());
         assert_eq!(s.value(b), Some(true));
     }
 
@@ -1474,41 +1355,6 @@ mod tests {
     }
 
     #[test]
-    fn divergent_configurations_agree_on_the_verdict() {
-        // The same UNSAT instance under every diversification knob.
-        let build = |s: &mut Solver| {
-            let v = vars(s, 4);
-            s.add_clause([Lit::pos(v[0]), Lit::pos(v[1])]);
-            s.add_clause([Lit::pos(v[0]), Lit::neg(v[1])]);
-            s.add_clause([Lit::neg(v[0]), Lit::pos(v[2])]);
-            s.add_clause([Lit::neg(v[0]), Lit::neg(v[2]), Lit::pos(v[3])]);
-            s.add_clause([Lit::neg(v[0]), Lit::neg(v[3])]);
-            s.add_clause([Lit::neg(v[0]), Lit::pos(v[3]), Lit::neg(v[2])]);
-        };
-        for (pol, scale, seed) in [
-            (false, 100, 0),
-            (true, 100, 0),
-            (false, 32, 0xDEADBEEF),
-            (true, 400, 7),
-        ] {
-            let mut s = Solver::new();
-            s.set_default_polarity(pol);
-            s.set_restart_scale(scale);
-            s.set_decision_seed(seed);
-            build(&mut s);
-            assert!(
-                s.solve().is_unsat(),
-                "config pol={pol} scale={scale} seed={seed}"
-            );
-        }
-    }
-
-    /// Regression: a restart firing right after a backjump to level 0 must
-    /// not skip propagation of the just-enqueued asserting unit (the old
-    /// `backtrack_to` advanced `queue_head` past it, which could yield
-    /// models violating clauses). Restarting on every conflict
-    /// (`restart_scale(1)`) makes that window the common case.
-    #[test]
     fn aggressive_restarts_never_produce_invalid_models() {
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
@@ -1543,19 +1389,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cancelled_solve_returns_none_and_leaves_solver_usable() {
-        let mut s = Solver::new();
-        let v = vars(&mut s, 2);
-        s.add_clause([Lit::pos(v[0]), Lit::pos(v[1])]);
-        let cancelled = AtomicBool::new(true);
-        assert_eq!(s.solve_cancellable(&[], &cancelled), None);
-        // The abandoned call left level-0 state only; solving again works.
-        let live = AtomicBool::new(false);
-        assert_eq!(s.solve_cancellable(&[], &live), Some(SolveResult::Sat));
-        assert!(s.solve().is_sat());
     }
 
     #[test]

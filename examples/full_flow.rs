@@ -72,7 +72,7 @@ struct CacheBench {
     warm_hit_rate: f64,
 }
 
-/// Cooperative-SAT behaviour (DESIGN.md §16): lemma-pool contents after
+/// Lemma-pool behaviour (DESIGN.md §16): pool contents after
 /// the cold flow, pool traffic on a warm-pool rerun (cold verdicts, warm
 /// lemmas, via `retain_lemmas`), and a deterministic conflict-rich
 /// microbench — a planted 3-XOR chain, solved cold with a collector
@@ -542,7 +542,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cache_bench.entries_saved,
     );
 
-    // Cooperative-SAT pool behaviour. The cold run above populated the
+    // Lemma-pool behaviour. The cold run above populated the
     // cache's lemma pool alongside its verdicts; rerun the flow with
     // warm lemmas but COLD verdicts (`retain_lemmas`), so every miter
     // re-solves seeded from the pool — the report must not move by a
@@ -680,7 +680,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cas_seq = cascade::run();
         let cascade_seq_ms = cas_start.elapsed().as_secs_f64() * 1e3;
         let cas_start = Instant::now();
-        let cas_par = cascade::run_mode(mode);
+        let cas_par = cascade::run_supervised(mode, cache::noop(), &SupervisionPolicy::default()).0;
         let cascade_par_ms = cas_start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(cas_par, cas_seq, "parallel cascade must be bit-identical");
         println!(

@@ -1,6 +1,6 @@
-//! Property tests for the clause-sharing soundness contract.
+//! Property tests for the lemma pool's soundness contract.
 //!
-//! The cooperative-SAT design (DESIGN.md §16) rests on two facts:
+//! The lemma pool (DESIGN.md §16) rests on two facts:
 //!
 //! 1. **Every exported clause is entailed by the formula it was learnt
 //!    from.** Learnt clauses are resolvents of the permanent clause set
@@ -8,10 +8,8 @@
 //!    `cnf ∧ ¬c` must be unsatisfiable for every export `c`. Checked
 //!    here by brute-force enumeration.
 //! 2. **Imports never change an answer.** Seeding a solver with entailed
-//!    clauses at decision level 0 (directly, through a mailbox ring, or
-//!    via the cooperative portfolio) may change effort, never the
-//!    verdict, and any model produced still satisfies the original
-//!    clauses.
+//!    clauses at decision level 0 may change effort, never the verdict,
+//!    and any model produced still satisfies the original clauses.
 
 use proptest::prelude::*;
 use symbad_suite::testkit::{brute_force_sat, solver_from_clauses};
@@ -96,65 +94,6 @@ proptest! {
             for c in &clauses {
                 let satisfied = c.iter().any(|&(v, pos)| seeded.value(svars[v]) == Some(pos));
                 prop_assert!(satisfied, "seeded model violates {:?}", c);
-            }
-        }
-
-        // The same exports through a real mailbox ring.
-        let (mut tx, mut rx) = sat::share::mailbox(32);
-        for clause in &exports {
-            tx.push(clause.clone());
-        }
-        let (mut transported, tvars) = solver_from_clauses(n, &clauses);
-        while let Some(clause) = rx.pop() {
-            if transported.import_clause(&clause) == sat::ImportResult::Conflict {
-                break;
-            }
-        }
-        prop_assert_eq!(transported.solve().is_sat(), expected);
-        if expected {
-            for c in &clauses {
-                let satisfied = c
-                    .iter()
-                    .any(|&(v, pos)| transported.value(tvars[v]) == Some(pos));
-                prop_assert!(satisfied, "mailbox-seeded model violates {:?}", c);
-            }
-        }
-    }
-
-    #[test]
-    fn cooperative_portfolio_matches_brute_force_with_and_without_seeds(
-        (n, clauses) in cnf_strategy()
-    ) {
-        let expected = brute_force_sat(n, &clauses);
-        let (_, exports) = solve_collecting(n, &clauses);
-        let cnf = sat::Cnf {
-            num_vars: n,
-            clauses: clauses
-                .iter()
-                .map(|c| {
-                    c.iter()
-                        .map(|&(v, pos)| {
-                            sat::Lit::with_polarity(sat::Var::from_index(v), pos)
-                        })
-                        .collect()
-                })
-                .collect(),
-        };
-        for seeds in [&[][..], &exports[..]] {
-            for mode in [exec::ExecMode::Sequential, exec::ExecMode::Parallel { workers: 2 }] {
-                let coop = sat::solve_portfolio_cooperative(
-                    &cnf,
-                    mode,
-                    &sat::ShareConfig::default(),
-                    seeds,
-                );
-                prop_assert_eq!(coop.outcome.result.is_sat(), expected);
-                if let Some(model) = &coop.outcome.model {
-                    for c in &clauses {
-                        let satisfied = c.iter().any(|&(v, pos)| model[v] == pos);
-                        prop_assert!(satisfied, "cooperative model violates {:?}", c);
-                    }
-                }
             }
         }
     }

@@ -5,7 +5,6 @@
 //! must not change a single bit of any result. These tests pin that
 //! invariant for workers ∈ {1, 2, 8} against the sequential run.
 
-use mc::prop::{BoolExpr, Property};
 use symbad_core::cascade;
 use symbad_core::flow::run_full_flow_cached;
 use symbad_core::workload::Workload;
@@ -40,11 +39,11 @@ fn flow_report_json_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn clause_sharing_and_lemma_pools_never_move_the_flow_report() {
-    // The cooperative-SAT contract (DESIGN.md §16): learnt-clause
-    // sharing and lemma-pool warm starts change *effort*, never
-    // *answers*. The rendered report must be bit-identical whether
-    // sharing is off (uncached flow), on with a cold pool, or on with a
-    // pool warmed by a previous run — at every worker count.
+    // The lemma-pool contract (DESIGN.md §16): learnt-clause export and
+    // lemma-pool warm starts change *effort*, never *answers*. The
+    // rendered report must be bit-identical whether the pool is off
+    // (uncached flow), on and cold, or warmed by a previous run — at
+    // every worker count.
     let w = Workload::small();
     let reference = run_full_flow_cached(
         &w,
@@ -77,63 +76,12 @@ fn clause_sharing_and_lemma_pools_never_move_the_flow_report() {
 }
 
 #[test]
-fn bmc_counterexamples_are_bit_identical_across_worker_counts() {
-    // The buggy wrapper refutes `done_returns_to_idle`; the refutation
-    // trace (not just the verdict) must be the same from every worker.
-    let buggy = cascade::wrapper(false);
-    let properties = vec![
-        Property::response(
-            "done_returns_to_idle",
-            BoolExpr::eq("state", 3),
-            BoolExpr::eq("state", 0),
-            1,
-        ),
-        Property::invariant("state_in_range", BoolExpr::le("state", 3)),
-        Property::invariant("never_done", BoolExpr::ne("done", 1)),
-    ];
-    let reference: Vec<mc::Verdict> = properties
-        .iter()
-        .map(|p| mc::bmc::check(&buggy, p, 10))
-        .collect();
-    assert!(
-        reference.iter().any(|v| v.is_violated()),
-        "the seeded bug must produce at least one counterexample"
-    );
-    for mode in MODES {
-        let verdicts = mc::bmc::check_many(&buggy, &properties, 10, mode, &telemetry::noop());
-        assert_eq!(verdicts, reference, "BMC verdicts diverged at {mode:?}");
-    }
-}
-
-#[test]
-fn atpg_completion_is_bit_identical_across_worker_counts() {
-    // SAT-driven testbench completion: generated vectors and the
-    // resulting coverage must match the sequential run exactly.
-    let func = cascade::buggy_lut_kernel(true);
-    let seed_tb = atpg::Testbench {
-        vectors: vec![vec![0]],
-    };
-    let (ref_tb, ref_unreachable) =
-        atpg::formal::complete_with_sat(&func, &seed_tb).expect("completion runs");
-    let ref_cov = atpg::metrics::bit_coverage(&func, &ref_tb);
-    for mode in MODES {
-        let (tb, unreachable) =
-            atpg::formal::complete_with_sat_mode(&func, &seed_tb, mode).expect("completion runs");
-        assert_eq!(tb.vectors, ref_tb.vectors, "vectors diverged at {mode:?}");
-        assert_eq!(unreachable, ref_unreachable);
-        let cov = atpg::metrics::bit_coverage(&func, &tb);
-        assert_eq!(cov.detected, ref_cov.detected);
-        assert_eq!(cov.total, ref_cov.total);
-        assert_eq!(cov.undetected, ref_cov.undetected);
-    }
-}
-
-#[test]
 fn cascade_report_is_bit_identical_across_worker_counts() {
     let reference = cascade::run();
+    let policy = symbad_core::SupervisionPolicy::default();
     for mode in MODES {
         assert_eq!(
-            cascade::run_mode(mode),
+            cascade::run_supervised(mode, cache::noop(), &policy).0,
             reference,
             "cascade diverged at {mode:?}"
         );
