@@ -31,6 +31,12 @@ const LEMMA_FORMAT_TAG: &str = "symbad-lemma-pool";
 /// loader build absurd clauses. (Imports are additionally range-checked
 /// against the importing solver's variable count.)
 const MAX_LIT_CODE: u64 = 1 << 25;
+/// Deepest container nesting either file legitimately has: root object →
+/// entries array → entry object → clauses array → clause array. The
+/// parser recurses once per level, so a deeper (hostile or corrupted)
+/// file is rejected rather than allowed to overflow the stack — an abort
+/// no caller could turn into the promised cold start.
+const MAX_DEPTH: usize = 5;
 
 impl ObligationCache {
     /// Serialises every entry to `<dir>/obligations-v1.json`, creating
@@ -241,6 +247,8 @@ enum Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open, capped at [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -248,6 +256,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -281,8 +290,17 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         match self.bytes.get(self.pos)? {
             b'"' => self.string().map(Value::Str),
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if self.depth == MAX_DEPTH => None,
+            &open @ (b'{' | b'[') => {
+                self.depth += 1;
+                let container = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                container
+            }
             b'0'..=b'9' => self.number(),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
@@ -594,6 +612,23 @@ mod tests {
             c.lemmas().entries_sorted()
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deeply_nested_files_load_empty() {
+        // Unbounded recursion over a million open brackets would overflow
+        // the stack and abort the process instead of loading cold.
+        let deep = "[".repeat(1 << 20);
+        for name in [FILE_NAME, LEMMA_FILE_NAME] {
+            let dir = tmp_dir(&format!("deep-{name}"));
+            // A valid verdict file, so the lemma file is read at all.
+            ObligationCache::new().save(&dir).expect("save");
+            fs::write(dir.join(name), &deep).unwrap();
+            let loaded = ObligationCache::load_or_empty(&dir);
+            assert!(loaded.is_empty(), "{name} must load an empty cache");
+            assert!(loaded.lemmas().is_empty(), "{name} must load an empty pool");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

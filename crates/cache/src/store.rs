@@ -155,8 +155,8 @@ impl ObligationCache {
 
     /// A fresh, enabled cache holding *only* this cache's lemma pool —
     /// no verdicts, no counters. This is the "warm pool, cold verdicts"
-    /// configuration the BENCH warm-pool run and the equivalence tests
-    /// use to isolate lemma-level reuse from verdict-level reuse.
+    /// configuration the equivalence tests use to isolate lemma-level
+    /// reuse from verdict-level reuse.
     pub fn retain_lemmas(&self) -> ObligationCache {
         let fresh = ObligationCache::new();
         self.lemmas.copy_into(&fresh.lemmas);

@@ -45,8 +45,7 @@ pub struct PhaseSummary {
 }
 
 /// Key quantitative results of a flow run, pulled out of the phase
-/// summaries for programmatic consumption (benchmark harnesses, the CI
-/// `BENCH_flow.json` artifact).
+/// summaries for programmatic consumption (the `perfbench` harness).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowMetrics {
     /// Probe frames processed per level.

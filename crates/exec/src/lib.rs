@@ -228,33 +228,11 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// A parallel mode sized to the host (`std::thread::available_parallelism`).
-    pub fn host_parallel() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ExecMode::Parallel { workers }
-    }
-
     /// Effective worker count (always at least 1).
     pub fn workers(&self) -> usize {
         match *self {
             ExecMode::Sequential => 1,
             ExecMode::Parallel { workers } => workers.max(1),
-        }
-    }
-
-    /// True when this mode actually spawns worker threads.
-    pub fn is_parallel(&self) -> bool {
-        self.workers() > 1
-    }
-
-    /// Parses the `SYMBAD_WORKERS` environment variable: unset, empty,
-    /// `0`, or `1` mean sequential; `N > 1` means `Parallel { N }`.
-    pub fn from_env() -> Self {
-        match std::env::var("SYMBAD_WORKERS") {
-            Ok(v) => Self::from_workers(v.trim().parse().unwrap_or(1)),
-            Err(_) => ExecMode::Sequential,
         }
     }
 
@@ -459,10 +437,8 @@ mod tests {
     #[test]
     fn mode_worker_counts() {
         assert_eq!(ExecMode::Sequential.workers(), 1);
-        assert!(!ExecMode::Sequential.is_parallel());
         assert_eq!(ExecMode::Parallel { workers: 0 }.workers(), 1);
         assert_eq!(ExecMode::Parallel { workers: 4 }.workers(), 4);
-        assert!(ExecMode::Parallel { workers: 4 }.is_parallel());
         assert_eq!(ExecMode::from_workers(1), ExecMode::Sequential);
         assert_eq!(ExecMode::from_workers(8), ExecMode::Parallel { workers: 8 });
     }

@@ -378,7 +378,8 @@ pub fn evaluate(case: &McCase) -> Evaluation {
     // within the bound, with a concretely replayable trace.
     let collector = telemetry::Collector::shared();
     let instr: telemetry::SharedInstrument = collector.clone();
-    let bmc = mc::bmc::check_instrumented(&rtl, &prop, case.bound, &instr);
+    let unbounded = exec::Effort::unbounded();
+    let bmc = mc::bmc::check_budgeted(&rtl, &prop, case.bound, &unbounded, &instr, cache::noop());
     counters.push(collector.counter("bmc.sat_calls"));
     counters.push(collector.counter("sat.conflicts"));
     match (&bmc, truth) {

@@ -15,31 +15,20 @@ use hdl::Rtl;
 /// For response properties only complete windows inside the bound are
 /// checked, mirroring [`Property::holds_on_trace`].
 pub fn check(rtl: &Rtl, property: &Property, bound: u32) -> Verdict {
-    check_instrumented(rtl, property, bound, &telemetry::noop())
-}
-
-/// [`check`] with telemetry: emits a `bmc.depth` gauge as unrolling
-/// progresses (the gauge's time axis is the depth itself), a
-/// `bmc.sat_calls` counter, a `bmc.solver_constructions` counter (one per
-/// obligation — all depths share one incrementally extended solver), and
-/// per-depth SAT solver statistics through the instrument attached to the
-/// underlying solver.
-pub fn check_instrumented(
-    rtl: &Rtl,
-    property: &Property,
-    bound: u32,
-    instrument: &telemetry::SharedInstrument,
-) -> Verdict {
-    check_effort(rtl, property, bound, &exec::Effort::unbounded(), instrument)
+    check_effort(
+        rtl,
+        property,
+        bound,
+        &exec::Effort::unbounded(),
+        &telemetry::noop(),
+    )
 }
 
 /// The shared unrolling body, with every per-depth SAT query routed
 /// through [`sat::Solver::solve_budgeted`] under `effort`. Exhaustion at
 /// any depth short-circuits the obligation to
 /// [`Verdict::Unknown`]`(`[`UnknownReason::BudgetExhausted`]`)` — a
-/// partial sweep is not `NoViolationUpTo(bound)`. With an unbounded
-/// effort this is exactly the historical [`check_instrumented`]
-/// behaviour.
+/// partial sweep is not `NoViolationUpTo(bound)`.
 fn check_effort(
     rtl: &Rtl,
     property: &Property,
@@ -125,15 +114,20 @@ fn check_effort(
     }
 }
 
-/// [`check_instrumented`] backed by the obligation cache: a hit returns
+/// [`check`] with telemetry, backed by the obligation cache: a hit returns
 /// the stored verdict (counterexample trace included) without building a
 /// solver; a miss runs the engine and stores the result. Hits and misses
 /// are surfaced both on the cache's own [`cache::CacheStats`] and as
-/// `cache.hits` / `cache.misses` telemetry counters.
+/// `cache.hits` / `cache.misses` telemetry counters. An engine run emits
+/// a `bmc.depth` gauge as unrolling progresses (the gauge's time axis is
+/// the depth itself), a `bmc.sat_calls` counter, a
+/// `bmc.solver_constructions` counter (one per obligation — all depths
+/// share one incrementally extended solver), and per-depth SAT solver
+/// statistics through the instrument attached to the underlying solver.
 ///
-/// Passing [`cache::noop()`] makes this byte-identical to
-/// [`check_instrumented`] — the fingerprint is not even computed. This is
-/// [`check_budgeted`] with an unbounded effort.
+/// Passing [`cache::noop()`] runs the engine directly — the fingerprint
+/// is not even computed. This is [`check_budgeted`] with an unbounded
+/// effort.
 pub fn check_cached(
     rtl: &Rtl,
     property: &Property,
@@ -219,7 +213,8 @@ mod tests {
         let collector = telemetry::Collector::shared();
         let instr: telemetry::SharedInstrument = collector.clone();
         let p = Property::invariant("never5", BoolExpr::ne("q", 5));
-        let verdict = check_instrumented(&counter(), &p, 10, &instr);
+        let unbounded = exec::Effort::unbounded();
+        let verdict = check_budgeted(&counter(), &p, 10, &unbounded, &instr, cache::noop());
         assert!(matches!(verdict, Verdict::Violated(_)));
         // Depths 0..=5 were explored, one SAT call each.
         assert_eq!(collector.counter("bmc.sat_calls"), 6);

@@ -18,14 +18,22 @@ use hdl::Rtl;
 ///
 /// Panics if called with a response property (only invariants are
 /// inductively checkable here; compile response properties to monitors
-/// first).
+/// first) or `k == 0`.
 pub fn check(rtl: &Rtl, property: &Property, k: u32) -> Verdict {
-    check_instrumented(rtl, property, k, &telemetry::noop())
+    check_effort(
+        rtl,
+        property,
+        k,
+        &exec::Effort::unbounded(),
+        &telemetry::noop(),
+    )
 }
 
-/// [`check`] with telemetry: `induction.sat_calls`, one
-/// `induction.solver_constructions` per obligation, and the underlying
-/// SAT solver's per-call statistics.
+/// The shared base/step body, with every SAT query routed through
+/// [`sat::Solver::solve_budgeted`] under `effort`. An exhausted query
+/// short-circuits the whole obligation to
+/// [`Verdict::Unknown`]`(`[`UnknownReason::BudgetExhausted`]`)` — partial
+/// base-case progress is not a verdict.
 ///
 /// Base and step cases share one solver over one `InitMode::Free`
 /// unrolling: the base case pins frame 0 to the reset state with
@@ -35,25 +43,6 @@ pub fn check(rtl: &Rtl, property: &Property, k: u32) -> Verdict {
 /// discharging the base case — carry over to the step query, because
 /// assumptions are scoped decisions and never contaminate the learnt
 /// clause database.
-///
-/// # Panics
-///
-/// Panics if called with a response property or `k == 0`.
-pub fn check_instrumented(
-    rtl: &Rtl,
-    property: &Property,
-    k: u32,
-    instrument: &telemetry::SharedInstrument,
-) -> Verdict {
-    check_effort(rtl, property, k, &exec::Effort::unbounded(), instrument)
-}
-
-/// The shared base/step body, with every SAT query routed through
-/// [`sat::Solver::solve_budgeted`] under `effort`. An exhausted query
-/// short-circuits the whole obligation to
-/// [`Verdict::Unknown`]`(`[`UnknownReason::BudgetExhausted`]`)` — partial
-/// base-case progress is not a verdict. With an unbounded effort this is
-/// exactly the historical [`check_instrumented`] behaviour.
 fn check_effort(
     rtl: &Rtl,
     property: &Property,
@@ -119,11 +108,14 @@ fn check_effort(
     }
 }
 
-/// [`check_instrumented`] backed by the obligation cache (engine tag
+/// [`check`] with telemetry, backed by the obligation cache (engine tag
 /// `"induction"`, parameter `k`). A hit replays the stored verdict —
 /// including a base-case counterexample trace — without constructing a
-/// solver; [`cache::noop()`] short-circuits to the uncached path. This is
-/// [`check_budgeted`] with an unbounded effort.
+/// solver; [`cache::noop()`] short-circuits to the uncached path. An
+/// engine run reports `induction.sat_calls`, one
+/// `induction.solver_constructions` per obligation, and the underlying
+/// SAT solver's per-call statistics. This is [`check_budgeted`] with an
+/// unbounded effort.
 pub fn check_cached(
     rtl: &Rtl,
     property: &Property,
@@ -239,7 +231,11 @@ mod tests {
         let p = Property::invariant("ne6", BoolExpr::ne("q", 6));
         let collector = telemetry::Collector::shared();
         let instr: telemetry::SharedInstrument = collector.clone();
-        assert_eq!(check_instrumented(&rtl, &p, 2, &instr), Verdict::Proven);
+        let unbounded = exec::Effort::unbounded();
+        assert_eq!(
+            check_budgeted(&rtl, &p, 2, &unbounded, &instr, cache::noop()),
+            Verdict::Proven
+        );
         // One solver serves two base-case queries and the step query.
         assert_eq!(collector.counter("induction.solver_constructions"), 1);
         assert_eq!(collector.counter("induction.sat_calls"), 3);

@@ -21,23 +21,19 @@ use hdl::Rtl;
 /// FSMs first) or if the state space is too wide (> 28 state bits) to
 /// enumerate symbolically with the naive variable order used here.
 pub fn check(rtl: &Rtl, property: &Property) -> Verdict {
-    check_with_budget(rtl, property, None)
+    check_counting(rtl, property, None).0
 }
 
-/// [`check`] under a soft BDD node budget. The manager's node ceiling
+/// The engine body under an optional soft BDD node budget, also reporting
+/// how many BDD nodes the run allocated (the `bdd_nodes` effort axis — a
+/// deterministic progress measure the observability layer attributes per
+/// obligation). The manager's node ceiling
 /// ([`bdd::Manager::set_node_budget`]) is polled after each construction
 /// stage and at the top of every fixpoint iteration; once allocation
 /// crosses it the engine abandons the computation with
 /// [`Verdict::Unknown`]`(`[`UnknownReason::BudgetExhausted`]`)`. Node
 /// allocation is a deterministic progress axis, so exhaustion happens at
-/// the same iteration on every run. `None` is exactly [`check`].
-pub fn check_with_budget(rtl: &Rtl, property: &Property, node_budget: Option<usize>) -> Verdict {
-    check_counting(rtl, property, node_budget).0
-}
-
-/// The engine body, also reporting how many BDD nodes the run allocated
-/// (the `bdd_nodes` effort axis — a deterministic progress measure the
-/// observability layer attributes per obligation).
+/// the same iteration on every run.
 fn check_counting(rtl: &Rtl, property: &Property, node_budget: Option<usize>) -> (Verdict, u64) {
     let expr = match property {
         Property::Invariant { expr, .. } => expr,

@@ -12,19 +12,15 @@
 //! * **batch B** (warm, same service): the same twelve specs resubmitted
 //!   — obligations replay from cache entries batch A inserted, the
 //!   cross-tenant hit counters become non-zero, and every report is
-//!   asserted bit-identical to its batch-A counterpart,
-//! * **batch C** (cold, 1 worker, fresh service): the sequential
-//!   baseline for the throughput comparison.
+//!   asserted bit-identical to its batch-A counterpart.
 //!
 //! Artifacts land under `target/serve/`:
 //!
 //! * `service_journal.jsonl` — the streamed service lifecycle lane,
-//! * `job-XXXX.jsonl` — each batch-A job's private flight recorder,
-//! * `BENCH_service.json` — the service benchmark summary,
+//! * `job-XXXX.jsonl` — each batch-A job's private flight recorder.
 //!
-//! and the same summary is spliced into `target/flow/BENCH_flow.json`
-//! as a `service` section (creating the file if `full_flow` has not run
-//! yet) so CI reads one benchmark document.
+//! Service throughput and latency are measured by the `service_batch`
+//! workload of the standalone benchmark under `perfbench/`.
 //!
 //! ```text
 //! cargo run --release --example batch_service
@@ -32,11 +28,10 @@
 
 use std::fs;
 use std::path::Path;
-use std::thread;
 
-use serve::{BatchReport, JobRecord, Service, ServiceConfig};
+use serve::{JobRecord, Service, ServiceConfig};
 use symbad_core::job::{FaultPlanSpec, JobSpec};
-use telemetry::{journal, Json};
+use telemetry::journal;
 
 /// The mixed workload: every tenant submits one job per axis variant.
 fn spec_matrix() -> Vec<JobSpec> {
@@ -60,14 +55,6 @@ fn submissions() -> Vec<(&'static str, JobSpec)> {
     subs
 }
 
-fn service(workers: usize) -> Service {
-    Service::new(ServiceConfig {
-        mode: exec::ExecMode::from_workers(workers),
-        wall_clock: true,
-        ..ServiceConfig::default()
-    })
-}
-
 /// Per-job report JSONs keyed by (tenant, spec fingerprint), sorted —
 /// the batch identity the determinism assertions compare.
 fn keyed_reports(records: &[JobRecord]) -> Vec<((String, u128), String)> {
@@ -85,55 +72,28 @@ fn keyed_reports(records: &[JobRecord]) -> Vec<((String, u128), String)> {
     out
 }
 
-/// Splices `section` into the top-level object of `path` as
-/// `"service"`, replacing any previous `service` section and creating
-/// the file when absent. Textual: the bench file is always the 2-space
-/// pretty rendering of a flat object, so the last `}` closes the root.
-fn merge_bench_section(path: &Path, section: &Json) -> std::io::Result<()> {
-    let base = fs::read_to_string(path).unwrap_or_else(|_| "{}".to_owned());
-    let mut doc = base.trim_end().to_owned();
-    if let Some(idx) = doc.find(",\n  \"service\":") {
-        // A previous batch_service run already spliced a section in —
-        // drop it (it extends to the root's closing brace).
-        doc.truncate(idx);
-        doc.push_str("\n}");
-    }
-    let body = doc.strip_suffix('}').unwrap_or("{").trim_end();
-    // Indent the nested rendering by one level (2 spaces), dropping the
-    // trailing newline of `render_pretty`.
-    let rendered = section.render_pretty();
-    let nested = rendered.trim_end().replace('\n', "\n  ");
-    let merged = if body.trim_end() == "{" {
-        format!("{{\n  \"service\": {nested}\n}}\n")
-    } else {
-        format!("{body},\n  \"service\": {nested}\n}}\n")
-    };
-    fs::write(path, merged)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_dir = Path::new("target/serve");
     fs::create_dir_all(out_dir)?;
-
-    let host_parallelism = thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = 8;
     let subs = submissions();
 
     // ── Batch A: cold cache, 8 workers, streamed journal ──────────────
-    let mut svc = service(workers);
+    let mut svc = Service::new(ServiceConfig {
+        mode: exec::ExecMode::from_workers(8),
+        wall_clock: true,
+        ..ServiceConfig::default()
+    });
     let mut streamed = String::new();
     for (tenant, spec) in &subs {
         svc.submit(tenant, *spec)?;
     }
     streamed.push_str(&svc.flush_events());
     let mut records_a = Vec::new();
-    let mut latency = telemetry::Histogram::new();
     while let Some(record) = svc.run_next() {
         // The incremental stream an operator would tail: admissions were
         // flushed above, and each iteration flushes exactly one job's
         // started/obligation/finished lines (plus its wall timing).
         streamed.push_str(&svc.flush_events());
-        latency.record(record.wall_us);
         records_a.push(record);
     }
     for line in streamed.lines() {
@@ -146,17 +106,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .all(|r| r.report().is_some_and(|rep| rep.all_ok())),
         "batch A: every job's flow passes"
     );
-
     let obligations_a: u64 = records_a.iter().map(JobRecord::obligations).sum();
-    let wall_a: u64 = records_a.iter().map(|r| r.wall_us).sum();
-    let latency_a = latency.summary();
-    let throughput_a = obligations_a as f64 * 1_000_000.0 / wall_a.max(1) as f64;
 
     // ── Batch B: warm cache, same service — bit-identical, shared ─────
     for (tenant, spec) in &subs {
         svc.submit(tenant, *spec)?;
     }
-    let warm: BatchReport = svc.drain();
+    let warm = svc.drain();
     assert_eq!(
         keyed_reports(&warm.records),
         reports_a,
@@ -169,19 +125,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "tenants share fingerprint-identical obligations, got {cross:?}"
     );
 
-    // ── Batch C: cold cache, 1 worker — the sequential baseline ───────
-    let mut svc_seq = service(1);
-    for (tenant, spec) in &subs {
-        svc_seq.submit(tenant, *spec)?;
-    }
-    let seq = svc_seq.drain();
-    assert_eq!(
-        keyed_reports(&seq.records),
-        reports_a,
-        "worker count does not change any report"
-    );
-    let throughput_seq = seq.stats.obligations_per_sec;
-
     // ── Artifacts ─────────────────────────────────────────────────────
     fs::write(out_dir.join("service_journal.jsonl"), &streamed)?;
     for record in &records_a {
@@ -191,75 +134,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
     }
 
-    let tenant_cache = Json::obj(
-        svc.tenant_cache_stats()
-            .iter()
-            .map(|(tenant, stats)| {
-                (
-                    tenant.as_str(),
-                    Json::obj(vec![
-                        ("hits", Json::UInt(stats.hits)),
-                        ("misses", Json::UInt(stats.misses)),
-                        ("hit_rate", Json::Num(stats.hit_rate())),
-                    ]),
-                )
-            })
-            .collect::<Vec<_>>(),
-    );
-    let cross_by_tenant = Json::obj(
-        cross
-            .iter()
-            .map(|(tenant, n)| (tenant.as_str(), Json::UInt(*n)))
-            .collect::<Vec<_>>(),
-    );
-    let section = Json::obj(vec![
-        ("jobs", Json::UInt(subs.len() as u64)),
-        ("tenants", Json::UInt(3)),
-        ("workers", Json::UInt(workers as u64)),
-        ("host_parallelism", Json::UInt(host_parallelism as u64)),
-        ("obligations", Json::UInt(obligations_a)),
-        ("obligations_per_sec", Json::Num(throughput_a)),
-        ("obligations_per_sec_1_worker", Json::Num(throughput_seq)),
-        (
-            "job_latency_p50_ms",
-            Json::Num(latency_a.p50 as f64 / 1000.0),
-        ),
-        (
-            "job_latency_p95_ms",
-            Json::Num(latency_a.p95 as f64 / 1000.0),
-        ),
-        (
-            "job_latency_p99_ms",
-            Json::Num(latency_a.p99 as f64 / 1000.0),
-        ),
-        ("cross_tenant_cache_hits", Json::UInt(cross_total)),
-        ("cross_tenant_cache_hits_by_tenant", cross_by_tenant),
-        ("tenant_cache", tenant_cache),
-    ]);
-    fs::write(out_dir.join("BENCH_service.json"), section.render_pretty())?;
-    let bench_flow = Path::new("target/flow");
-    fs::create_dir_all(bench_flow)?;
-    merge_bench_section(&bench_flow.join("BENCH_flow.json"), &section)?;
-
     println!(
-        "batch service: {} jobs × 3 batches, all reports bit-identical",
+        "batch service: {} jobs × 2 batches, warm reports bit-identical to cold",
         subs.len()
     );
-    println!(
-        "  cold {workers}-worker: {obligations_a} obligations in {:.1} ms ({throughput_a:.0} obl/s)",
-        wall_a as f64 / 1000.0
-    );
-    println!(
-        "  job latency p50/p95/p99: {:.1}/{:.1}/{:.1} ms",
-        latency_a.p50 as f64 / 1000.0,
-        latency_a.p95 as f64 / 1000.0,
-        latency_a.p99 as f64 / 1000.0
-    );
-    println!(
-        "  1-worker baseline: {:.0} obl/s (host parallelism {host_parallelism})",
-        throughput_seq
-    );
+    println!("  cold batch: {obligations_a} obligations discharged");
+    for (tenant, stats) in svc.tenant_cache_stats() {
+        println!(
+            "  {tenant}: {} hits / {} misses ({:.2} hit rate)",
+            stats.hits,
+            stats.misses,
+            stats.hit_rate()
+        );
+    }
     println!("  cross-tenant cache hits: {cross_total} ({cross:?})");
-    println!("artifacts: target/serve/, service section in target/flow/BENCH_flow.json");
+    println!("artifacts: target/serve/");
     Ok(())
 }

@@ -299,6 +299,47 @@ fn lemma_pool_export_stream_matches_golden() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The lemma pool's effort claim (EXPERIMENTS.md E19): a cold solve's
+/// exports, seeded through a fresh pool into a re-solve of the same
+/// formula, keep the verdict and strictly cut conflicts. The counts are
+/// deterministic. The share-mutant corrupts exports on purpose, so the
+/// pin is skipped there.
+#[cfg(not(feature = "share-mutant"))]
+#[test]
+fn pool_seeded_resolve_fights_fewer_conflicts() {
+    let cnf = hard_cnf(48);
+    let mut cold = sat::Solver::new();
+    cnf.load_into(&mut cold);
+    let cold_verdict = cold.solve();
+
+    let pool = cache::LemmaPool::new();
+    let fp = cache::Fingerprint(0x5a7b_ad00_1337_c0de_5a7b_ad00_1337_c0de);
+    pool.insert(fp, &exports_of(&cnf));
+    let mut seeded = sat::Solver::new();
+    cnf.load_into(&mut seeded);
+    let imports = pool
+        .lookup(fp)
+        .iter()
+        .filter(|clause| seeded.import_clause(clause) == sat::ImportResult::Added)
+        .count();
+
+    assert_eq!(
+        seeded.solve(),
+        cold_verdict,
+        "seeding never changes a verdict"
+    );
+    assert!(
+        seeded.conflicts() < cold.conflicts(),
+        "the warm pool must reduce conflicts ({} cold vs {} seeded)",
+        cold.conflicts(),
+        seeded.conflicts()
+    );
+    assert_eq!(
+        (cold.conflicts(), seeded.conflicts(), imports),
+        (114, 39, 114)
+    );
+}
+
 #[test]
 fn lemma_pool_persistence_round_trips_through_disk() {
     let dir = scratch_dir("lemma-round-trip");

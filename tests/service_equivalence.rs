@@ -136,16 +136,6 @@ fn batch_reports_are_independent_of_order_and_workers() {
 }
 
 #[test]
-fn service_mode_from_env_matches_sequential() {
-    // Under the CI matrix (SYMBAD_WORKERS ∈ {1,4}) this pins the whole
-    // service path — admission, DRR, shared cache, journal mirroring —
-    // at the environment's worker count against the sequential run.
-    let sequential = batch_reports(exec::ExecMode::Sequential, &[("env", quick_spec())]);
-    let from_env = batch_reports(exec::ExecMode::from_env(), &[("env", quick_spec())]);
-    assert_eq!(from_env, sequential);
-}
-
-#[test]
 fn overload_is_a_typed_answer_and_the_queue_keeps_serving() {
     let mut svc = service(ServiceConfig {
         queue_depth: 3,
