@@ -13,10 +13,15 @@
 //! dispatch loop and register/array state that is reused across runs.
 //!
 //! Instrumentation (coverage, op counts, uninit-read tracking, OOB
-//! tracking, call tracing) is selected at *compile time* through the
-//! [`VmHooks`] trait: the uninstrumented [`Vm::run_value`] path
+//! tracking, call tracing) is selected at *compile time* through a private
+//! `VmHooks` trait: the uninstrumented [`Vm::run_value`] path
 //! monomorphizes every hook to a no-op and pays nothing for observability
 //! it does not use.
+//!
+//! A run that provably never returns is cut short: once a run has taken
+//! a few thousand steps, the VM compares the state at each loop back-edge
+//! with an earlier one (Brent's cycle detection), and a repeat ends the
+//! run with the [`ExecError::StepLimit`] it would have reached anyway.
 //!
 //! The tree-walker stays as the differential oracle: [`Vm::run`] must
 //! produce a [`RunOutput`] bit-for-bit equal to the interpreter's on every
@@ -667,7 +672,7 @@ impl Compiler<'_> {
 /// hook set, so an unused hook costs literally nothing (the call inlines
 /// to nothing). `TRACE_CALLS` additionally gates construction of
 /// [`CallEvent`] values, which would otherwise allocate even if dropped.
-pub trait VmHooks {
+trait VmHooks {
     /// Whether [`CallEvent`]s should be constructed and delivered.
     const TRACE_CALLS: bool = false;
 
@@ -711,24 +716,24 @@ pub trait VmHooks {
 
 /// No instrumentation: the pure-throughput path.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NoHooks;
+struct NoHooks;
 
 impl VmHooks for NoHooks {}
 
 /// Full instrumentation — everything the interpreter's [`RunOutput`]
 /// reports.
 #[derive(Debug, Clone)]
-pub struct FullHooks {
+struct FullHooks {
     /// Coverage recorded during the run.
-    pub coverage: CoverageSet,
+    coverage: CoverageSet,
     /// Operation profile.
-    pub ops: OpCounts,
+    ops: OpCounts,
     /// Uninitialized-read report in execution order.
-    pub uninit: Vec<(VarId, u64)>,
+    uninit: Vec<(VarId, u64)>,
     /// Out-of-bounds report in execution order.
-    pub oob: Vec<OobAccess>,
+    oob: Vec<OobAccess>,
     /// Call trace in execution order.
-    pub trace: Vec<CallEvent>,
+    trace: Vec<CallEvent>,
 }
 
 impl VmHooks for FullHooks {
@@ -787,9 +792,9 @@ impl VmHooks for FullHooks {
 /// Call-trace-only hooks: what an ATPG fault signature needs beyond the
 /// return value.
 #[derive(Debug, Default, Clone)]
-pub struct SigHooks {
+struct SigHooks {
     /// Call trace in execution order.
-    pub trace: Vec<CallEvent>,
+    trace: Vec<CallEvent>,
 }
 
 impl VmHooks for SigHooks {
@@ -798,48 +803,6 @@ impl VmHooks for SigHooks {
     #[inline(always)]
     fn on_call(&mut self, event: CallEvent) {
         self.trace.push(event);
-    }
-}
-
-/// Coverage-only hooks (statement/branch/condition metrics).
-#[derive(Debug, Clone)]
-pub struct CovHooks {
-    /// Coverage recorded during the run.
-    pub coverage: CoverageSet,
-}
-
-impl VmHooks for CovHooks {
-    #[inline(always)]
-    fn on_stmt(&mut self, id: StmtId) {
-        self.coverage.hit_statement(id);
-    }
-    #[inline(always)]
-    fn on_branch(&mut self, cond: CondId, taken: bool) {
-        self.coverage.hit_branch(cond, taken);
-    }
-    #[inline(always)]
-    fn on_atom(&mut self, cond: CondId, atom: u32, value: bool) {
-        self.coverage.hit_atom(cond, atom as usize, value);
-    }
-}
-
-/// Memory-inspection-only hooks (uninitialized reads + OOB accesses).
-#[derive(Debug, Default, Clone)]
-pub struct MemHooks {
-    /// Uninitialized-read report in execution order.
-    pub uninit: Vec<(VarId, u64)>,
-    /// Out-of-bounds report in execution order.
-    pub oob: Vec<OobAccess>,
-}
-
-impl VmHooks for MemHooks {
-    #[inline(always)]
-    fn on_uninit_read(&mut self, var: VarId, index: u64) {
-        self.uninit.push((var, index));
-    }
-    #[inline(always)]
-    fn on_oob(&mut self, access: OobAccess) {
-        self.oob.push(access);
     }
 }
 
@@ -857,10 +820,74 @@ struct CompiledFault {
 /// Per-array runtime state. `written` holds the stamp of the run that last
 /// wrote each element, so resetting between runs is a single counter bump
 /// instead of a memset.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct ArrayBuf {
     data: Vec<u64>,
     written: Vec<u64>,
+}
+
+/// Steps a run takes before its loop back-edges are checked for a repeated
+/// state. It only decides how soon detection starts, never a result; the
+/// kernels' fault-free runs stay far below it and pay nothing.
+const CYCLE_CHECK_AFTER: u64 = 4096;
+
+/// Brent's cycle detection over the states a run passes at its loop
+/// back-edges.
+///
+/// From a back-edge, the rest of a run is fully determined by the loop
+/// head it jumps to, the register file, and the array buffers (data plus
+/// written-this-run stamps), given the run's constants: program, fault,
+/// step limit and garbage value. A resource handler may hold state of its
+/// own, so the caller never consults the detector for a run that has one
+/// and a program that calls it. If a back-edge state equals an earlier
+/// one of the same run, the run is in a cycle that never reaches
+/// `Return` or `Halt`, and its only possible outcome is the step-limit
+/// error.
+///
+/// The snapshot lives in the [`Vm`] and is armed lazily: a snapshot
+/// stamped with another run's generation counts as empty, so runs that
+/// never reach [`CYCLE_CHECK_AFTER`] steps never touch it.
+#[derive(Debug, Clone, Default)]
+struct CycleDetector {
+    /// Generation stamp of the run the snapshot belongs to.
+    stamp: u64,
+    /// Snapshot: loop head, register file, array buffers.
+    pc: u32,
+    regs: Vec<u64>,
+    arrays: Vec<ArrayBuf>,
+    /// Back-edges since the snapshot, and how many pass before the
+    /// snapshot moves forward (doubling each time).
+    since: u64,
+    power: u64,
+}
+
+impl CycleDetector {
+    /// Whether the state at this back-edge equals an earlier back-edge
+    /// state of the run stamped `stamp`.
+    #[cold]
+    #[inline(never)]
+    fn repeats(&mut self, stamp: u64, pc: u32, regs: &[u64], arrays: &[ArrayBuf]) -> bool {
+        if self.stamp == stamp {
+            if self.pc == pc && self.regs == regs && self.arrays == arrays {
+                return true;
+            }
+            self.since += 1;
+            if self.since < self.power {
+                return false;
+            }
+            self.power *= 2;
+        } else {
+            self.stamp = stamp;
+            self.power = 1;
+        }
+        self.since = 0;
+        self.pc = pc;
+        self.regs.clear();
+        self.regs.extend_from_slice(regs);
+        self.arrays.clear();
+        self.arrays.extend_from_slice(arrays);
+        false
+    }
 }
 
 /// Executes a [`Program`] with reusable state: compile once, then run per
@@ -876,6 +903,7 @@ pub struct Vm {
     step_limit: u64,
     fault: Option<CompiledFault>,
     garbage: u64,
+    detector: CycleDetector,
 }
 
 impl Vm {
@@ -899,6 +927,7 @@ impl Vm {
             step_limit: 1_000_000,
             fault: None,
             garbage: 0xDEAD_BEEF_CAFE_F00D,
+            detector: CycleDetector::default(),
         }
     }
 
@@ -925,9 +954,11 @@ impl Vm {
     /// compiled program.
     pub fn set_fault(&mut self, fault: Option<BitFault>) {
         self.fault = fault.and_then(|f| {
-            let width = self.program.var_widths[f.var.index()];
-            // A fault on a bit outside the variable's width never changes a
-            // value (the interpreter's guard); drop it entirely.
+            // A fault on a variable the program does not declare matches no
+            // assignment target, and one on a bit outside the variable's
+            // width never changes a value (the interpreter's guard): drop
+            // either entirely.
+            let &width = self.program.var_widths.get(f.var.index())?;
             if f.bit >= width {
                 return None;
             }
@@ -1015,7 +1046,7 @@ impl Vm {
     /// # Errors
     ///
     /// Same contract as [`Interpreter::run`].
-    pub fn run_hooked<H: VmHooks>(
+    fn run_hooked<H: VmHooks>(
         &mut self,
         inputs: &[u64],
         hooks: &mut H,
@@ -1041,6 +1072,10 @@ impl Vm {
         let arrays = &mut self.arrays;
         let fault = self.fault;
         let step_limit = self.step_limit;
+        // Back-edges past this step count take the cold path, which
+        // enforces the step limit and looks for a repeated state.
+        let check_at = step_limit.min(CYCLE_CHECK_AFTER);
+        let detector = &mut self.detector;
         let garbage = self.garbage;
         #[cfg(feature = "vm-mutant")]
         let mut mutant_writes = 0u64;
@@ -1200,8 +1235,18 @@ impl Vm {
                 }
                 Op::LoopJump { target } => {
                     steps += 1;
-                    if steps > step_limit {
-                        return Err(ExecError::StepLimit { limit: step_limit });
+                    if steps > check_at {
+                        // No detection when the run depends on state the
+                        // detector cannot see: a handler the program calls
+                        // (`func_names` lists its resource calls), or the
+                        // `vm-mutant` miscompile's write counter.
+                        let unseen = cfg!(feature = "vm-mutant")
+                            || (handler.is_some() && !program.func_names.is_empty());
+                        if steps > step_limit
+                            || (!unseen && detector.repeats(stamp, target, regs, arrays))
+                        {
+                            return Err(ExecError::StepLimit { limit: step_limit });
+                        }
                     }
                     pc = target as usize;
                 }
@@ -1491,6 +1536,199 @@ mod tests {
         let vm = Vm::new(compile(&f)).with_step_limit(100).run(&[]);
         assert_eq!(interp, vm);
         assert_eq!(vm.unwrap_err(), ExecError::StepLimit { limit: 100 });
+    }
+
+    /// The `media` crate's ROOT kernel (bit-pair integer square root of a
+    /// 32-bit input), returned with its 8-bit loop counter `i`.
+    fn root_func() -> (Function, VarId) {
+        let mut fb = FunctionBuilder::new("root", 16);
+        let x = fb.param("x", 32);
+        let rem = fb.local("rem", 32);
+        let res = fb.local("res", 32);
+        let bit = fb.local("bit", 32);
+        let i = fb.local("i", 8);
+        fb.assign(rem, Expr::var(x));
+        fb.assign(res, Expr::constant(0, 32));
+        fb.assign(bit, Expr::constant(1 << 30, 32));
+        fb.assign(i, Expr::constant(0, 8));
+        fb.while_(Expr::lt(Expr::var(i), Expr::constant(16, 8)), |body| {
+            let t = body.local("try", 32);
+            body.assign(t, Expr::add(Expr::var(res), Expr::var(bit)));
+            body.if_else(
+                Expr::ge(Expr::var(rem), Expr::var(t)),
+                |then_| {
+                    then_.assign(rem, Expr::sub(Expr::var(rem), Expr::var(t)));
+                    then_.assign(
+                        res,
+                        Expr::add(
+                            Expr::shr(Expr::var(res), Expr::constant(1, 32)),
+                            Expr::var(bit),
+                        ),
+                    );
+                },
+                |else_| else_.assign(res, Expr::shr(Expr::var(res), Expr::constant(1, 32))),
+            );
+            body.assign(bit, Expr::shr(Expr::var(bit), Expr::constant(2, 32)));
+            body.assign(i, Expr::add(Expr::var(i), Expr::constant(1, 8)));
+        });
+        fb.ret(Expr::var(res));
+        (fb.build(), i)
+    }
+
+    #[test]
+    fn faulted_root_loop_ends_without_a_step_limit() {
+        let (f, i) = root_func();
+        let fault = BitFault {
+            var: i,
+            bit: 0,
+            stuck_at: false,
+        };
+        let mut vm = Vm::new(compile(&f)).with_step_limit(50_000);
+        vm.set_fault(Some(fault));
+        let interp = Interpreter::new(&f)
+            .with_step_limit(50_000)
+            .with_fault(fault)
+            .run(&[49]);
+        assert_eq!(vm.run(&[49]), interp);
+        // With no limit at all, only the detector can end these runs.
+        let mut vm = Vm::new(compile(&f)).with_step_limit(u64::MAX);
+        vm.set_fault(Some(fault));
+        let diverged = ExecError::StepLimit { limit: u64::MAX };
+        assert_eq!(vm.run(&[49]).unwrap_err(), diverged);
+        assert_eq!(vm.run_signature(&[49]).unwrap_err(), diverged);
+        assert_eq!(vm.run_value(&[49]).unwrap_err(), diverged);
+        // The same VM still runs the fault-free kernel exactly.
+        vm.set_fault(None);
+        assert_eq!(vm.run(&[49]), Interpreter::new(&f).run(&[49]));
+        assert_eq!(vm.run_value(&[49]), Ok(Some(7)));
+    }
+
+    #[test]
+    fn period_two_cycle_is_detected() {
+        // `n` should count to 3 while `flag` toggles; with n[1] stuck-at-0
+        // it falls back from 2 to 0, so the back-edge state alternates
+        // between two values forever.
+        let mut fb = FunctionBuilder::new("toggle", 1);
+        let n = fb.local("n", 2);
+        let flag = fb.local("flag", 1);
+        fb.while_(Expr::ne(Expr::var(n), Expr::constant(3, 2)), |body| {
+            body.assign(flag, Expr::xor(Expr::var(flag), Expr::constant(1, 1)));
+            body.assign(n, Expr::add(Expr::var(n), Expr::constant(1, 2)));
+        });
+        fb.ret(Expr::var(flag));
+        let f = fb.build();
+        let fault = BitFault {
+            var: n,
+            bit: 1,
+            stuck_at: false,
+        };
+        let mut vm = Vm::new(compile(&f)).with_step_limit(u64::MAX);
+        vm.set_fault(Some(fault));
+        assert_eq!(
+            vm.run(&[]).unwrap_err(),
+            ExecError::StepLimit { limit: u64::MAX }
+        );
+        let mut vm = Vm::new(compile(&f)).with_step_limit(50_000);
+        vm.set_fault(Some(fault));
+        let interp = Interpreter::new(&f)
+            .with_step_limit(50_000)
+            .with_fault(fault)
+            .run(&[]);
+        assert_eq!(vm.run(&[]), interp);
+    }
+
+    #[test]
+    fn array_progress_is_not_taken_for_a_cycle() {
+        // Every register repeats at the back-edge: the body's last
+        // statement overwrites the only temporary with a constant sum.
+        // Only `count[0]` moves, and it reaches the exit after ~9,000
+        // steps.
+        let mut fb = FunctionBuilder::new("count", 16);
+        let count = fb.array("count", 16, 1);
+        let scratch = fb.local("scratch", 16);
+        let at0 = || Expr::index(count, Expr::constant(0, 1));
+        fb.store(count, Expr::constant(0, 1), Expr::constant(0, 16));
+        fb.while_(Expr::ne(at0(), Expr::constant(3000, 16)), |body| {
+            body.store(
+                count,
+                Expr::constant(0, 1),
+                Expr::add(at0(), Expr::constant(1, 16)),
+            );
+            body.assign(
+                scratch,
+                Expr::add(Expr::constant(1, 16), Expr::constant(2, 16)),
+            );
+        });
+        fb.ret(at0());
+        let f = fb.build();
+        let out = Vm::new(compile(&f)).with_step_limit(u64::MAX).run(&[]);
+        assert_eq!(out, Interpreter::new(&f).run(&[]));
+        let out = out.unwrap();
+        assert_eq!(out.return_value, Some(3000));
+        assert!(out.steps > CYCLE_CHECK_AFTER);
+    }
+
+    #[test]
+    fn a_stateful_handler_is_never_taken_for_a_cycle() {
+        // `ready` stays 0, and every back-edge state is the same, until
+        // the handler changes its answer on its 10,001st call.
+        let mut fb = FunctionBuilder::new("poll", 1);
+        let ready = fb.local("ready", 1);
+        fb.while_(Expr::eq(Expr::var(ready), Expr::constant(0, 1)), |body| {
+            body.resource_call("poll", vec![], Some(ready));
+        });
+        fb.ret(Expr::var(ready));
+        let f = fb.build();
+        let polling = || {
+            let mut calls = 0u64;
+            move |_: &str, _: &[u64]| -> u64 {
+                calls += 1;
+                u64::from(calls > 10_000)
+            }
+        };
+        let (mut h1, mut h2) = (polling(), polling());
+        let interp = Interpreter::new(&f)
+            .with_resource_handler(Box::new(&mut h1))
+            .run(&[]);
+        let mut vm = Vm::new(compile(&f)).with_step_limit(u64::MAX);
+        let out = vm.run_with_handler(&[], Some(&mut h2));
+        assert_eq!(out, interp);
+        assert_eq!(out.unwrap().return_value, Some(1));
+        // Without a handler every call yields 0, so the loop never ends.
+        assert_eq!(
+            vm.run(&[]).unwrap_err(),
+            ExecError::StepLimit { limit: u64::MAX }
+        );
+    }
+
+    #[test]
+    fn long_terminating_loop_reports_exact_steps() {
+        let mut fb = FunctionBuilder::new("long", 16);
+        let n = fb.param("n", 16);
+        let i = fb.local("i", 16);
+        fb.while_(Expr::ne(Expr::var(i), Expr::var(n)), |body| {
+            body.assign(i, Expr::add(Expr::var(i), Expr::constant(1, 16)));
+        });
+        fb.ret(Expr::var(i));
+        let f = fb.build();
+        let out = Vm::new(compile(&f)).run(&[5000]);
+        assert_eq!(out, Interpreter::new(&f).run(&[5000]));
+        assert!(out.unwrap().steps > CYCLE_CHECK_AFTER);
+    }
+
+    #[test]
+    fn faults_on_undeclared_variables_are_ignored() {
+        let f = gcd_func();
+        let fault = BitFault {
+            var: VarId::from_index(f.vars().len() + 3),
+            bit: 0,
+            stuck_at: true,
+        };
+        let mut vm = Vm::new(compile(&f));
+        vm.set_fault(Some(fault));
+        let interp = Interpreter::new(&f).with_fault(fault).run(&[48, 18]);
+        assert_eq!(vm.run(&[48, 18]), interp);
+        assert_eq!(interp.unwrap().return_value, Some(6));
     }
 
     #[test]

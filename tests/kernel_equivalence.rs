@@ -3,11 +3,15 @@
 //! ≡ synthesized RTL (`hdl`), checked by simulation sampling,
 //! property-based testing and SAT. The interpreter and VM legs compare the
 //! *whole* instrumented output (coverage, op counts, memory inspection),
-//! not just the return value.
+//! not just the return value, and must agree on the whole bit-coverage
+//! fault sweep.
 
-use behav::bytecode::{compile, Vm};
-use behav::interp::Interpreter;
+use atpg::metrics::{bit_coverage_with, BitCoverage};
+use atpg::Testbench;
+use behav::bytecode::{compile, BehavExec, Vm};
+use behav::interp::{BitFault, Interpreter};
 use behav::unroll::unroll;
+use behav::{Function, VarId};
 use hdl::synth::synthesize;
 use media::kernels::{distance_step_function, root_function, ROOT_ITERATIONS};
 use media::pipeline::root as rust_root;
@@ -71,6 +75,60 @@ fn root_four_way_equivalence_sampled() {
             "unrolled vm x={x}"
         );
         assert_eq!(rust, hw, "rtl x={x}");
+    }
+}
+
+/// Bit coverage of `func` over a fixed 32-vector testbench, asserted
+/// identical under both engines, undetected list included.
+fn agreed_bit_coverage(func: &Function) -> BitCoverage {
+    let mut word = 0x5EED_u64;
+    let tb = Testbench {
+        vectors: (0..32)
+            .map(|_| {
+                (0..func.num_params())
+                    .map(|_| {
+                        word = word.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+                        word >> 16
+                    })
+                    .collect()
+            })
+            .collect(),
+    };
+    let vm = bit_coverage_with(func, &tb, BehavExec::Vm);
+    assert_eq!(
+        vm,
+        bit_coverage_with(func, &tb, BehavExec::Interp),
+        "{}",
+        func.name()
+    );
+    vm
+}
+
+#[test]
+fn vm_and_interpreter_bit_coverage_agree_on_the_kernels() {
+    assert_eq!(agreed_bit_coverage(&distance_step_function()).total, 160);
+    let root = root_function();
+    let coverage = agreed_bit_coverage(&root);
+    assert_eq!(coverage.total, 272);
+    // Stuck-at-0 on any of the low five bits of the loop counter keeps
+    // `i < 16` true forever: the run ends in a step-limit error, which no
+    // fault-free run produces.
+    let i = root
+        .vars()
+        .iter()
+        .position(|d| d.name == "i")
+        .map(VarId::from_index)
+        .expect("ROOT has a loop counter `i`");
+    for bit in 0..5 {
+        let fault = BitFault {
+            var: i,
+            bit,
+            stuck_at: false,
+        };
+        assert!(
+            !coverage.undetected.contains(&fault),
+            "{fault:?} undetected"
+        );
     }
 }
 
