@@ -1,7 +1,5 @@
-//! Obligation fingerprints: 128-bit content hashes of (engine, formula,
-//! parameters).
-
-use sat::{Cnf, Lit};
+//! Obligation fingerprints: 128-bit content hashes of an obligation's
+//! engine tag and sources.
 
 /// FNV-1a offset bases for the two independent 64-bit lanes. The second
 /// lane perturbs the offset so the lanes decorrelate; together they give
@@ -14,8 +12,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// A 128-bit content address for one verification obligation.
 ///
 /// Built by [`FingerprintBuilder`]; equal fingerprints mean the same
-/// engine sees the same canonical formula and parameters, so the cached
-/// verdict is interchangeable with a fresh run.
+/// engine reads the same sources and parameters, so the cached verdict is
+/// interchangeable with a fresh run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u128);
 
@@ -36,12 +34,10 @@ impl Fingerprint {
 
 /// Incremental fingerprint builder.
 ///
-/// Feed the engine tag (at construction), the formula
-/// ([`FingerprintBuilder::cnf`] canonicalises it), the interface literals
-/// that anchor how the model is read back, and any engine parameters;
-/// then [`FingerprintBuilder::finish`]. Input order matters — callers
-/// must feed fields in a fixed order, which every engine in the workspace
-/// does by construction.
+/// Feed the engine tag (at construction), then numbers and strings in a
+/// fixed structural order, then [`FingerprintBuilder::finish`]. Input
+/// order matters — callers must feed fields in a fixed order, which the
+/// one obligation key encoder (`mc::obligation`) does by construction.
 #[derive(Debug, Clone)]
 pub struct FingerprintBuilder {
     h1: u64,
@@ -51,7 +47,7 @@ pub struct FingerprintBuilder {
 impl FingerprintBuilder {
     /// Starts a fingerprint for the given engine tag (e.g. `"bmc"`,
     /// `"level4.miter"`). Distinct engines never share entries even on
-    /// identical formulas: their verdict encodings differ.
+    /// identical sources: their verdict encodings differ.
     pub fn new(engine: &str) -> Self {
         let mut b = FingerprintBuilder {
             h1: FNV_OFFSET,
@@ -105,46 +101,6 @@ impl FingerprintBuilder {
         self
     }
 
-    /// Mixes in interface literals verbatim (input/output/state vectors,
-    /// property roots). These anchor how a cached model or trace is read
-    /// back, and distinguish mutants whose stuck bits simplify to
-    /// constants without adding clauses.
-    pub fn lits(mut self, lits: &[Lit]) -> Self {
-        self.feed(0x3C);
-        self.feed_u64(lits.len() as u64);
-        for &l in lits {
-            self.feed_u64(l.code() as u64);
-        }
-        self
-    }
-
-    /// Mixes in a CNF in canonical form: literals sorted within each
-    /// clause, clauses sorted lexicographically, so clause insertion
-    /// order (which varies with structural-hash warm-up) cannot split
-    /// semantically identical formulas into distinct entries.
-    pub fn cnf(mut self, cnf: &Cnf) -> Self {
-        let mut clauses: Vec<Vec<usize>> = cnf
-            .clauses
-            .iter()
-            .map(|c| {
-                let mut lits: Vec<usize> = c.iter().map(|l| l.code()).collect();
-                lits.sort_unstable();
-                lits
-            })
-            .collect();
-        clauses.sort_unstable();
-        self.feed(0xC7);
-        self.feed_u64(cnf.num_vars as u64);
-        self.feed_u64(clauses.len() as u64);
-        for clause in &clauses {
-            self.feed_u64(clause.len() as u64);
-            for &code in clause {
-                self.feed_u64(code as u64);
-            }
-        }
-        self
-    }
-
     /// Finalises the 128-bit fingerprint.
     pub fn finish(self) -> Fingerprint {
         Fingerprint((u128::from(self.h1) << 64) | u128::from(self.h2))
@@ -154,11 +110,6 @@ impl FingerprintBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sat::{Solver, Var};
-
-    fn lit(i: usize, pos: bool) -> Lit {
-        Lit::with_polarity(Var::from_index(i), pos)
-    }
 
     #[test]
     fn hex_round_trips() {
@@ -174,65 +125,5 @@ mod tests {
         assert_ne!(FingerprintBuilder::new("bmc").param(11).finish(), base);
         assert_ne!(FingerprintBuilder::new("ind").param(10).finish(), base);
         assert_eq!(FingerprintBuilder::new("bmc").param(10).finish(), base);
-    }
-
-    #[test]
-    fn cnf_hash_is_order_invariant() {
-        let c1 = Cnf {
-            num_vars: 3,
-            clauses: vec![vec![lit(0, true), lit(1, false)], vec![lit(2, true)]],
-        };
-        let c2 = Cnf {
-            num_vars: 3,
-            clauses: vec![vec![lit(2, true)], vec![lit(1, false), lit(0, true)]],
-        };
-        assert_eq!(
-            FingerprintBuilder::new("e").cnf(&c1).finish(),
-            FingerprintBuilder::new("e").cnf(&c2).finish()
-        );
-        // But a genuinely different formula separates.
-        let c3 = Cnf {
-            num_vars: 3,
-            clauses: vec![vec![lit(2, false)], vec![lit(1, false), lit(0, true)]],
-        };
-        assert_ne!(
-            FingerprintBuilder::new("e").cnf(&c1).finish(),
-            FingerprintBuilder::new("e").cnf(&c3).finish()
-        );
-    }
-
-    #[test]
-    fn solver_export_fingerprints_deterministically() {
-        let build = || {
-            let mut s = Solver::new();
-            let a = s.new_var();
-            let b = s.new_var();
-            s.add_clause([Lit::pos(a), Lit::pos(b)]);
-            s.add_clause([Lit::neg(a)]);
-            s.export_cnf()
-        };
-        assert_eq!(
-            FingerprintBuilder::new("e").cnf(&build()).finish(),
-            FingerprintBuilder::new("e").cnf(&build()).finish()
-        );
-    }
-
-    #[test]
-    fn interface_lits_distinguish_constant_folded_mutants() {
-        // Same clause set, different output literal vector — the mutant
-        // whose stuck bit folded to a constant.
-        let cnf = Cnf {
-            num_vars: 2,
-            clauses: vec![vec![lit(0, true), lit(1, true)]],
-        };
-        let good = FingerprintBuilder::new("e")
-            .cnf(&cnf)
-            .lits(&[lit(0, true), lit(1, true)])
-            .finish();
-        let mutant = FingerprintBuilder::new("e")
-            .cnf(&cnf)
-            .lits(&[lit(0, true), lit(0, true)])
-            .finish();
-        assert_ne!(good, mutant);
     }
 }

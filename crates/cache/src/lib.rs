@@ -1,15 +1,16 @@
 //! Content-addressed verification-obligation cache.
 //!
 //! The Symbad flow discharges many near-identical SAT/BDD obligations:
-//! every BMC property, every equivalence miter, every PCC fault mutant,
-//! and every ATPG target builds a formula, solves it, and throws the
-//! verdict away. This crate keeps those verdicts. An obligation is
-//! *content-addressed*: its [`Fingerprint`] hashes the canonicalised CNF
-//! (clause literals sorted, clauses sorted), the engine that will decide
-//! it, and the engine parameters (bounds, init modes, reset values), so
-//! two obligations share a cache entry exactly when the same engine would
-//! see the same formula — in which case the verdicts are interchangeable
-//! by construction.
+//! every model-checked property, every equivalence miter and every PCC
+//! fault mutant builds a formula, solves it, and throws the verdict away.
+//! This crate keeps those verdicts. An obligation is *content-addressed*:
+//! its [`Fingerprint`] hashes the sources its engine reads — the engine
+//! tag and parameters, the netlists (reset values included) and the
+//! property structure (`mc::obligation` is the one key encoder) — so two
+//! obligations share a cache entry exactly when the same deterministic
+//! engine reads the same sources, in which case the verdicts are
+//! interchangeable by construction. A probe costs a hash of those
+//! sources; the formula is built only on a miss.
 //!
 //! In the paper's terms this serves the level-4 "model checking and SAT
 //! solving" stage and the PCC refinement loop (§3.4), where the extended

@@ -2,7 +2,7 @@
 //!
 //! Two hand-rolled JSON files, mirroring the `telemetry` crate's
 //! zero-dependency writer, plus the minimal parser needed to read them
-//! back: `obligations-v1.json` (verdict payloads) and `lemmas-v1.json`
+//! back: `obligations-v2.json` (verdict payloads) and `lemmas-v1.json`
 //! (the lemma pool's learnt clauses, stored as arrays of unsigned packed
 //! literal codes — see [`sat::Lit::code`]). Entries are written sorted
 //! by fingerprint, so both files are byte-deterministic for a given
@@ -17,13 +17,19 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Bump when the payload encodings or fingerprint recipe change: old
-/// files then load as empty instead of resurrecting stale verdicts.
-pub const FORMAT_VERSION: u64 = 1;
+/// Bump (with the file name) when the payload encodings, the key recipe,
+/// or what an engine decides from equal sources change: old files then
+/// load as empty instead of resurrecting stale verdicts. Version 1 keyed
+/// obligations by their built CNF; version 2 keys them by their sources.
+pub const FORMAT_VERSION: u64 = 2;
 
-const FILE_NAME: &str = "obligations-v1.json";
+const FILE_NAME: &str = "obligations-v2.json";
 const FORMAT_TAG: &str = "symbad-obligation-cache";
 
+/// The lemma pool's own format version: its entries stay keyed by the
+/// miter key, and equal keys still mean byte-identical miter CNFs, so
+/// its clauses did not change meaning when the verdict file did.
+const LEMMA_FORMAT_VERSION: u64 = 1;
 const LEMMA_FILE_NAME: &str = "lemmas-v1.json";
 const LEMMA_FORMAT_TAG: &str = "symbad-lemma-pool";
 /// Upper bound accepted for a persisted literal code (2 × 16M
@@ -39,7 +45,7 @@ const MAX_LIT_CODE: u64 = 1 << 25;
 const MAX_DEPTH: usize = 5;
 
 impl ObligationCache {
-    /// Serialises every entry to `<dir>/obligations-v1.json`, creating
+    /// Serialises every entry to `<dir>/obligations-v2.json`, creating
     /// `dir` if needed. Disabled caches write nothing.
     ///
     /// # Errors
@@ -83,7 +89,7 @@ impl ObligationCache {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"format\": \"{LEMMA_FORMAT_TAG}\",");
-        let _ = writeln!(out, "  \"version\": {FORMAT_VERSION},");
+        let _ = writeln!(out, "  \"version\": {LEMMA_FORMAT_VERSION},");
         let _ = write!(out, "  \"entries\": [");
         let entries = self.lemmas().entries_sorted();
         for (i, (fp, clauses)) in entries.iter().enumerate() {
@@ -166,7 +172,7 @@ impl ObligationCache {
         };
         let field = |name: &str| members.iter().find(|(k, _)| k == name).map(|(_, v)| v);
         if field("format") != Some(&Value::Str(LEMMA_FORMAT_TAG.to_owned()))
-            || field("version") != Some(&Value::Num(FORMAT_VERSION))
+            || field("version") != Some(&Value::Num(LEMMA_FORMAT_VERSION))
         {
             return;
         }
@@ -493,6 +499,32 @@ mod tests {
     }
 
     #[test]
+    fn version_1_files_load_as_an_empty_cache() {
+        // A well-formed version-1 file keyed entries by their built CNF;
+        // its keys mean nothing under the source-keyed recipe, whether it
+        // sits under its own name or under the current one.
+        let dir = tmp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let fp = FingerprintBuilder::new("t").param(1).finish();
+        let v1 = format!(
+            "{{\"format\": \"{FORMAT_TAG}\", \"version\": 1, \"entries\": [{{ \"fp\": \"{}\", \"payload\": \"t\" }}]}}",
+            fp.to_hex()
+        );
+        fs::write(dir.join("obligations-v1.json"), &v1).unwrap();
+        assert!(ObligationCache::load_or_empty(&dir).is_empty());
+        fs::write(dir.join(FILE_NAME), &v1).unwrap();
+        assert!(ObligationCache::load_or_empty(&dir).is_empty());
+        // The same entry under the current version does load.
+        let v2 = v1.replace("\"version\": 1", &format!("\"version\": {FORMAT_VERSION}"));
+        fs::write(dir.join(FILE_NAME), v2).unwrap();
+        assert_eq!(
+            ObligationCache::load_or_empty(&dir).entries_sorted(),
+            vec![(fp, "t".to_owned())]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn empty_cache_saves_and_loads() {
         let dir = tmp_dir("empty");
         let c = ObligationCache::new();
@@ -568,11 +600,11 @@ mod tests {
             // Right envelope, garbage clause payloads (string literal,
             // negative-looking code, oversized code).
             &format!(
-                "{{\"format\": \"{LEMMA_FORMAT_TAG}\", \"version\": {FORMAT_VERSION}, \"entries\": [{{ \"fp\": \"{}\", \"clauses\": [[\"x\"]] }}] }}",
+                "{{\"format\": \"{LEMMA_FORMAT_TAG}\", \"version\": {LEMMA_FORMAT_VERSION}, \"entries\": [{{ \"fp\": \"{}\", \"clauses\": [[\"x\"]] }}] }}",
                 FingerprintBuilder::new("t").param(1).finish().to_hex()
             ),
             &format!(
-                "{{\"format\": \"{LEMMA_FORMAT_TAG}\", \"version\": {FORMAT_VERSION}, \"entries\": [{{ \"fp\": \"{}\", \"clauses\": [[99999999999]] }}] }}",
+                "{{\"format\": \"{LEMMA_FORMAT_TAG}\", \"version\": {LEMMA_FORMAT_VERSION}, \"entries\": [{{ \"fp\": \"{}\", \"clauses\": [[99999999999]] }}] }}",
                 FingerprintBuilder::new("t").param(1).finish().to_hex()
             ),
         ] {

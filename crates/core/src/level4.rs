@@ -58,11 +58,11 @@ pub fn prove_equivalence(func: &Function, rtl: &Rtl) -> bool {
 /// [`prove_equivalence`] under a deterministic effort budget, with
 /// telemetry and the obligation cache (engine tag `"level4.miter"`).
 ///
-/// The cache fingerprint covers the full miter CNF, the shared input
-/// literal layout, and the "any output bit differs" root, so a hit returns
-/// the stored equivalence verdict without solving. The miter runs on the
-/// single canonical solver, so the exhaustion point is a pure function of
-/// the CNF and the budget, independent of worker count.
+/// The cache key covers the two netlists the miter compares — `rtl` and
+/// the resynthesized source — so a hit returns the stored equivalence
+/// verdict without lowering either. The miter runs on the single
+/// canonical solver, so the exhaustion point is a pure function of the
+/// CNF and the budget, independent of worker count.
 ///
 /// Returns `Some(equivalent)` on a verdict and `None` when the budget ran
 /// out first. Verdicts are cached; exhaustion is never cached, because a
@@ -75,29 +75,46 @@ pub fn prove_equivalence_budgeted(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Option<bool> {
+    // Synthesize a second copy from the behavioural source to compare
+    // against. (The behavioural interpreter cannot be bit-blasted
+    // directly; the synthesis path itself is validated against the
+    // interpreter by extensive simulation in `hdl::synth` tests, and the
+    // miter here guards every later transformation of the netlist.)
+    // Synthesis is deterministic, so equal keys still mean byte-identical
+    // miter CNFs.
+    let golden = synthesize(func).expect("kernel is synthesizable");
+    let sources = mc::obligation::Sources {
+        engine: "level4.miter",
+        params: &[],
+        netlists: &[rtl, &golden],
+        property: None,
+    };
+    mc::obligation::probe(cache, instrument, &sources, |key| {
+        solve_miter(rtl, &golden, effort, instrument, cache.lemmas(), key)
+    })
+}
+
+/// Builds and solves the miter of `rtl` against `golden`. `key` is the
+/// obligation's cache key (`None` under a disabled cache), under which
+/// an unbudgeted solve seeds from and feeds the lemma pool.
+fn solve_miter(
+    rtl: &Rtl,
+    golden: &Rtl,
+    effort: &exec::Effort,
+    instrument: &telemetry::SharedInstrument,
+    pool: &cache::LemmaPool,
+    key: Option<cache::Fingerprint>,
+) -> Option<bool> {
     let mut ctx = CnfBackend::new();
     if instrument.enabled() {
         ctx.builder_mut().set_instrument(instrument.clone());
     }
-    let (input_bits, any) = build_miter(func, rtl, &mut ctx);
-    let fp = if cache.is_enabled() {
-        let fp = miter_fingerprint(&mut ctx, &input_bits, any);
-        if let Some(payload) = cache.lookup_tagged("level4.miter", fp) {
-            if let Some(equivalent) = cache::decode_bool(&payload) {
-                instrument.counter_add("cache.hits", 1);
-                return Some(equivalent);
-            }
-        }
-        instrument.counter_add("cache.misses", 1);
-        Some(fp)
-    } else {
-        None
-    };
+    let any = build_miter(rtl, golden, &mut ctx);
     let builder = ctx.builder_mut();
     builder.assert_lit(any);
-    let equivalent = if effort.bounds_sat() {
+    if effort.bounds_sat() {
         match builder.solve_budgeted(&[], effort).decided() {
-            Some(result) => result.is_unsat(),
+            Some(result) => Some(result.is_unsat()),
             // Budget exhausted: cube-and-conquer fallback. Split on the
             // probe solver's top-activity variables and re-solve each cube
             // under the same per-cube budget; cubes run sequentially so the
@@ -109,34 +126,31 @@ pub fn prove_equivalence_budgeted(
                 let split = builder.solver().top_activity_vars(CUBE_SPLIT_VARS);
                 let cnf = builder.solver().export_cnf();
                 let report = sat::cube::conquer(&cnf, &split, effort);
-                report.verdict?.is_unsat()
+                Some(report.verdict?.is_unsat())
             }
         }
     } else {
         // Lemma-pool warm start: seed clauses learnt by an earlier solve of
-        // a fingerprint-identical miter (same canonical CNF, same asserted
-        // root), then collect this solve's own short learnts back into the
-        // pool. Seeds are entailed by the exporter's CNF — byte-identical
-        // to ours — so they can shrink the search, never flip the verdict.
-        if let Some(fp) = fp {
-            seed_from_pool(builder.solver_mut(), cache.lemmas(), fp, instrument);
+        // a key-identical miter (same netlists, hence the same CNF and
+        // asserted root), then collect this solve's own short learnts back
+        // into the pool. Seeds are entailed by the exporter's CNF —
+        // byte-identical to ours — so they can shrink the search, never
+        // flip the verdict.
+        if let Some(fp) = key {
+            seed_from_pool(builder.solver_mut(), pool, fp, instrument);
             builder.solver_mut().set_share(sat::SolverShare::collector(
                 sat::ShareFilter::default(),
                 cache::pool::MAX_CLAUSES_PER_ENTRY,
             ));
         }
         let equivalent = builder.solve().is_unsat();
-        if let Some(fp) = fp {
+        if let Some(fp) = key {
             if let Some(share) = builder.solver_mut().take_share() {
-                cache.lemmas().insert(fp, &share.into_pool_exports());
+                pool.insert(fp, &share.into_pool_exports());
             }
         }
-        equivalent
-    };
-    if let Some(fp) = fp {
-        cache.insert_tagged("level4.miter", fp, cache::encode_bool(equivalent));
+        Some(equivalent)
     }
-    Some(equivalent)
 }
 
 /// Number of top-activity variables the budgeted miter splits on when
@@ -173,26 +187,9 @@ fn seed_from_pool(
     instrument.counter_add("sat.pool_rejects", rejected);
 }
 
-/// Content-addresses a built (un-asserted) miter: input literal layout,
-/// difference root, canonicalised clauses.
-fn miter_fingerprint(
-    ctx: &mut CnfBackend,
-    input_bits: &[Vec<sat::Lit>],
-    root: sat::Lit,
-) -> cache::Fingerprint {
-    let flat: Vec<sat::Lit> = input_bits.iter().flatten().copied().collect();
-    let cnf = ctx.builder_mut().solver().export_cnf();
-    cache::FingerprintBuilder::new("level4.miter")
-        .lits(&flat)
-        .lits(&[root])
-        .cnf(&cnf)
-        .finish()
-}
-
-/// Builds the RTL-vs-resynthesized-source miter in `ctx`, returning the
-/// input literals and the *un-asserted* "any output bit differs" literal
-/// (callers assert it after any cache fingerprinting).
-fn build_miter(func: &Function, rtl: &Rtl, ctx: &mut CnfBackend) -> (Vec<Vec<sat::Lit>>, sat::Lit) {
+/// Builds the `rtl`-vs-`golden` miter in `ctx` over shared fresh inputs,
+/// returning the *un-asserted* "any output bit differs" literal.
+fn build_miter(rtl: &Rtl, golden: &Rtl, ctx: &mut CnfBackend) -> sat::Lit {
     let input_bits: Vec<Vec<sat::Lit>> = rtl
         .inputs()
         .iter()
@@ -200,29 +197,21 @@ fn build_miter(func: &Function, rtl: &Rtl, ctx: &mut CnfBackend) -> (Vec<Vec<sat
         .collect();
     let lowered = lower(rtl, ctx, &input_bits, &[]);
     let rtl_out = lowered.outputs(rtl)[0].1.clone();
-
-    // Synthesize a second copy from the behavioural source and compare.
-    // (The behavioural interpreter cannot be bit-blasted directly; the
-    // synthesis path itself is validated against the interpreter by
-    // extensive simulation in `hdl::synth` tests, and the miter here
-    // guards every later transformation of the netlist.)
-    let golden = synthesize(func).expect("kernel is synthesizable");
-    let lowered_g = lower(&golden, ctx, &input_bits, &[]);
-    let golden_out = lowered_g.outputs(&golden)[0].1.clone();
+    let lowered_g = lower(golden, ctx, &input_bits, &[]);
+    let golden_out = lowered_g.outputs(golden)[0].1.clone();
 
     let mut diffs = Vec::new();
     for (&a, &b) in rtl_out.iter().zip(&golden_out) {
         diffs.push(ctx.bit_xor(a, b));
     }
     let builder = ctx.builder_mut();
-    let any = diffs
+    diffs
         .iter()
         .fold(None::<sat::Lit>, |acc, &d| match acc {
             None => Some(d),
             Some(x) => Some(builder.or_gate(x, d)),
         })
-        .expect("at least one output bit");
-    (input_bits, any)
+        .expect("at least one output bit")
 }
 
 /// The initial (incomplete) wrapper property set the designer writes first:
@@ -710,6 +699,35 @@ mod tests {
             assert_eq!(r.kernels, report.kernels, "{workers} workers");
             assert_eq!(r.properties, report.properties, "{workers} workers");
             assert_eq!(o, outcomes, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn the_miter_key_changes_when_either_netlist_changes_by_one_node() {
+        let dist = distance_step_function();
+        let rtl = synthesize(&dist).expect("synth");
+        let key = |a: &Rtl, b: &Rtl| {
+            mc::obligation::Sources {
+                engine: "level4.miter",
+                params: &[],
+                netlists: &[a, b],
+                property: None,
+            }
+            .key()
+        };
+        // Synthesis is deterministic, so the resynthesized side keys alike.
+        let golden = synthesize(&dist).expect("synth");
+        let base = key(&rtl, &golden);
+        assert_eq!(key(&rtl, &synthesize(&dist).expect("synth")), base);
+        let mut dead_node = rtl.clone();
+        dead_node.constant(0, 1);
+        let mut rewired = rtl.clone();
+        let (name, out) = rewired.outputs()[0].clone();
+        let inverted = rewired.not(out);
+        rewired.replace_output(&name, inverted);
+        for changed in [&dead_node, &rewired] {
+            assert_ne!(key(changed, &golden), base, "candidate side");
+            assert_ne!(key(&rtl, changed), base, "golden side");
         }
     }
 

@@ -251,6 +251,12 @@ impl Rtl {
         self.nodes.len()
     }
 
+    /// Every node's signal, in node order (operands precede their users,
+    /// except for register feedback).
+    pub fn signals(&self) -> impl ExactSizeIterator<Item = SigId> {
+        (0..self.nodes.len()).map(SigId)
+    }
+
     /// Total state bits (sum of register widths) — the model-checking state
     /// space is `2^state_bits`.
     pub fn state_bits(&self) -> u32 {

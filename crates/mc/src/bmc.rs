@@ -153,22 +153,15 @@ pub fn check_budgeted(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    if !cache.is_enabled() {
-        return check_effort(rtl, property, bound, effort, instrument);
-    }
-    let fp = crate::obligation::fingerprint("bmc", rtl, property, &[u64::from(bound)]);
-    if let Some(payload) = cache.lookup_tagged("bmc", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let verdict = check_effort(rtl, property, bound, effort, instrument);
-    if !verdict.is_budget_exhausted() {
-        cache.insert_tagged("bmc", fp, crate::cachefmt::encode_verdict(&verdict));
-    }
-    verdict
+    let sources = crate::obligation::Sources {
+        engine: "bmc",
+        params: &[u64::from(bound)],
+        netlists: &[rtl],
+        property: Some(property),
+    };
+    crate::obligation::probe(cache, instrument, &sources, |_| {
+        check_effort(rtl, property, bound, effort, instrument)
+    })
 }
 
 #[cfg(test)]

@@ -141,22 +141,15 @@ pub fn check_budgeted(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Verdict {
-    if !cache.is_enabled() {
-        return check_effort(rtl, property, k, effort, instrument);
-    }
-    let fp = crate::obligation::fingerprint("induction", rtl, property, &[u64::from(k)]);
-    if let Some(payload) = cache.lookup_tagged("induction", fp) {
-        if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-            instrument.counter_add("cache.hits", 1);
-            return verdict;
-        }
-    }
-    instrument.counter_add("cache.misses", 1);
-    let verdict = check_effort(rtl, property, k, effort, instrument);
-    if !verdict.is_budget_exhausted() {
-        cache.insert_tagged("induction", fp, crate::cachefmt::encode_verdict(&verdict));
-    }
-    verdict
+    let sources = crate::obligation::Sources {
+        engine: "induction",
+        params: &[u64::from(k)],
+        netlists: &[rtl],
+        property: Some(property),
+    };
+    crate::obligation::probe(cache, instrument, &sources, |_| {
+        check_effort(rtl, property, k, effort, instrument)
+    })
 }
 
 #[cfg(test)]

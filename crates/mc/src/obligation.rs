@@ -1,91 +1,259 @@
-//! Content-addressing of model-checking obligations.
+//! Content-addressing of cached obligations, and the one cache probe
+//! path every cached engine takes.
 //!
-//! An obligation is `(engine, netlist, property, parameters)`. The
-//! fingerprint hashes the netlist *as the engines see it*: one time frame
-//! is unrolled with free state (`InitMode::Free`), so the full
-//! transition-relation and output logic appears in the CNF instead of
-//! being constant-folded against reset values, and the frame's interface
-//! literal vectors (inputs, state, outputs, next-state, property roots)
-//! are mixed in alongside the canonicalised clauses. The interface
-//! literals matter: a PCC mutant whose stuck bit simplifies to a constant
-//! can leave the clause set unchanged while rewiring an output to the
-//! constant literal — the literal vectors are where that difference
-//! lives. Two netlists that agree on all of this have identical frame-0
-//! behaviour and, the transition function being the same every frame,
-//! identical behaviour at every depth — so sharing a cache entry between
-//! them is exact, not heuristic.
+//! An obligation is keyed by the *sources* its engine reads, never by the
+//! CNF or BDD the engine builds from them:
+//!
+//! * the engine tag and its numeric parameters (bound, k, `bmc_bound`);
+//! * each netlist as the engines read it: per node its op, operands,
+//!   width, and constant or reset value; then the input order, the
+//!   register→next wiring, and the output names in order (the module
+//!   name and internal signal names stay out);
+//! * the property's structure — kind, atoms, connectives, response
+//!   window — without its name.
+//!
+//! The key is exact because the bit-blaster and every engine are
+//! deterministic: equal sources build byte-identical formulas and reach
+//! equal verdicts. It is never coarser than a key over the built CNF;
+//! the only hits it gives up are between different sources that happen
+//! to bit-blast alike. A probe therefore costs one hash of the sources,
+//! and an engine builds its formula only on a miss.
 
-use crate::prop::Property;
-use crate::unrolling::{InitMode, Unroller};
-use hdl::Rtl;
-use sat::Lit;
+use crate::prop::{BoolExpr, Cmp, Property};
+use crate::Verdict;
+use behav::BinOp;
+use cache::{Fingerprint, FingerprintBuilder, ObligationCache};
+use hdl::{Rtl, RtlOp, SigId};
 
-/// Fingerprints one `(engine, rtl, property, params)` obligation.
+/// Everything one cached obligation's result depends on: what its cache
+/// key hashes.
+#[derive(Debug, Clone, Copy)]
+pub struct Sources<'a> {
+    /// Engine tag (`"bmc"`, `"induction"`, `"reach"`, `"pcc.fails_on"`,
+    /// `"level4.miter"`). Engines with different verdict encodings never
+    /// share entries, and the cache's per-engine statistics bucket by it.
+    pub engine: &'a str,
+    /// The engine's numeric parameters (bound, k, `bmc_bound`).
+    pub params: &'a [u64],
+    /// The netlists the engine reads (at least one). The first one names
+    /// a decoded counterexample's outputs.
+    pub netlists: &'a [&'a Rtl],
+    /// The checked property, if the engine checks one.
+    pub property: Option<&'a Property>,
+}
+
+impl Sources<'_> {
+    /// The obligation's cache key.
+    pub fn key(&self) -> Fingerprint {
+        let mut b = FingerprintBuilder::new(self.engine)
+            .params(self.params)
+            .param(self.netlists.len() as u64);
+        for rtl in self.netlists {
+            b = feed_rtl(b, rtl);
+        }
+        match self.property {
+            None => b.param(0),
+            Some(p) => feed_property(b.param(1), p),
+        }
+        .finish()
+    }
+}
+
+/// A result the obligation cache stores as a payload string.
+pub trait Payload: Sized {
+    /// The payload to store, or `None` when the result must not be
+    /// cached: an exhausted budget describes the budget, not the
+    /// obligation, and a retry with more effort may decide it.
+    fn encode(&self) -> Option<String>;
+
+    /// Decodes a stored payload; `rtl` names a counterexample's outputs.
+    /// An undecodable payload is `None`, which the probe treats as a
+    /// miss.
+    fn decode(payload: &str, rtl: &Rtl) -> Option<Self>;
+}
+
+/// Model-checking verdicts, counterexample traces included.
+impl Payload for Verdict {
+    fn encode(&self) -> Option<String> {
+        (!self.is_budget_exhausted()).then(|| crate::cachefmt::encode_verdict(self))
+    }
+
+    fn decode(payload: &str, rtl: &Rtl) -> Option<Self> {
+        crate::cachefmt::decode_verdict(rtl, payload)
+    }
+}
+
+/// A decision that always concludes (a PCC kill check).
+impl Payload for bool {
+    fn encode(&self) -> Option<String> {
+        Some(cache::encode_bool(*self))
+    }
+
+    fn decode(payload: &str, _: &Rtl) -> Option<Self> {
+        cache::decode_bool(payload)
+    }
+}
+
+/// A budgeted decision (a level-4 miter): `None` means the budget ran
+/// out, and is never stored.
+impl Payload for Option<bool> {
+    fn encode(&self) -> Option<String> {
+        self.map(cache::encode_bool)
+    }
+
+    fn decode(payload: &str, _: &Rtl) -> Option<Self> {
+        cache::decode_bool(payload).map(Some)
+    }
+}
+
+/// Discharges one obligation through `cache`. A hit returns the stored
+/// result without building anything; a miss — or a payload that fails to
+/// decode — runs `run` and stores its result (unless
+/// [`Payload::encode`] declines). Hits and misses count as `cache.hits`
+/// and `cache.misses` on `instrument`.
 ///
-/// `engine` distinguishes entry points with different verdict encodings
-/// (`"bmc"`, `"induction"`, `"reach"`, `"pcc.fails_on"`); `params` carries
-/// the engine's numeric knobs (bounds, k). Reset values participate even
-/// though the frame is unrolled state-free, so designs differing only in
-/// reset state never share an entry.
-pub fn fingerprint(
-    engine: &str,
-    rtl: &Rtl,
-    property: &Property,
-    params: &[u64],
-) -> cache::Fingerprint {
-    let mut unroller = Unroller::new(rtl, InitMode::Free);
-    unroller.ensure_frames(0);
+/// `run` receives the obligation's key, or `None` under a disabled cache
+/// ([`cache::noop()`]), which skips the hash and the counters entirely.
+pub fn probe<T: Payload>(
+    cache: &ObligationCache,
+    instrument: &telemetry::SharedInstrument,
+    sources: &Sources<'_>,
+    run: impl FnOnce(Option<Fingerprint>) -> T,
+) -> T {
+    if !cache.is_enabled() {
+        return run(None);
+    }
+    let key = sources.key();
+    if let Some(payload) = cache.lookup_tagged(sources.engine, key) {
+        if let Some(value) = T::decode(&payload, sources.netlists[0]) {
+            instrument.counter_add("cache.hits", 1);
+            return value;
+        }
+    }
+    instrument.counter_add("cache.misses", 1);
+    let value = run(Some(key));
+    if let Some(payload) = value.encode() {
+        cache.insert_tagged(sources.engine, key, payload);
+    }
+    value
+}
 
-    // Property structure enters through its compiled frame-0 roots (the
-    // name is deliberately excluded: renaming a property must not split
-    // the cache entry). Response windows are structural too.
-    let (roots, window): (Vec<Lit>, u64) = match property {
-        Property::Invariant { expr, .. } => (vec![unroller.compile_expr(expr, 0)], 0),
+/// Feeds one netlist: five words per node (op, width, three operand or
+/// value slots), then the input order, the register→next wiring, and the
+/// named outputs in declaration order.
+fn feed_rtl(b: FingerprintBuilder, rtl: &Rtl) -> FingerprintBuilder {
+    let idx = |s: SigId| s.index() as u64;
+    let mut nodes = Vec::with_capacity(5 * rtl.num_nodes());
+    for sig in rtl.signals() {
+        let (op, x, y, z) = match *rtl.op(sig) {
+            RtlOp::Const(value) => (0, value, 0, 0),
+            RtlOp::Input => (1, 0, 0, 0),
+            RtlOp::Reg { init } => (2, init, 0, 0),
+            RtlOp::Not(a) => (3, idx(a), 0, 0),
+            RtlOp::Neg(a) => (4, idx(a), 0, 0),
+            RtlOp::Binary(op, a, c) => (5, binop_code(op), idx(a), idx(c)),
+            RtlOp::Mux { sel, then_, else_ } => (6, idx(sel), idx(then_), idx(else_)),
+        };
+        nodes.extend([op, u64::from(rtl.width(sig)), x, y, z]);
+    }
+    let inputs: Vec<u64> = rtl.inputs().iter().map(|&s| idx(s)).collect();
+    let wiring: Vec<u64> = rtl
+        .registers()
+        .iter()
+        .flat_map(|&(r, next)| [idx(r), idx(next)])
+        .collect();
+    let mut b = b
+        .params(&nodes)
+        .params(&inputs)
+        .params(&wiring)
+        .param(rtl.outputs().len() as u64);
+    for (name, sig) in rtl.outputs() {
+        b = b.text(name).param(idx(*sig));
+    }
+    b
+}
+
+/// Feeds a property's structure, without its name.
+fn feed_property(b: FingerprintBuilder, property: &Property) -> FingerprintBuilder {
+    match property {
+        Property::Invariant { expr, .. } => feed_expr(b.param(0), expr),
         Property::Response {
             trigger,
             response,
             within,
             ..
-        } => (
-            vec![
-                unroller.compile_expr(trigger, 0),
-                unroller.compile_expr(response, 0),
-            ],
-            u64::from(*within),
-        ),
-    };
+        } => feed_expr(feed_expr(b.param(1), trigger), response).param(u64::from(*within)),
+    }
+}
 
-    let frame = &unroller.frames[0];
-    let iface: Vec<Lit> = frame
-        .input_lits
-        .iter()
-        .chain(frame.state_lits.iter())
-        .chain(frame.next_state.iter())
-        .chain(frame.outputs.iter().map(|(_, bits)| bits))
-        .flatten()
-        .copied()
-        .collect();
-    let cnf = unroller.ctx.builder_mut().solver().export_cnf();
+/// Feeds a formula in prefix order; every connective has a fixed arity,
+/// so the encoding is unambiguous.
+fn feed_expr(b: FingerprintBuilder, expr: &BoolExpr) -> FingerprintBuilder {
+    match expr {
+        BoolExpr::Const(v) => b.param(0).param(u64::from(*v)),
+        BoolExpr::Atom(a) => b
+            .param(1)
+            .text(&a.output)
+            .param(cmp_code(a.cmp))
+            .param(a.value),
+        BoolExpr::Not(x) => feed_expr(b.param(2), x),
+        BoolExpr::And(x, y) => feed_expr(feed_expr(b.param(3), x), y),
+        BoolExpr::Or(x, y) => feed_expr(feed_expr(b.param(4), x), y),
+        BoolExpr::Implies(x, y) => feed_expr(feed_expr(b.param(5), x), y),
+    }
+}
 
-    cache::FingerprintBuilder::new(engine)
-        .params(params)
-        .param(window)
-        .params(&rtl.reset_state())
-        .lits(&iface)
-        .lits(&roots)
-        .cnf(&cnf)
-        .finish()
+/// Fixed codes, not declaration order: reordering the enum must not
+/// silently change the persisted keys.
+fn binop_code(op: BinOp) -> u64 {
+    match op {
+        BinOp::Add => 0,
+        BinOp::Sub => 1,
+        BinOp::Mul => 2,
+        BinOp::Div => 3,
+        BinOp::Rem => 4,
+        BinOp::And => 5,
+        BinOp::Or => 6,
+        BinOp::Xor => 7,
+        BinOp::Shl => 8,
+        BinOp::Shr => 9,
+        BinOp::Eq => 10,
+        BinOp::Ne => 11,
+        BinOp::Lt => 12,
+        BinOp::Le => 13,
+        BinOp::Gt => 14,
+        BinOp::Ge => 15,
+    }
+}
+
+fn cmp_code(cmp: Cmp) -> u64 {
+    match cmp {
+        Cmp::Eq => 0,
+        Cmp::Ne => 1,
+        Cmp::Lt => 2,
+        Cmp::Le => 3,
+        Cmp::Gt => 4,
+        Cmp::Ge => 5,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prop::BoolExpr;
-    use behav::BinOp;
 
-    fn counter(modulus: u64) -> Rtl {
-        let mut rtl = Rtl::new("modc");
-        let q = rtl.reg("q", 3, 0);
+    fn fingerprint(engine: &str, rtl: &Rtl, property: &Property, params: &[u64]) -> Fingerprint {
+        Sources {
+            engine,
+            params,
+            netlists: &[rtl],
+            property: Some(property),
+        }
+        .key()
+    }
+
+    fn named_counter(module: &str, reg: &str, modulus: u64, init: u64) -> Rtl {
+        let mut rtl = Rtl::new(module);
+        let q = rtl.reg(reg, 3, init);
         let one = rtl.constant(1, 3);
         let maxc = rtl.constant(modulus - 1, 3);
         let zero = rtl.constant(0, 3);
@@ -95,6 +263,10 @@ mod tests {
         rtl.set_next(q, next);
         rtl.output("q", q);
         rtl
+    }
+
+    fn counter(modulus: u64) -> Rtl {
+        named_counter("modc", "q", modulus, 0)
     }
 
     #[test]
@@ -117,6 +289,19 @@ mod tests {
     }
 
     #[test]
+    fn module_and_internal_signal_names_stay_out_of_the_key() {
+        let p = Property::invariant("lt5", BoolExpr::lt("q", 5));
+        let base = fingerprint("bmc", &counter(5), &p, &[10]);
+        let renamed = named_counter("another_module", "state_reg", 5, 0);
+        assert_eq!(fingerprint("bmc", &renamed, &p, &[10]), base);
+        // Output names are what properties read, so they do count.
+        let mut relabelled = counter(5);
+        let q = relabelled.outputs()[0].1;
+        relabelled.output("q_again", q);
+        assert_ne!(fingerprint("bmc", &relabelled, &p, &[10]), base);
+    }
+
+    #[test]
     fn distinct_obligations_separate() {
         let p = Property::invariant("lt5", BoolExpr::lt("q", 5));
         let q = Property::invariant("lt5", BoolExpr::lt("q", 4));
@@ -126,6 +311,15 @@ mod tests {
         assert_ne!(fingerprint("bmc", &rtl, &p, &[11]), base, "bound");
         assert_ne!(fingerprint("reach", &rtl, &p, &[10]), base, "engine");
         assert_ne!(fingerprint("bmc", &counter(6), &p, &[10]), base, "netlist");
+    }
+
+    #[test]
+    fn every_reset_value_gets_its_own_entry() {
+        let p = Property::invariant("lt5", BoolExpr::lt("q", 5));
+        let keys: std::collections::HashSet<Fingerprint> = (0..8)
+            .map(|init| fingerprint("bmc", &named_counter("modc", "q", 5, init), &p, &[10]))
+            .collect();
+        assert_eq!(keys.len(), 8);
     }
 
     #[test]
@@ -157,5 +351,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_probe_runs_the_engine_once_and_replays_the_result() {
+        let cache = ObligationCache::new();
+        let rtl = counter(5);
+        let p = Property::invariant("lt5", BoolExpr::lt("q", 5));
+        let sources = Sources {
+            engine: "bmc",
+            params: &[3],
+            netlists: &[&rtl],
+            property: Some(&p),
+        };
+        let mut runs = 0;
+        for _ in 0..2 {
+            let verdict = probe(&cache, &telemetry::noop(), &sources, |key| {
+                assert_eq!(key, Some(sources.key()));
+                runs += 1;
+                Verdict::NoViolationUpTo(3)
+            });
+            assert_eq!(verdict, Verdict::NoViolationUpTo(3));
+        }
+        assert_eq!(runs, 1);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        // Exhausted budgets are never stored; a disabled cache never
+        // hashes.
+        let budget = Sources {
+            params: &[4],
+            ..sources
+        };
+        for _ in 0..2 {
+            probe(&cache, &telemetry::noop(), &budget, |_| {
+                Verdict::Unknown(crate::UnknownReason::BudgetExhausted)
+            });
+        }
+        assert_eq!(cache.stats().misses, 3);
+        probe(cache::noop(), &telemetry::noop(), &sources, |key| {
+            assert_eq!(key, None);
+            Verdict::Proven
+        });
     }
 }

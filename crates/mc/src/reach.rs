@@ -201,26 +201,17 @@ pub fn check_budgeted(
         "state space too wide for the naive BDD order ({} bits)",
         rtl.state_bits()
     );
-    let fp = cache
-        .is_enabled()
-        .then(|| crate::obligation::fingerprint("reach", rtl, property, &[]));
-    if let Some(fp) = fp {
-        if let Some(payload) = cache.lookup_tagged("reach", fp) {
-            if let Some(verdict) = crate::cachefmt::decode_verdict(rtl, &payload) {
-                instrument.counter_add("cache.hits", 1);
-                return verdict;
-            }
-        }
-        instrument.counter_add("cache.misses", 1);
-    }
-    let (verdict, nodes) = check_counting(rtl, property, budget);
-    instrument.counter_add("bdd.nodes_allocated", nodes);
-    if let Some(fp) = fp {
-        if !verdict.is_budget_exhausted() {
-            cache.insert_tagged("reach", fp, crate::cachefmt::encode_verdict(&verdict));
-        }
-    }
-    verdict
+    let sources = crate::obligation::Sources {
+        engine: "reach",
+        params: &[],
+        netlists: &[rtl],
+        property: Some(property),
+    };
+    crate::obligation::probe(cache, instrument, &sources, |_| {
+        let (verdict, nodes) = check_counting(rtl, property, budget);
+        instrument.counter_add("bdd.nodes_allocated", nodes);
+        verdict
+    })
 }
 
 #[allow(clippy::only_used_in_recursion)]

@@ -170,14 +170,6 @@ impl PccReport {
     }
 }
 
-/// Whether a property fails (is violated) on a design.
-///
-/// Invariants use the exact BDD engine when the state space is small
-/// enough; response properties are compiled to saturating-counter monitors
-/// ([`mc::monitor`]) and decided exactly the same way. BMC at the
-/// configured bound is the fallback for wide designs — conservative in the
-/// uncovered direction (a violation deeper than the bound counts as "not
-/// killed").
 /// [`fails_on`] backed by the obligation cache (engine tag
 /// `"pcc.fails_on"`, parameter `bmc_bound`). Caching at this granularity
 /// — one boolean per `(mutant, property)` pair — lets a rerun of the
@@ -191,21 +183,25 @@ fn fails_on_cached(
     cfg: &PccConfig,
     cache: &cache::ObligationCache,
 ) -> bool {
-    if !cache.is_enabled() {
-        return fails_on(rtl, property, cfg);
-    }
-    let fp =
-        mc::obligation::fingerprint("pcc.fails_on", rtl, property, &[u64::from(cfg.bmc_bound)]);
-    if let Some(payload) = cache.lookup_tagged("pcc.fails_on", fp) {
-        if let Some(fails) = cache::decode_bool(&payload) {
-            return fails;
-        }
-    }
-    let fails = fails_on(rtl, property, cfg);
-    cache.insert_tagged("pcc.fails_on", fp, cache::encode_bool(fails));
-    fails
+    let sources = mc::obligation::Sources {
+        engine: "pcc.fails_on",
+        params: &[u64::from(cfg.bmc_bound)],
+        netlists: &[rtl],
+        property: Some(property),
+    };
+    mc::obligation::probe(cache, &telemetry::noop(), &sources, |_| {
+        fails_on(rtl, property, cfg)
+    })
 }
 
+/// Whether a property fails (is violated) on a design.
+///
+/// Invariants use the exact BDD engine when the state space is small
+/// enough; response properties are compiled to saturating-counter monitors
+/// ([`mc::monitor`]) and decided exactly the same way. BMC at the
+/// configured bound is the fallback for wide designs — conservative in the
+/// uncovered direction (a violation deeper than the bound counts as "not
+/// killed").
 fn fails_on(rtl: &Rtl, property: &Property, cfg: &PccConfig) -> bool {
     match property {
         Property::Invariant { .. } if rtl.state_bits() <= 24 => {
@@ -409,6 +405,33 @@ mod tests {
         // Every warm obligation hit; none escaped to an engine.
         assert_eq!(after_warm.misses, after_cold.misses);
         assert_eq!(after_warm.hits - after_cold.hits, obligations as u64);
+    }
+
+    #[test]
+    fn every_bus_wrapper_mutant_gets_its_own_key() {
+        // A shared key would hand a mutant the fault-free design's (or
+        // another mutant's) kill verdict.
+        let rtl = hdl::fsm::bus_wrapper_fsm("w");
+        let p = Property::invariant("state_in_range", BoolExpr::le("state", 3));
+        let key = |rtl: &Rtl| {
+            mc::obligation::Sources {
+                engine: "pcc.fails_on",
+                params: &[10],
+                netlists: &[rtl],
+                property: Some(&p),
+            }
+            .key()
+        };
+        let mut seen = std::collections::HashSet::new();
+        assert!(seen.insert(key(&rtl)));
+        let faults = enumerate_faults(&rtl);
+        assert!(!faults.is_empty());
+        for fault in faults {
+            assert!(
+                seen.insert(key(&mutant(&rtl, fault))),
+                "{fault:?} shares a key"
+            );
+        }
     }
 
     #[test]

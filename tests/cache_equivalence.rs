@@ -136,14 +136,14 @@ fn saved_cache_text(name: &str) -> (std::path::PathBuf, String, String) {
     .expect("cold flow runs");
     obligations.save(&dir).expect("cache saves");
     assert!(!obligations.is_empty(), "the flow must populate the cache");
-    let text = fs::read_to_string(dir.join("obligations-v1.json")).expect("saved file reads");
+    let text = fs::read_to_string(dir.join("obligations-v2.json")).expect("saved file reads");
     (dir, text, cold.to_json())
 }
 
 #[test]
 fn truncated_and_torn_cache_files_load_empty() {
     let (dir, text, _) = saved_cache_text("corrupt-truncated");
-    let file = dir.join("obligations-v1.json");
+    let file = dir.join("obligations-v2.json");
     // A crash mid-write (no atomic rename) can leave any prefix of the
     // file; every prefix that severs the JSON must load as a cold start,
     // never a panic, never a partial resurrection. (The file ends in
@@ -169,11 +169,11 @@ fn truncated_and_torn_cache_files_load_empty() {
 #[test]
 fn version_and_format_mismatches_load_empty() {
     let (dir, text, _) = saved_cache_text("corrupt-version");
-    let file = dir.join("obligations-v1.json");
+    let file = dir.join("obligations-v2.json");
     // Sanity: the unmodified file does load its entries back.
     assert!(!cache::ObligationCache::load_or_empty(&dir).is_empty());
     // A future format version must not resurrect under the old decoder.
-    fs::write(&file, text.replace("\"version\": 1", "\"version\": 999")).unwrap();
+    fs::write(&file, text.replace("\"version\": 2", "\"version\": 999")).unwrap();
     assert!(cache::ObligationCache::load_or_empty(&dir).is_empty());
     // Same for a foreign format tag.
     fs::write(
@@ -188,12 +188,12 @@ fn version_and_format_mismatches_load_empty() {
 #[test]
 fn garbage_entries_load_empty_and_garbage_payloads_stay_sound() {
     let (dir, _, reference) = saved_cache_text("corrupt-payload");
-    let file = dir.join("obligations-v1.json");
+    let file = dir.join("obligations-v2.json");
     // A well-formed header whose entries are junk (wrong types, invalid
     // fingerprints, missing fields) contributes nothing.
     fs::write(
         &file,
-        "{\n  \"format\": \"symbad-obligation-cache\",\n  \"version\": 1,\n  \
+        "{\n  \"format\": \"symbad-obligation-cache\",\n  \"version\": 2,\n  \
          \"entries\": [1, \"x\", { \"fp\": 3 }, { \"fp\": \"zz\", \"payload\": \"t\" },\n    \
          { \"fp\": \"0123\", \"payload\": \"t\" }, { \"payload\": \"t\" }, null]\n}\n",
     )
