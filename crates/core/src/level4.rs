@@ -516,8 +516,8 @@ pub(crate) fn run_in(ctx: &RunCtx<'_>, outcomes: &mut Vec<ObligationOutcome>) ->
                 name: name.to_owned(),
                 engine: "pcc",
                 budgeted: false,
-                run: Box::new(|_: &telemetry::SharedInstrument| {
-                    check_coverage(&wrapper, set, &cfg, cache)
+                run: Box::new(|instr: &telemetry::SharedInstrument| {
+                    check_coverage(&wrapper, set, &cfg, instr, cache)
                 }),
             };
             let discharged = ctx.discharge_one(

@@ -181,6 +181,7 @@ fn fails_on_cached(
     rtl: &Rtl,
     property: &Property,
     cfg: &PccConfig,
+    instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> bool {
     let sources = mc::obligation::Sources {
@@ -189,7 +190,7 @@ fn fails_on_cached(
         netlists: &[rtl],
         property: Some(property),
     };
-    mc::obligation::probe(cache, &telemetry::noop(), &sources, |_| {
+    mc::obligation::probe(cache, instrument, &sources, |_| {
         fails_on(rtl, property, cfg)
     })
 }
@@ -229,7 +230,8 @@ fn fails_on(rtl: &Rtl, property: &Property, cfg: &PccConfig) -> bool {
 /// one fault at a time in enumeration order. Every `(design, property)`
 /// decision — good-design pre-check and per-mutant kill checks alike — is
 /// looked up in `cache` before an engine runs and stored after
-/// ([`cache::noop()`] skips both). The report stays bit-identical to the
+/// ([`cache::noop()`] skips both), and counted as `cache.hits` /
+/// `cache.misses` on `instrument`. The report stays bit-identical to the
 /// uncached run for any starting cache, because cached payloads are the
 /// engines' own verdicts.
 ///
@@ -242,13 +244,14 @@ pub fn check_coverage(
     rtl: &Rtl,
     properties: &[Property],
     cfg: &PccConfig,
+    instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Result<PccReport, PccError> {
     // Pre-check every property on the fault-free design, then report the
     // first failure in declaration order.
     let good: Vec<bool> = properties
         .iter()
-        .map(|p| fails_on_cached(rtl, p, cfg, cache))
+        .map(|p| fails_on_cached(rtl, p, cfg, instrument, cache))
         .collect();
     if let Some(pi) = good.iter().position(|&fails| fails) {
         return Err(PccError::PropertyFailsOnGoodDesign {
@@ -263,7 +266,7 @@ pub fn check_coverage(
             let m = mutant(rtl, fault);
             properties
                 .iter()
-                .map(|p| fails_on_cached(&m, p, cfg, cache))
+                .map(|p| fails_on_cached(&m, p, cfg, instrument, cache))
                 .collect()
         })
         .collect();
@@ -345,8 +348,8 @@ mod tests {
         // A single weak property: q stays in range (trivially true, even
         // for most mutants, since 2 bits can't exceed 3).
         let weak = vec![Property::invariant("range", BoolExpr::le("q", 3))];
-        let weak_report =
-            check_coverage(&rtl, &weak, &cfg, cache::noop()).expect("holds on good design");
+        let weak_report = check_coverage(&rtl, &weak, &cfg, &telemetry::noop(), cache::noop())
+            .expect("holds on good design");
         // A stronger set pins the q/at_max relationship and the exact
         // counting order via one step-response property per state.
         let mut strong = vec![
@@ -367,8 +370,8 @@ mod tests {
                 1,
             ));
         }
-        let strong_report =
-            check_coverage(&rtl, &strong, &cfg, cache::noop()).expect("holds on good design");
+        let strong_report = check_coverage(&rtl, &strong, &cfg, &telemetry::noop(), cache::noop())
+            .expect("holds on good design");
         assert!(weak_report.pct() < strong_report.pct());
         assert!(
             strong_report.pct() == 100.0,
@@ -391,20 +394,39 @@ mod tests {
             Property::response("step_0", BoolExpr::eq("q", 0), BoolExpr::eq("q", 1), 1),
         ];
         let cache = cache::ObligationCache::new();
-        let cold = check_coverage(&rtl, &properties, &cfg, &cache).expect("good design");
+        let cold = check_coverage(&rtl, &properties, &cfg, &telemetry::noop(), &cache)
+            .expect("good design");
         // The cached run decides exactly what the uncached one decides.
-        let reference =
-            check_coverage(&rtl, &properties, &cfg, cache::noop()).expect("good design");
+        let reference = check_coverage(&rtl, &properties, &cfg, &telemetry::noop(), cache::noop())
+            .expect("good design");
         assert_eq!(cold, reference);
 
         let after_cold = cache.stats();
         let obligations = properties.len() * (1 + enumerate_faults(&rtl).len());
-        let warm = check_coverage(&rtl, &properties, &cfg, &cache).expect("good design");
+        let warm = check_coverage(&rtl, &properties, &cfg, &telemetry::noop(), &cache)
+            .expect("good design");
         assert_eq!(warm, cold);
         let after_warm = cache.stats();
         // Every warm obligation hit; none escaped to an engine.
         assert_eq!(after_warm.misses, after_cold.misses);
         assert_eq!(after_warm.hits - after_cold.hits, obligations as u64);
+    }
+
+    #[test]
+    fn cache_probes_count_on_the_instrument() {
+        let rtl = counter();
+        let cfg = PccConfig { bmc_bound: 12 };
+        let properties = vec![Property::invariant("range", BoolExpr::le("q", 3))];
+        let collector = telemetry::Collector::shared();
+        let instr: telemetry::SharedInstrument = collector.clone();
+        let cache = cache::ObligationCache::new();
+        for _ in 0..2 {
+            check_coverage(&rtl, &properties, &cfg, &instr, &cache).expect("good design");
+        }
+        let stats = cache.stats();
+        assert!(stats.hits > 0 && stats.misses > 0);
+        assert_eq!(collector.counter("cache.hits"), stats.hits);
+        assert_eq!(collector.counter("cache.misses"), stats.misses);
     }
 
     #[test]
@@ -438,7 +460,14 @@ mod tests {
     fn failing_property_on_good_design_is_an_error() {
         let rtl = counter();
         let bad = vec![Property::invariant("wrong", BoolExpr::lt("q", 3))];
-        let err = check_coverage(&rtl, &bad, &PccConfig::default(), cache::noop()).unwrap_err();
+        let err = check_coverage(
+            &rtl,
+            &bad,
+            &PccConfig::default(),
+            &telemetry::noop(),
+            cache::noop(),
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             PccError::PropertyFailsOnGoodDesign {
@@ -450,8 +479,14 @@ mod tests {
     #[test]
     fn empty_property_set_covers_nothing() {
         let rtl = counter();
-        let report =
-            check_coverage(&rtl, &[], &PccConfig::default(), cache::noop()).expect("vacuously ok");
+        let report = check_coverage(
+            &rtl,
+            &[],
+            &PccConfig::default(),
+            &telemetry::noop(),
+            cache::noop(),
+        )
+        .expect("vacuously ok");
         assert_eq!(report.covered, 0);
         assert_eq!(report.uncovered.len(), report.total);
         assert_eq!(report.pct(), 0.0);
