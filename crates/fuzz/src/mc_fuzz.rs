@@ -14,7 +14,10 @@
 //! * [`mc::induction`] (sound verdicts only; `Unknown` is allowed),
 //! * [`mc::reach`] BDD reachability (exact),
 //! * cached cold/warm runs vs the uncached engine,
-//! * instrumented vs plain BMC.
+//! * instrumented vs plain BMC,
+//! * the case and its one-edit [`sibling`] through one shared cache: no
+//!   cached verdict may differ from its uncached engine, so two
+//!   obligations that share a cache key by mistake are caught.
 
 use crate::rng::FuzzRng;
 use crate::shrink;
@@ -348,6 +351,65 @@ fn validate_trace(rtl: &Rtl, prop: &Property, trace: &mc::CexTrace) -> Option<St
     None
 }
 
+/// Where the reach, BMC and induction verdicts on a case contradict its
+/// BFS truth. Reach is exact; BMC must find exactly the earliest
+/// violation depth within `bound`, with a concretely replayable trace;
+/// induction may be incomplete but never unsound.
+fn truth_disagreement(
+    rtl: &Rtl,
+    prop: &Property,
+    bound: u32,
+    truth: Option<u64>,
+    [reach, bmc, ind]: [&Verdict; 3],
+) -> Option<String> {
+    match (reach, truth) {
+        (Verdict::Proven, None) | (Verdict::Violated(_), Some(_)) => {}
+        _ => {
+            return Some(format!(
+                "reach said {reach:?} but BFS ground truth is depth {truth:?}"
+            ))
+        }
+    }
+    match (bmc, truth) {
+        (Verdict::Violated(trace), Some(d)) if d <= u64::from(bound) => {
+            if trace.len() as u64 != d + 1 {
+                return Some(format!(
+                    "bmc trace has {} frames but earliest violation depth is {d}",
+                    trace.len()
+                ));
+            }
+            if let Some(msg) = validate_trace(rtl, prop, trace) {
+                return Some(format!("bmc {msg}"));
+            }
+        }
+        (Verdict::NoViolationUpTo(b), t) if *b == bound => {
+            if let Some(d) = t.filter(|&d| d <= u64::from(bound)) {
+                return Some(format!(
+                    "bmc missed a depth-{d} violation within bound {bound}"
+                ));
+            }
+        }
+        _ => {
+            return Some(format!(
+                "bmc said {bmc:?} against truth {truth:?} at bound {bound}"
+            ))
+        }
+    }
+    match ind {
+        Verdict::Proven if truth.is_some() => Some(format!(
+            "induction proved a property violated at depth {truth:?}"
+        )),
+        Verdict::Proven | Verdict::Unknown(_) => None,
+        Verdict::Violated(_) if truth.is_none() => {
+            Some("induction refuted a true invariant".into())
+        }
+        Verdict::Violated(trace) => {
+            validate_trace(rtl, prop, trace).map(|msg| format!("induction {msg}"))
+        }
+        other => Some(format!("induction returned {other:?}")),
+    }
+}
+
 /// Runs every engine on the case and cross-checks against the BFS truth.
 pub fn evaluate(case: &McCase) -> Evaluation {
     let (rtl, prop) = build(case);
@@ -362,92 +424,23 @@ pub fn evaluate(case: &McCase) -> Evaluation {
         counters,
     };
 
-    // BDD reachability is exact: Proven iff no reachable violation.
+    // BMC runs with telemetry; the uninstrumented run below must agree.
     let reach = mc::reach::check(&rtl, &prop);
-    match (&reach, truth) {
-        (Verdict::Proven, None) | (Verdict::Violated(_), Some(_)) => {}
-        _ => {
-            return fail(
-                format!("reach said {reach:?} but BFS ground truth is depth {truth:?}"),
-                counters,
-            )
-        }
-    }
-
-    // BMC with telemetry: must find exactly the earliest violation depth
-    // within the bound, with a concretely replayable trace.
     let collector = telemetry::Collector::shared();
     let instr: telemetry::SharedInstrument = collector.clone();
     let unbounded = exec::Effort::unbounded();
     let bmc = mc::bmc::check_budgeted(&rtl, &prop, case.bound, &unbounded, &instr, cache::noop());
     counters.push(collector.counter("bmc.sat_calls"));
     counters.push(collector.counter("sat.conflicts"));
-    match (&bmc, truth) {
-        (Verdict::Violated(trace), Some(d)) if d <= u64::from(case.bound) => {
-            if trace.len() as u64 != d + 1 {
-                return fail(
-                    format!(
-                        "bmc trace has {} frames but earliest violation depth is {d}",
-                        trace.len()
-                    ),
-                    counters,
-                );
-            }
-            if let Some(msg) = validate_trace(&rtl, &prop, trace) {
-                return fail(format!("bmc {msg}"), counters);
-            }
-        }
-        (Verdict::NoViolationUpTo(b), t) if *b == case.bound => {
-            if let Some(d) = t {
-                if d <= u64::from(case.bound) {
-                    return fail(
-                        format!(
-                            "bmc missed a depth-{d} violation within bound {}",
-                            case.bound
-                        ),
-                        counters,
-                    );
-                }
-            }
-        }
-        _ => {
-            return fail(
-                format!(
-                    "bmc said {bmc:?} against truth {truth:?} at bound {}",
-                    case.bound
-                ),
-                counters,
-            )
-        }
+    let ind = mc::induction::check(&rtl, &prop, case.k);
+    if let Some(msg) = truth_disagreement(&rtl, &prop, case.bound, truth, [&reach, &bmc, &ind]) {
+        return fail(msg, counters);
     }
 
     // Plain (uninstrumented) BMC must agree with the instrumented run.
     let plain = mc::bmc::check(&rtl, &prop, case.bound);
     if plain != bmc {
         return fail("instrumented and plain bmc disagree".into(), counters);
-    }
-
-    // k-induction is sound in both directions even when incomplete.
-    let ind = mc::induction::check(&rtl, &prop, case.k);
-    match &ind {
-        Verdict::Proven => {
-            if truth.is_some() {
-                return fail(
-                    format!("induction proved a property violated at depth {truth:?}"),
-                    counters,
-                );
-            }
-        }
-        Verdict::Violated(trace) => {
-            if truth.is_none() {
-                return fail("induction refuted a true invariant".into(), counters);
-            }
-            if let Some(msg) = validate_trace(&rtl, &prop, trace) {
-                return fail(format!("induction {msg}"), counters);
-            }
-        }
-        Verdict::Unknown(_) => {}
-        other => return fail(format!("induction returned {other:?}"), counters),
     }
 
     // Cached cold run then warm run: both must equal the uncached verdict.
@@ -467,10 +460,86 @@ pub fn evaluate(case: &McCase) -> Evaluation {
         );
     }
 
+    if let Some(msg) = cross_case_disagreement(case, &cache::ObligationCache::new()) {
+        return fail(msg, counters);
+    }
+
     Evaluation {
         disagreement: None,
         counters,
     }
+}
+
+/// The case's sibling, one deterministic edit away: a register's reset
+/// value, an op's kind, or an atom's value, picked from the recipe
+/// itself. Each edit survives [`build`]'s masking, so the sibling is a
+/// different obligation (whether or not it behaves differently).
+pub fn sibling(case: &McCase) -> McCase {
+    let mut sib = case.clone();
+    let pick = case.bound as usize + case.k as usize + case.ops.len();
+    match pick % 3 {
+        1 if !sib.ops.is_empty() => {
+            let i = pick % sib.ops.len();
+            sib.ops[i].kind = sib.ops[i].kind.wrapping_add(1) % 8;
+        }
+        2 => {
+            let i = pick % sib.atoms.len();
+            sib.atoms[i].value ^= 1;
+        }
+        _ => {
+            let i = pick % sib.regs.len();
+            sib.regs[i].init ^= 1;
+        }
+    }
+    sib
+}
+
+/// Reach, BMC and induction through `store`, in that order.
+fn cached_verdicts(
+    rtl: &Rtl,
+    prop: &Property,
+    case: &McCase,
+    store: &cache::ObligationCache,
+) -> [Verdict; 3] {
+    let noop = telemetry::noop();
+    [
+        mc::reach::check_cached(rtl, prop, &noop, store),
+        mc::bmc::check_cached(rtl, prop, case.bound, &noop, store),
+        mc::induction::check_cached(rtl, prop, case.k, &noop, store),
+    ]
+}
+
+/// Runs the case and then its [`sibling`] through one shared `store`.
+/// Every cached verdict must equal the same engine's uncached one, and
+/// the sibling's verdicts must agree with its own BFS truth. A cache key
+/// that merged the two obligations would hand the sibling the case's
+/// verdict, and this check would report it.
+fn cross_case_disagreement(case: &McCase, store: &cache::ObligationCache) -> Option<String> {
+    let sib = sibling(case);
+    for (who, c) in [("case", case), ("sibling", &sib)] {
+        let (rtl, prop) = build(c);
+        let uncached = cached_verdicts(&rtl, &prop, c, cache::noop());
+        if who == "sibling" {
+            let truth = ground_truth_depth(&rtl, &prop);
+            let [reach, bmc, ind] = &uncached;
+            if let Some(msg) = truth_disagreement(&rtl, &prop, c.bound, truth, [reach, bmc, ind]) {
+                return Some(format!("one-edit sibling: {msg}"));
+            }
+        }
+        let cached = cached_verdicts(&rtl, &prop, c, store);
+        for (engine, (got, want)) in ["reach", "bmc", "induction"]
+            .into_iter()
+            .zip(cached.iter().zip(&uncached))
+        {
+            if got != want {
+                return Some(format!(
+                    "cached {engine} verdict on the {who} ({got:?}) differs from the uncached \
+                     engine ({want:?}) on a cache shared with its one-edit sibling"
+                ));
+            }
+        }
+    }
+    None
 }
 
 fn shrink_candidates(case: &McCase) -> Vec<McCase> {
@@ -577,6 +646,56 @@ mod tests {
             let eval = evaluate(&case);
             assert_eq!(eval.disagreement, None, "case {case:?}");
         }
+    }
+
+    #[test]
+    #[cfg(not(feature = "sat-mutant"))]
+    fn a_key_shared_with_the_sibling_is_caught() {
+        // A case whose sibling some engine decides differently.
+        let mut rng = FuzzRng::new(3);
+        let case = (0..200u64)
+            .map(|bias| generate(&mut rng, bias))
+            .find(|case| {
+                let sib = sibling(case);
+                let ((rtl, prop), (srtl, sprop)) = (build(case), build(&sib));
+                cached_verdicts(&rtl, &prop, case, cache::noop())
+                    != cached_verdicts(&srtl, &sprop, &sib, cache::noop())
+            })
+            .expect("some sibling behaves differently");
+        assert_eq!(
+            cross_case_disagreement(&case, &cache::ObligationCache::new()),
+            None
+        );
+
+        // Plant the case's payloads under the sibling's keys: exactly
+        // what a key too coarse to tell the two apart would do.
+        let donor = cache::ObligationCache::new();
+        let (rtl, prop) = build(&case);
+        cached_verdicts(&rtl, &prop, &case, &donor);
+        let sib = sibling(&case);
+        let (srtl, sprop) = build(&sib);
+        let poisoned = cache::ObligationCache::new();
+        let bound = [u64::from(case.bound)];
+        let k = [u64::from(case.k)];
+        for (engine, params) in [
+            ("reach", &[][..]),
+            ("bmc", &bound[..]),
+            ("induction", &k[..]),
+        ] {
+            let key = |rtl: &Rtl, prop: &Property| {
+                mc::obligation::Sources {
+                    engine,
+                    params,
+                    netlists: &[rtl],
+                    property: Some(prop),
+                }
+                .key()
+            };
+            let payload = donor.lookup(key(&rtl, &prop)).expect("the case's verdict");
+            poisoned.insert(key(&srtl, &sprop), payload);
+        }
+        let caught = cross_case_disagreement(&case, &poisoned).expect("the poisoned key fires");
+        assert!(caught.contains("sibling"), "{caught}");
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! agree on the *entire* instrumented output: return value, coverage
 //! set, op counts, step count, uninitialized reads, out-of-bounds
 //! records, and the call trace (or on the identical
-//! [`behav::interp::ExecError`]).
+//! [`behav::interp::ExecError`]). The VM's two lean entry points, which
+//! carry the hot paths, are held to the same reference:
+//! [`Vm::run_value`] (every kernel call in levels 1–3) must return the
+//! interpreter's return value or error, and [`Vm::run_signature`] (the
+//! ATPG fault sweep) its return value and call trace.
 //!
 //! With the `vm-mutant` feature the VM deliberately skips the width
 //! mask on every third scalar assignment; `tests/vm_mutant.rs` proves
@@ -370,6 +374,31 @@ pub fn evaluate(case: &VmCase) -> Evaluation {
                 disagreement: Some(format!(
                     "vm diverged from interpreter on {v:?} (fault {fault:?}): \
                      interp {reference:?} vs vm {observed:?}"
+                )),
+                counters,
+            };
+        }
+        // The lean entry points the hot paths call take no resource
+        // handler, so their reference is an interpreter run without one.
+        let unhandled = if case.calls {
+            let mut interp = Interpreter::new(&func).with_step_limit(case.step_limit);
+            if let Some(f) = fault {
+                interp = interp.with_fault(f);
+            }
+            interp.run(&v)
+        } else {
+            reference.clone()
+        };
+        let value = vm.run_value(&v);
+        let want_value = unhandled.clone().map(|out| out.return_value);
+        let signature = vm.run_signature(&v);
+        let want_signature = unhandled.map(|out| (out.return_value, out.call_trace));
+        if value != want_value || signature != want_signature {
+            return Evaluation {
+                disagreement: Some(format!(
+                    "vm fast paths diverged from interpreter on {v:?} (fault {fault:?}): \
+                     run_value {value:?} vs {want_value:?}, \
+                     run_signature {signature:?} vs {want_signature:?}"
                 )),
                 counters,
             };
