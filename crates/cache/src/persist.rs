@@ -26,9 +26,9 @@ pub const FORMAT_VERSION: u64 = 2;
 const FILE_NAME: &str = "obligations-v2.json";
 const FORMAT_TAG: &str = "symbad-obligation-cache";
 
-/// The lemma pool's own format version: its entries stay keyed by the
-/// miter key, and equal keys still mean byte-identical miter CNFs, so
-/// its clauses did not change meaning when the verdict file did.
+/// The lemma pool's own format version, independent of the verdict
+/// file's: pool entries are keyed by the miter key, and equal miter keys
+/// mean byte-identical miter CNFs whatever the key recipe.
 const LEMMA_FORMAT_VERSION: u64 = 1;
 const LEMMA_FILE_NAME: &str = "lemmas-v1.json";
 const LEMMA_FORMAT_TAG: &str = "symbad-lemma-pool";

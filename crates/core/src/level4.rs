@@ -80,8 +80,8 @@ pub fn prove_equivalence_budgeted(
     // directly; the synthesis path itself is validated against the
     // interpreter by extensive simulation in `hdl::synth` tests, and the
     // miter here guards every later transformation of the netlist.)
-    // Synthesis is deterministic, so equal keys still mean byte-identical
-    // miter CNFs.
+    // Synthesis is deterministic, so equal keys mean byte-identical miter
+    // CNFs.
     let golden = synthesize(func).expect("kernel is synthesizable");
     let sources = mc::obligation::Sources {
         engine: "level4.miter",

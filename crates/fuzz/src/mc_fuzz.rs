@@ -15,9 +15,9 @@
 //! * [`mc::reach`] BDD reachability (exact),
 //! * cached cold/warm runs vs the uncached engine,
 //! * instrumented vs plain BMC,
-//! * the case and its one-edit [`sibling`] through one shared cache: no
-//!   cached verdict may differ from its uncached engine, so two
-//!   obligations that share a cache key by mistake are caught.
+//! * the case and a sibling one recipe edit away through one shared
+//!   cache: no cached verdict may differ from its uncached engine, so
+//!   two obligations that share a cache key by mistake are caught.
 
 use crate::rng::FuzzRng;
 use crate::shrink;
@@ -424,7 +424,7 @@ pub fn evaluate(case: &McCase) -> Evaluation {
         counters,
     };
 
-    // BMC runs with telemetry; the uninstrumented run below must agree.
+    // BMC runs instrumented here and plain below; both must agree.
     let reach = mc::reach::check(&rtl, &prop);
     let collector = telemetry::Collector::shared();
     let instr: telemetry::SharedInstrument = collector.clone();
@@ -474,7 +474,7 @@ pub fn evaluate(case: &McCase) -> Evaluation {
 /// value, an op's kind, or an atom's value, picked from the recipe
 /// itself. Each edit survives [`build`]'s masking, so the sibling is a
 /// different obligation (whether or not it behaves differently).
-pub fn sibling(case: &McCase) -> McCase {
+fn sibling(case: &McCase) -> McCase {
     let mut sib = case.clone();
     let pick = case.bound as usize + case.k as usize + case.ops.len();
     match pick % 3 {
@@ -509,22 +509,18 @@ fn cached_verdicts(
     ]
 }
 
-/// Runs the case and then its [`sibling`] through one shared `store`.
-/// Every cached verdict must equal the same engine's uncached one, and
-/// the sibling's verdicts must agree with its own BFS truth. A cache key
-/// that merged the two obligations would hand the sibling the case's
-/// verdict, and this check would report it.
+/// Runs the case and then its one-edit sibling through one shared
+/// `store`. Each must agree with its own BFS truth, and every cached
+/// verdict must equal the same engine's uncached one. A cache key that
+/// merged the two obligations would hand the sibling the case's verdict,
+/// and this check would report it.
 fn cross_case_disagreement(case: &McCase, store: &cache::ObligationCache) -> Option<String> {
-    let sib = sibling(case);
-    for (who, c) in [("case", case), ("sibling", &sib)] {
+    for (who, c) in [("case", case), ("sibling", &sibling(case))] {
         let (rtl, prop) = build(c);
         let uncached = cached_verdicts(&rtl, &prop, c, cache::noop());
-        if who == "sibling" {
-            let truth = ground_truth_depth(&rtl, &prop);
-            let [reach, bmc, ind] = &uncached;
-            if let Some(msg) = truth_disagreement(&rtl, &prop, c.bound, truth, [reach, bmc, ind]) {
-                return Some(format!("one-edit sibling: {msg}"));
-            }
+        let truth = ground_truth_depth(&rtl, &prop);
+        if let Some(msg) = truth_disagreement(&rtl, &prop, c.bound, truth, uncached.each_ref()) {
+            return Some(format!("{who}: {msg}"));
         }
         let cached = cached_verdicts(&rtl, &prop, c, store);
         for (engine, (got, want)) in ["reach", "bmc", "induction"]
