@@ -1,7 +1,7 @@
 //! Bytecode compilation and the register VM — the decode-once /
 //! execute-many fast path for behavioural execution.
 //!
-//! The tree-walking [`Interpreter`] re-decodes
+//! The tree-walking [`Interpreter`](crate::interp::Interpreter) re-decodes
 //! the IR on every run: every statement dispatch chases `Box`es, every
 //! expression recomputes static widths, and every branch condition clones
 //! coverage bookkeeping. That is fine for one run, but the hot callers
@@ -18,6 +18,15 @@
 //! monomorphizes every hook to a no-op and pays nothing for observability
 //! it does not use.
 //!
+//! Statements are charged per straight-line block, not one by one: a
+//! block is entered only at its first op and ends at every branch, jump,
+//! return, loop back-edge and call, so the `Block` op at its head adds
+//! all its statements to the step count and checks the limit once. Every
+//! statement of an entered block runs, an error discards everything but
+//! the resource calls already made, and no call sits inside a block, so
+//! the charge is exact: results, step counts and handler calls equal the
+//! interpreter's, error runs included.
+//!
 //! A run that provably never returns is cut short: once a run has taken
 //! a few thousand steps, the VM compares the state at each loop back-edge
 //! with an earlier one (Brent's cycle detection), and a repeat ends the
@@ -32,7 +41,7 @@ use crate::coverage::CoverageSet;
 use crate::expr::{BinOp, Expr, UnaryOp};
 use crate::func::{Function, VarId, VarKind};
 use crate::interp::{
-    apply_binop, mask, BitFault, CallEvent, ExecError, Interpreter, OobAccess, OobKind, OpCounts,
+    apply_binop, mask, BitFault, CallEvent, ExecError, OobAccess, OobKind, OpCounts,
     ResourceHandler, RunOutput,
 };
 use crate::stmt::{CondId, ConfigId, Stmt, StmtId};
@@ -73,6 +82,18 @@ enum Op {
     StoreArr { arr: u16, idx: Reg, src: Reg },
     /// Scalar assignment (fault point, masked to the variable's width).
     AssignVar { dst: Reg, src: Reg, mask: u64 },
+    /// Fused `dst = lhs <op> rhs`: the `Binary` and the `AssignVar` of a
+    /// statement whose value is a binary expression, with their hooks in
+    /// the same order. The temporary the pair would pass the value
+    /// through is dead after the statement, so skipping it is invisible.
+    AssignBinary {
+        op: BinOp,
+        dst: Reg,
+        lhs: Reg,
+        rhs: Reg,
+        width: u32,
+        mask: u64,
+    },
     /// Unconditional jump.
     Jump { target: u32 },
     /// Branch-coverage point: counts a branch, records the outcome, and
@@ -99,14 +120,22 @@ enum Op {
         cond: CondId,
         target: u32,
     },
-    /// Statement entry: bumps the step counter (checking the limit) and
-    /// records statement coverage.
-    BeginStmt { id: StmtId },
+    /// Head of a straight-line block: charges the block's `count`
+    /// statements (ids `stmt_ids[first..first + count]`) to the step
+    /// counter, checks the limit once, and records their coverage.
+    Block { first: u32, count: u32 },
     /// Fused loop back-edge: one completed iteration (step accounting,
     /// identical to the interpreter's) plus the jump to the loop head.
     LoopJump { target: u32 },
     /// Return with an optional value.
     Return { src: Option<Reg> },
+    /// Fused `return lhs <op> rhs`.
+    ReturnBinary {
+        op: BinOp,
+        lhs: Reg,
+        rhs: Reg,
+        width: u32,
+    },
     /// `reconfigure(config)` — call-counted and traced.
     Reconfigure { config: ConfigId },
     /// FPGA resource call; `args` index into the program's argument pool.
@@ -118,6 +147,26 @@ enum Op {
     },
     /// End of the body (fell through without a return).
     Halt,
+}
+
+impl Op {
+    /// Whether the op ends a straight-line block: control may leave the
+    /// block here, or the op is a call, which a handler may observe.
+    fn ends_block(&self) -> bool {
+        matches!(
+            self,
+            Op::Jump { .. }
+                | Op::BranchIfZero { .. }
+                | Op::MuxJumpIfZero { .. }
+                | Op::CmpBranch { .. }
+                | Op::LoopJump { .. }
+                | Op::Return { .. }
+                | Op::ReturnBinary { .. }
+                | Op::Reconfigure { .. }
+                | Op::ResourceCall { .. }
+                | Op::Halt
+        )
+    }
 }
 
 /// Compile-time description of one array variable.
@@ -137,6 +186,10 @@ pub struct Program {
     /// Register of the i-th parameter (by declaration ordinal).
     param_regs: Vec<Reg>,
     param_masks: Vec<u64>,
+    /// Registers of the locals and array shadow slots: the only ones a
+    /// run must zero. Parameters are bound on entry, constants written by
+    /// the preamble, and temporaries written before they are read.
+    local_regs: Vec<Reg>,
     /// Scalar register of every variable (arrays also get a scalar shadow
     /// slot, mirroring the interpreter's state layout).
     var_regs: Vec<Reg>,
@@ -147,6 +200,8 @@ pub struct Program {
     arrays: Vec<ArrayInfo>,
     num_regs: usize,
     ops: Vec<Op>,
+    /// Statement ids of every block, contiguous per `Block` op.
+    stmt_ids: Vec<StmtId>,
     /// Flat pool of argument registers for resource calls.
     call_args: Vec<Reg>,
     /// Interned resource-call names.
@@ -256,6 +311,7 @@ pub fn compile(func: &Function) -> Program {
     let mut arrays = Vec::new();
     let mut param_regs = Vec::new();
     let mut param_masks = Vec::new();
+    let mut local_regs = Vec::with_capacity(nvars);
     let mut next: Reg = 0;
     for (i, decl) in func.vars().iter().enumerate() {
         var_regs[i] = next;
@@ -266,8 +322,9 @@ pub fn compile(func: &Function) -> Program {
                 param_regs.push(var_regs[i]);
                 param_masks.push(mask(decl.width));
             }
-            VarKind::Local => {}
+            VarKind::Local => local_regs.push(var_regs[i]),
             VarKind::Array { len } => {
+                local_regs.push(var_regs[i]);
                 var_arrays[i] = Some(arrays.len() as u16);
                 arrays.push(ArrayInfo {
                     var: VarId::from_index(i),
@@ -293,6 +350,8 @@ pub fn compile(func: &Function) -> Program {
         var_arrays: &var_arrays,
         const_regs: &const_regs,
         ops: Vec::new(),
+        stmt_ids: Vec::with_capacity(func.num_statements() as usize),
+        block: None,
         call_args: Vec::new(),
         func_names: Vec::new(),
         num_var_regs: next,
@@ -303,19 +362,22 @@ pub fn compile(func: &Function) -> Program {
         c.ops.push(Op::Const { dst, value });
     }
     c.compile_block(func.body());
-    c.ops.push(Op::Halt);
-    let (ops, call_args, func_names, max_regs) = (c.ops, c.call_args, c.func_names, c.max_regs);
+    c.emit(Op::Halt);
+    let (ops, stmt_ids, call_args, func_names, max_regs) =
+        (c.ops, c.stmt_ids, c.call_args, c.func_names, c.max_regs);
     Program {
         name: func.name().to_owned(),
         num_params: func.num_params(),
         param_regs,
         param_masks,
+        local_regs,
         var_regs,
         var_arrays,
         var_widths,
         arrays,
         num_regs: max_regs as usize,
         ops,
+        stmt_ids,
         call_args,
         func_names,
         coverage_proto: CoverageSet::new(func),
@@ -329,6 +391,10 @@ struct Compiler<'f> {
     /// Deduplicated constants pinned to registers by the preamble.
     const_regs: &'f [(u64, Reg)],
     ops: Vec<Op>,
+    stmt_ids: Vec<StmtId>,
+    /// The open straight-line block's `Block` op, while the next
+    /// statement may still join it.
+    block: Option<usize>,
     call_args: Vec<Reg>,
     func_names: Vec<String>,
     /// First temporary register (one past the last variable register).
@@ -347,8 +413,44 @@ impl Compiler<'_> {
         r
     }
 
+    /// Appends an op; one that ends a block closes the open one.
+    fn emit(&mut self, op: Op) {
+        if op.ends_block() {
+            self.block = None;
+        }
+        self.ops.push(op);
+    }
+
+    /// The position of the next op as a jump target. A target starts a
+    /// new block, so the open one closes.
+    fn label(&mut self) -> u32 {
+        self.block = None;
+        self.ops.len() as u32
+    }
+
+    /// Charges statement `id` to the open block, opening a new one when
+    /// the last closed.
+    fn begin_stmt(&mut self, id: StmtId) {
+        let at = match self.block {
+            Some(at) => at,
+            None => {
+                let at = self.ops.len();
+                self.ops.push(Op::Block {
+                    first: self.stmt_ids.len() as u32,
+                    count: 0,
+                });
+                self.block = Some(at);
+                at
+            }
+        };
+        self.stmt_ids.push(id);
+        if let Op::Block { count, .. } = &mut self.ops[at] {
+            *count += 1;
+        }
+    }
+
     fn patch(&mut self, at: usize) {
-        let t = self.ops.len() as u32;
+        let t = self.label();
         match &mut self.ops[at] {
             Op::Jump { target }
             | Op::BranchIfZero { target, .. }
@@ -379,7 +481,7 @@ impl Compiler<'_> {
                 if dst == creg && src == creg && c == cond {
                     self.ops.truncate(n - 2);
                     let at = self.ops.len();
-                    self.ops.push(Op::CmpBranch {
+                    self.emit(Op::CmpBranch {
                         op,
                         lhs,
                         rhs,
@@ -403,7 +505,7 @@ impl Compiler<'_> {
             if dst == creg {
                 self.ops.pop();
                 let at = self.ops.len();
-                self.ops.push(Op::CmpBranch {
+                self.emit(Op::CmpBranch {
                     op,
                     lhs,
                     rhs,
@@ -416,7 +518,7 @@ impl Compiler<'_> {
             }
         }
         let at = self.ops.len();
-        self.ops.push(Op::BranchIfZero {
+        self.emit(Op::BranchIfZero {
             cond,
             src: creg,
             target: 0,
@@ -450,17 +552,32 @@ impl Compiler<'_> {
     }
 
     fn compile_stmt(&mut self, s: &Stmt) {
-        self.ops.push(Op::BeginStmt { id: s.id() });
+        self.begin_stmt(s.id());
         // Temporaries from the previous statement are dead; reuse them.
         self.tp = self.num_var_regs;
         match s {
             Stmt::Assign { target, value, .. } => {
-                let src = self.compile_expr(value, None, &mut 0);
-                self.ops.push(Op::AssignVar {
-                    dst: self.var_regs[target.index()],
-                    src,
-                    mask: mask(self.func.var(*target).width),
-                });
+                let dst = self.var_regs[target.index()];
+                let mask = mask(self.func.var(*target).width);
+                let op = match value {
+                    Expr::Binary { op, lhs, rhs } => {
+                        let (lhs, rhs, width) = self.compile_operands(lhs, rhs, None, &mut 0);
+                        Op::AssignBinary {
+                            op: *op,
+                            dst,
+                            lhs,
+                            rhs,
+                            width,
+                            mask,
+                        }
+                    }
+                    _ => Op::AssignVar {
+                        dst,
+                        src: self.compile_expr(value, None, &mut 0),
+                        mask,
+                    },
+                };
+                self.emit(op);
             }
             Stmt::Store {
                 array,
@@ -471,12 +588,12 @@ impl Compiler<'_> {
                 let idx = self.compile_expr(index, None, &mut 0);
                 let src = self.compile_expr(value, None, &mut 0);
                 match self.var_arrays[array.index()] {
-                    Some(arr) => self.ops.push(Op::StoreArr { arr, idx, src }),
+                    Some(arr) => self.emit(Op::StoreArr { arr, idx, src }),
                     // Store to a non-array variable: the interpreter drops
                     // the value but still counts the memory op.
                     None => {
                         let dst = self.alloc();
-                        self.ops.push(Op::LoadMissing { dst });
+                        self.emit(Op::LoadMissing { dst });
                     }
                 }
             }
@@ -495,7 +612,7 @@ impl Compiler<'_> {
                     self.patch(br);
                 } else {
                     let j = self.ops.len();
-                    self.ops.push(Op::Jump { target: 0 });
+                    self.emit(Op::Jump { target: 0 });
                     self.patch(br);
                     self.compile_block(else_);
                     self.patch(j);
@@ -507,15 +624,16 @@ impl Compiler<'_> {
                 body,
                 ..
             } => {
-                // BeginStmt runs once on arrival; each completed iteration
-                // costs one LoopJump step — matching the interpreter's
-                // step accounting exactly.
-                let head = self.ops.len() as u32;
+                // The statement is charged once on arrival, by the block
+                // before the loop head; each completed iteration costs one
+                // LoopJump step — matching the interpreter's step
+                // accounting exactly.
+                let head = self.label();
                 let mut next_atom = 0u32;
                 let creg = self.compile_expr(cond, Some(*cond_id), &mut next_atom);
                 let br = self.emit_branch(*cond_id, creg);
                 self.compile_block(body);
-                self.ops.push(Op::LoopJump { target: head });
+                self.emit(Op::LoopJump { target: head });
                 self.patch(br);
                 // The condition re-evaluates each iteration; its temps must
                 // not collide with the loop body's statements (they reset
@@ -523,11 +641,24 @@ impl Compiler<'_> {
                 self.tp = self.num_var_regs;
             }
             Stmt::Return { value, .. } => {
-                let src = value.as_ref().map(|e| self.compile_expr(e, None, &mut 0));
-                self.ops.push(Op::Return { src });
+                let op = match value {
+                    Some(Expr::Binary { op, lhs, rhs }) => {
+                        let (lhs, rhs, width) = self.compile_operands(lhs, rhs, None, &mut 0);
+                        Op::ReturnBinary {
+                            op: *op,
+                            lhs,
+                            rhs,
+                            width,
+                        }
+                    }
+                    _ => Op::Return {
+                        src: value.as_ref().map(|e| self.compile_expr(e, None, &mut 0)),
+                    },
+                };
+                self.emit(op);
             }
             Stmt::Reconfigure { config, .. } => {
-                self.ops.push(Op::Reconfigure { config: *config });
+                self.emit(Op::Reconfigure { config: *config });
             }
             Stmt::ResourceCall {
                 func, args, target, ..
@@ -544,7 +675,7 @@ impl Compiler<'_> {
                 let fidx = self.intern_name(func);
                 let target =
                     target.map(|t| (self.var_regs[t.index()], mask(self.func.var(t).width)));
-                self.ops.push(Op::ResourceCall {
+                self.emit(Op::ResourceCall {
                     func: fidx,
                     args_start,
                     args_len,
@@ -562,6 +693,23 @@ impl Compiler<'_> {
                 (self.func_names.len() - 1) as u16
             }
         }
+    }
+
+    /// Compiles the operands of a binary node left to right, returning
+    /// their registers and the node's width. The operands' temporaries are
+    /// released, so the node's own result (if any) reuses the first.
+    fn compile_operands(
+        &mut self,
+        lhs: &Expr,
+        rhs: &Expr,
+        cond: Option<CondId>,
+        next_atom: &mut u32,
+    ) -> (Reg, Reg, u32) {
+        let base = self.tp;
+        let l = self.compile_expr(lhs, cond, next_atom);
+        let r = self.compile_expr(rhs, cond, next_atom);
+        self.tp = base;
+        (l, r, self.width_of(lhs).max(self.width_of(rhs)))
     }
 
     /// Compiles an expression, returning the register holding its value.
@@ -586,8 +734,8 @@ impl Compiler<'_> {
                 self.tp = base;
                 let dst = self.alloc();
                 match self.var_arrays[array.index()] {
-                    Some(arr) => self.ops.push(Op::Load { dst, arr, idx }),
-                    None => self.ops.push(Op::LoadMissing { dst }),
+                    Some(arr) => self.emit(Op::Load { dst, arr, idx }),
+                    None => self.emit(Op::LoadMissing { dst }),
                 }
                 dst
             }
@@ -597,7 +745,7 @@ impl Compiler<'_> {
                 let m = mask(self.width_of(arg));
                 self.tp = base;
                 let dst = self.alloc();
-                self.ops.push(Op::Unary {
+                self.emit(Op::Unary {
                     op: *op,
                     dst,
                     src,
@@ -614,13 +762,9 @@ impl Compiler<'_> {
                     }
                     _ => None,
                 };
-                let base = self.tp;
-                let l = self.compile_expr(lhs, cond, next_atom);
-                let r = self.compile_expr(rhs, cond, next_atom);
-                let width = self.width_of(lhs).max(self.width_of(rhs));
-                self.tp = base;
+                let (l, r, width) = self.compile_operands(lhs, rhs, cond, next_atom);
                 let dst = self.alloc();
-                self.ops.push(Op::Binary {
+                self.emit(Op::Binary {
                     op: *op,
                     dst,
                     lhs: l,
@@ -628,7 +772,7 @@ impl Compiler<'_> {
                     width,
                 });
                 if let (Some(id), Some(atom)) = (cond, my_atom) {
-                    self.ops.push(Op::Atom {
+                    self.emit(Op::Atom {
                         cond: id,
                         atom,
                         src: dst,
@@ -646,18 +790,18 @@ impl Compiler<'_> {
                 self.tp = base;
                 let dst = self.alloc();
                 let jz = self.ops.len();
-                self.ops.push(Op::MuxJumpIfZero {
+                self.emit(Op::MuxJumpIfZero {
                     src: creg,
                     target: 0,
                 });
                 let tr = self.compile_expr(then_, cond, next_atom);
-                self.ops.push(Op::Copy { dst, src: tr });
+                self.emit(Op::Copy { dst, src: tr });
                 let j = self.ops.len();
-                self.ops.push(Op::Jump { target: 0 });
+                self.emit(Op::Jump { target: 0 });
                 self.patch(jz);
                 self.tp = base + 1; // dst stays live across the arms
                 let er = self.compile_expr(else_, cond, next_atom);
-                self.ops.push(Op::Copy { dst, src: er });
+                self.emit(Op::Copy { dst, src: er });
                 self.patch(j);
                 self.tp = base + 1;
                 dst
@@ -675,10 +819,13 @@ impl Compiler<'_> {
 trait VmHooks {
     /// Whether [`CallEvent`]s should be constructed and delivered.
     const TRACE_CALLS: bool = false;
+    /// Whether the statement ids of each entered block are delivered.
+    const STATEMENTS: bool = false;
 
-    /// A statement began executing.
+    /// The statements of an entered block (only delivered when
+    /// `STATEMENTS` is true).
     #[inline(always)]
-    fn on_stmt(&mut self, _id: StmtId) {}
+    fn on_stmts(&mut self, _ids: &[StmtId]) {}
     /// A branch outcome was decided.
     #[inline(always)]
     fn on_branch(&mut self, _cond: CondId, _taken: bool) {}
@@ -703,6 +850,15 @@ trait VmHooks {
     /// One resource/reconfigure call executed.
     #[inline(always)]
     fn count_call(&mut self) {}
+    /// One binary operation executed, counted by its class.
+    #[inline(always)]
+    fn count_binop(&mut self, op: BinOp) {
+        match op {
+            BinOp::Mul => self.count_mul(),
+            BinOp::Div | BinOp::Rem => self.count_div(),
+            _ => self.count_alu(),
+        }
+    }
     /// A never-written array element was read.
     #[inline(always)]
     fn on_uninit_read(&mut self, _var: VarId, _index: u64) {}
@@ -738,10 +894,13 @@ struct FullHooks {
 
 impl VmHooks for FullHooks {
     const TRACE_CALLS: bool = true;
+    const STATEMENTS: bool = true;
 
     #[inline(always)]
-    fn on_stmt(&mut self, id: StmtId) {
-        self.coverage.hit_statement(id);
+    fn on_stmts(&mut self, ids: &[StmtId]) {
+        for &id in ids {
+            self.coverage.hit_statement(id);
+        }
     }
     #[inline(always)]
     fn on_branch(&mut self, cond: CondId, taken: bool) {
@@ -815,6 +974,41 @@ struct CompiledFault {
     arr: Option<u16>,
     or: u64,
     and: u64,
+}
+
+/// `v` as written to scalar register `dst`: with the injected fault's
+/// bit forced when the fault targets `dst`.
+#[inline(always)]
+fn faulted(fault: Option<CompiledFault>, dst: Reg, v: u64) -> u64 {
+    match fault {
+        Some(f) if f.reg == dst => (v | f.or) & f.and,
+        _ => v,
+    }
+}
+
+/// State of the seeded `vm-mutant` miscompile: the count of scalar
+/// assignments so far. Empty, and free, without the feature.
+#[derive(Debug, Default)]
+struct Mutant {
+    #[cfg(feature = "vm-mutant")]
+    writes: u64,
+}
+
+impl Mutant {
+    /// The width mask a scalar assignment applies. With the feature on,
+    /// every third assignment skips it: the differential oracle must
+    /// catch that.
+    #[inline(always)]
+    fn mask(&mut self, mask: u64) -> u64 {
+        #[cfg(feature = "vm-mutant")]
+        {
+            self.writes += 1;
+            if self.writes.is_multiple_of(3) {
+                return u64::MAX;
+            }
+        }
+        mask
+    }
 }
 
 /// Per-array runtime state. `written` holds the stamp of the run that last
@@ -980,8 +1174,9 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Interpreter::run`]: arity mismatch or step-limit
-    /// exhaustion.
+    /// Same contract as
+    /// [`Interpreter::run`](crate::interp::Interpreter::run): arity
+    /// mismatch or step-limit exhaustion.
     pub fn run(&mut self, inputs: &[u64]) -> Result<RunOutput, ExecError> {
         self.run_with_handler(inputs, None)
     }
@@ -990,7 +1185,8 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Interpreter::run`].
+    /// Same contract as
+    /// [`Interpreter::run`](crate::interp::Interpreter::run).
     pub fn run_with_handler(
         &mut self,
         inputs: &[u64],
@@ -1019,7 +1215,8 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Interpreter::run`].
+    /// Same contract as
+    /// [`Interpreter::run`](crate::interp::Interpreter::run).
     pub fn run_value(&mut self, inputs: &[u64]) -> Result<Option<u64>, ExecError> {
         let mut hooks = NoHooks;
         Ok(self.run_hooked(inputs, &mut hooks, None)?.0)
@@ -1030,7 +1227,8 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Interpreter::run`].
+    /// Same contract as
+    /// [`Interpreter::run`](crate::interp::Interpreter::run).
     pub fn run_signature(
         &mut self,
         inputs: &[u64],
@@ -1045,7 +1243,8 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Interpreter::run`].
+    /// Same contract as
+    /// [`Interpreter::run`](crate::interp::Interpreter::run).
     fn run_hooked<H: VmHooks>(
         &mut self,
         inputs: &[u64],
@@ -1059,10 +1258,12 @@ impl Vm {
                 got: inputs.len(),
             });
         }
-        // Reset reusable state: registers to zero, arrays by bumping the
+        // Reset reusable state: locals to zero, arrays by bumping the
         // generation stamp (elements written by older runs read as
         // uninitialized again, with no memset).
-        self.regs.fill(0);
+        for &r in &program.local_regs {
+            self.regs[r as usize] = 0;
+        }
         for (i, &v) in inputs.iter().enumerate() {
             self.regs[program.param_regs[i] as usize] = v & program.param_masks[i];
         }
@@ -1077,8 +1278,7 @@ impl Vm {
         let check_at = step_limit.min(CYCLE_CHECK_AFTER);
         let detector = &mut self.detector;
         let garbage = self.garbage;
-        #[cfg(feature = "vm-mutant")]
-        let mut mutant_writes = 0u64;
+        let mut mutant = Mutant::default();
         let ops: &[Op] = &program.ops;
         let mut pc = 0usize;
         let mut steps = 0u64;
@@ -1105,11 +1305,7 @@ impl Vm {
                 } => {
                     let a = regs[lhs as usize];
                     let b = regs[rhs as usize];
-                    match op {
-                        BinOp::Mul => hooks.count_mul(),
-                        BinOp::Div | BinOp::Rem => hooks.count_div(),
-                        _ => hooks.count_alu(),
-                    }
+                    hooks.count_binop(op);
                     regs[dst as usize] = apply_binop(op, a, b, width);
                 }
                 Op::Load { dst, arr, idx } => {
@@ -1160,25 +1356,23 @@ impl Vm {
                     hooks.count_mem();
                 }
                 Op::AssignVar { dst, src, mask } => {
-                    let mut v = regs[src as usize];
-                    if let Some(f) = fault {
-                        if f.reg == dst {
-                            v = (v | f.or) & f.and;
-                        }
-                    }
-                    #[cfg(feature = "vm-mutant")]
-                    let mask = {
-                        // Seeded miscompile: skip the width mask on every
-                        // third scalar assignment. The differential oracle
-                        // must catch this.
-                        mutant_writes += 1;
-                        if mutant_writes.is_multiple_of(3) {
-                            u64::MAX
-                        } else {
-                            mask
-                        }
-                    };
-                    regs[dst as usize] = v & mask;
+                    regs[dst as usize] =
+                        faulted(fault, dst, regs[src as usize]) & mutant.mask(mask);
+                    hooks.count_alu();
+                }
+                Op::AssignBinary {
+                    op,
+                    dst,
+                    lhs,
+                    rhs,
+                    width,
+                    mask,
+                } => {
+                    let a = regs[lhs as usize];
+                    let b = regs[rhs as usize];
+                    hooks.count_binop(op);
+                    let v = apply_binop(op, a, b, width);
+                    regs[dst as usize] = faulted(fault, dst, v) & mutant.mask(mask);
                     hooks.count_alu();
                 }
                 Op::Jump { target } => pc = target as usize,
@@ -1207,11 +1401,7 @@ impl Vm {
                 } => {
                     let a = regs[lhs as usize];
                     let b = regs[rhs as usize];
-                    match op {
-                        BinOp::Mul => hooks.count_mul(),
-                        BinOp::Div | BinOp::Rem => hooks.count_div(),
-                        _ => hooks.count_alu(),
-                    }
+                    hooks.count_binop(op);
                     let v = apply_binop(op, a, b, width);
                     if let Some(atom) = atom {
                         hooks.on_atom(cond, atom, v != 0);
@@ -1226,12 +1416,15 @@ impl Vm {
                 Op::Atom { cond, atom, src } => {
                     hooks.on_atom(cond, atom, regs[src as usize] != 0);
                 }
-                Op::BeginStmt { id } => {
-                    steps += 1;
+                Op::Block { first, count } => {
+                    steps += u64::from(count);
                     if steps > step_limit {
                         return Err(ExecError::StepLimit { limit: step_limit });
                     }
-                    hooks.on_stmt(id);
+                    if H::STATEMENTS {
+                        let first = first as usize;
+                        hooks.on_stmts(&program.stmt_ids[first..first + count as usize]);
+                    }
                 }
                 Op::LoopJump { target } => {
                     steps += 1;
@@ -1251,6 +1444,17 @@ impl Vm {
                     pc = target as usize;
                 }
                 Op::Return { src } => break src.map(|r| regs[r as usize]),
+                Op::ReturnBinary {
+                    op,
+                    lhs,
+                    rhs,
+                    width,
+                } => {
+                    let a = regs[lhs as usize];
+                    let b = regs[rhs as usize];
+                    hooks.count_binop(op);
+                    break Some(apply_binop(op, a, b, width));
+                }
                 Op::Reconfigure { config } => {
                     hooks.count_call();
                     if H::TRACE_CALLS {
@@ -1280,13 +1484,7 @@ impl Vm {
                         });
                     }
                     if let Some((dst, m)) = target {
-                        let mut v = result & m;
-                        if let Some(f) = fault {
-                            if f.reg == dst {
-                                v = (v | f.or) & f.and;
-                            }
-                        }
-                        regs[dst as usize] = v & m;
+                        regs[dst as usize] = faulted(fault, dst, result & m) & m;
                     }
                 }
                 Op::Halt => break None,
@@ -1296,7 +1494,8 @@ impl Vm {
     }
 }
 
-/// Engine choice for behavioural execution in hot callers.
+/// Engine choice for callers that can run either engine, such as the
+/// `atpg` coverage sweeps, so the two can be cross-checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BehavExec {
     /// The tree-walking interpreter — the reference semantics, retained as
@@ -1317,55 +1516,11 @@ impl BehavExec {
     }
 }
 
-/// A compile-once executor for one function under either engine — what a
-/// hot caller holds so the engine choice is a construction-time decision.
-#[derive(Debug)]
-pub enum Runner {
-    /// Tree-walking oracle (decodes the IR each run).
-    Interp(Function),
-    /// Compiled program with reusable VM state.
-    Vm(Box<Vm>),
-}
-
-impl Runner {
-    /// Builds a runner for `func` under the chosen engine.
-    pub fn new(func: &Function, exec: BehavExec) -> Runner {
-        match exec {
-            BehavExec::Interp => Runner::Interp(func.clone()),
-            BehavExec::Vm => Runner::Vm(Box::new(Vm::new(compile(func)))),
-        }
-    }
-
-    /// Executes on `inputs`, returning only the return value.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Interpreter::run`].
-    pub fn run_value(&mut self, inputs: &[u64]) -> Result<Option<u64>, ExecError> {
-        match self {
-            Runner::Interp(f) => Interpreter::new(f).run(inputs).map(|o| o.return_value),
-            Runner::Vm(vm) => vm.run_value(inputs),
-        }
-    }
-
-    /// Fully instrumented execution.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Interpreter::run`].
-    pub fn run(&mut self, inputs: &[u64]) -> Result<RunOutput, ExecError> {
-        match self {
-            Runner::Interp(f) => Interpreter::new(f).run(inputs),
-            Runner::Vm(vm) => vm.run(inputs),
-        }
-    }
-}
-
 #[cfg(all(test, not(feature = "vm-mutant")))]
 mod tests {
     use super::*;
     use crate::func::FunctionBuilder;
-    use crate::interp::enumerate_bit_faults;
+    use crate::interp::{enumerate_bit_faults, Interpreter};
     use crate::unroll::unroll;
 
     fn gcd_func() -> Function {
@@ -1573,6 +1728,62 @@ mod tests {
         });
         fb.ret(Expr::var(res));
         (fb.build(), i)
+    }
+
+    /// Straight-line statements with resource calls between them: each
+    /// call must end its block, or a limit that falls just after a call
+    /// would stop the VM before a call the interpreter makes.
+    fn calls_between_func() -> Function {
+        let mut fb = FunctionBuilder::new("calls", 16);
+        let a = fb.param("a", 16);
+        let x = fb.local("x", 16);
+        let y = fb.local("y", 16);
+        fb.assign(x, Expr::add(Expr::var(a), Expr::constant(1, 16)));
+        fb.resource_call("probe", vec![Expr::var(x)], Some(y));
+        fb.assign(y, Expr::xor(Expr::var(y), Expr::var(x)));
+        fb.reconfigure(ConfigId(2));
+        fb.resource_call("probe", vec![Expr::var(y)], None);
+        fb.assign(x, Expr::mul(Expr::var(x), Expr::var(y)));
+        fb.ret(Expr::add(Expr::var(x), Expr::var(y)));
+        fb.build()
+    }
+
+    #[test]
+    fn block_step_accounting_is_exact_at_every_limit() {
+        let (root, _) = root_func();
+        let cases = [
+            (gcd_func(), vec![48u64, 18]),
+            (root, vec![49]),
+            (calls_between_func(), vec![7]),
+        ];
+        let answer = |args: &[u64]| args.first().map_or(3, |&a| a * 5 + 1);
+        for (f, inputs) in &cases {
+            let steps = Interpreter::new(f).run(inputs).unwrap().steps;
+            let mut vm = Vm::new(compile(f));
+            for limit in 0..=steps {
+                let (mut interp_calls, mut vm_calls) = (0u32, 0u32);
+                let interp = Interpreter::new(f)
+                    .with_step_limit(limit)
+                    .with_resource_handler(Box::new(|_: &str, args: &[u64]| {
+                        interp_calls += 1;
+                        answer(args)
+                    }))
+                    .run(inputs);
+                vm.step_limit = limit;
+                let mut handler = |_: &str, args: &[u64]| {
+                    vm_calls += 1;
+                    answer(args)
+                };
+                let out = vm.run_with_handler(inputs, Some(&mut handler));
+                assert_eq!(out, interp, "{} at step limit {limit}", f.name());
+                assert_eq!(
+                    vm_calls,
+                    interp_calls,
+                    "{} handler calls at step limit {limit}",
+                    f.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1799,18 +2010,6 @@ mod tests {
     }
 
     #[test]
-    fn runner_engines_agree() {
-        let f = gcd_func();
-        let mut interp = Runner::new(&f, BehavExec::Interp);
-        let mut vm = Runner::new(&f, BehavExec::Vm);
-        assert_eq!(BehavExec::default(), BehavExec::Vm);
-        for v in [[48u64, 18], [640, 480]] {
-            assert_eq!(interp.run(&v), vm.run(&v));
-            assert_eq!(interp.run_value(&v), vm.run_value(&v));
-        }
-    }
-
-    #[test]
     fn program_reports_shape() {
         let p = compile(&gcd_func());
         assert_eq!(p.name(), "gcd");
@@ -1825,6 +2024,7 @@ mod tests {
 mod mutant_tests {
     use super::*;
     use crate::func::FunctionBuilder;
+    use crate::interp::Interpreter;
 
     /// With the seeded miscompile enabled, a function whose expressions
     /// exceed the target's width must diverge from the interpreter.

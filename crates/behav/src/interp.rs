@@ -498,7 +498,9 @@ impl<'f, 'h> Interpreter<'f, 'h> {
 }
 
 /// Pure binary-operator semantics at a given width; shared with the RTL
-/// synthesis equivalence tests.
+/// synthesis equivalence tests. Inlined into the VM's dispatch loop and
+/// the RTL evaluator, which call it per op.
+#[inline(always)]
 pub fn apply_binop(op: BinOp, a: u64, b: u64, width: u32) -> u64 {
     let m = mask(width);
     let (a, b) = (a & m, b & m);

@@ -49,7 +49,7 @@ pub mod pretty;
 pub mod stmt;
 pub mod unroll;
 
-pub use bytecode::{BehavExec, Program, Runner, Vm};
+pub use bytecode::{BehavExec, Program, Vm};
 pub use coverage::{CoverageReport, CoverageSet};
 pub use expr::{BinOp, Expr, UnaryOp};
 pub use func::{BlockBuilder, Function, FunctionBuilder, VarDecl, VarId, VarKind};

@@ -27,7 +27,7 @@ use crate::supervise::{
     DegradationSummary, Discharged, Obligation, ObligationOutcome, ObligationStatus, RunCtx,
     SupervisionPolicy,
 };
-use crate::timed::{self, MatcherKind, ReconfigStrategy, RecoveryPolicy, RunError};
+use crate::timed::{self, MatcherKind, ReconfigStrategy, RecoveryPolicy, RunError, TimedSetup};
 use crate::workload::Workload;
 use crate::{cascade, level1, level2, level4};
 use lp::lpv::LivenessVerdict;
@@ -398,8 +398,12 @@ fn run_flow(
         phases.push(summary);
     };
 
+    // The reference model's trace, computed once and checked by every
+    // simulated level.
+    let expected = level1::reference_trace(&workload.reference_results());
+
     // ── Level 1: functional model vs reference ────────────────────────
-    let l1 = level1::run_instrumented(workload, instrument)?;
+    let l1 = level1::run_against(workload, &expected, instrument)?;
     note_phase(
         &mut phases,
         PhaseSummary {
@@ -435,8 +439,11 @@ fn run_flow(
     );
 
     // ── Level 2: architecture mapping ──────────────────────────────────
-    let l2 = level2::run_instrumented(workload, instrument)?;
+    let l2 = level2::run_against(workload, &expected, instrument)?;
     let l2_matches_l1 = l1.trace.matches_untimed(&l2.trace).is_ok();
+    // Traces are the flow's largest values: each is dropped as soon as
+    // the last comparison that reads it is done.
+    drop(l1.trace);
     note_phase(
         &mut phases,
         PhaseSummary {
@@ -478,23 +485,23 @@ fn run_flow(
     // The job surface only exposes fault kinds the default recovery
     // policy always absorbs (retry or degrade-to-software), so a platform
     // error here is a contract violation, not a reachable outcome.
-    let l3 = timed::run_faulted_instrumented(
+    let setup = TimedSetup {
         workload,
-        &crate::Partition::paper_level3(),
+        partition: &crate::Partition::paper_level3(),
         arch,
-        MatcherKind::Fpga {
+        matcher_kind: MatcherKind::Fpga {
             strategy: ReconfigStrategy::Hoisted,
             rtl_cosim: false,
         },
         faults,
-        RecoveryPolicy::default(),
-        instrument,
-    )
-    .map_err(|e| match e {
+        recovery: RecoveryPolicy::default(),
+    };
+    let l3 = timed::run_against(setup, &expected, instrument).map_err(|e| match e {
         RunError::Sim(e) => e,
         RunError::Platform(f) => unreachable!("default recovery absorbs platform faults: {f}"),
     })?;
     let l3_matches_l2 = l2.trace.matches_untimed(&l3.trace).is_ok();
+    drop((expected, l2.trace, l3.trace));
     let fpga = l3.fpga.clone().expect("level 3 has an FPGA");
     note_phase(
         &mut phases,

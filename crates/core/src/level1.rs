@@ -9,7 +9,6 @@
 
 use crate::msg::Msg;
 use crate::workload::Workload;
-use behav::bytecode::BehavExec;
 use media::kernels::CompiledKernel;
 use media::pipeline::{
     bay, calcdist, calcline, crtbord, crtline, edge, ellipse, erosion, root, winner,
@@ -252,6 +251,22 @@ pub fn run_instrumented(
     workload: &Workload,
     instrument: &telemetry::SharedInstrument,
 ) -> Result<Level1Report, SimError> {
+    let expected = reference_trace(&workload.reference_results());
+    run_against(workload, &expected, instrument)
+}
+
+/// The level-1 body: runs the model and compares its trace with
+/// `expected`, the workload's [`reference_trace`]. The flow builds that
+/// trace once and hands it to every level.
+///
+/// # Errors
+///
+/// Propagates kernel errors (the livelock guard).
+pub(crate) fn run_against(
+    workload: &Workload,
+    expected: &Trace<Msg>,
+    instrument: &telemetry::SharedInstrument,
+) -> Result<Level1Report, SimError> {
     let mut sim: Simulator<Msg> = Simulator::new();
     sim.set_poll_limit(200_000_000);
     sim.set_instrument(instrument.clone());
@@ -382,7 +397,7 @@ pub fn run_instrumented(
         current: None,
         seen: 0,
         pending: VecDeque::new(),
-        kernel: CompiledKernel::distance_step(BehavExec::default()),
+        kernel: CompiledKernel::distance_step(),
     });
     sim.add_process(Stage {
         name: "calcdist",
@@ -405,7 +420,7 @@ pub fn run_instrumented(
             // ROOT through the compiled 32-bit kernel. Feature sums always
             // fit (128 × 255² ≪ 2³²); the guard keeps the function total
             // for arbitrary inputs without changing any real trace.
-            let mut kernel = CompiledKernel::root(BehavExec::default());
+            let mut kernel = CompiledKernel::root();
             Box::new(move |tok| match tok {
                 Msg::SumSq(i, s) => {
                     let r = if s < (1u64 << 32) {
@@ -432,9 +447,7 @@ pub fn run_instrumented(
     let trace = sim.take_trace();
 
     // Compare against the reference model.
-    let reference = workload.reference_results();
-    let expected = reference_trace(&reference);
-    let cmp = trace.matches_untimed(&expected);
+    let cmp = trace.matches_untimed(expected);
     let recognized: Vec<usize> = trace
         .items_for("winner")
         .into_iter()

@@ -6,10 +6,12 @@
 //! with a hardwired matcher (no reconfigurable hardware yet) and the
 //! paper's level-2 partition by default.
 
+use crate::level1::reference_trace;
+use crate::msg::Msg;
 use crate::partition::{ArchConfig, Partition};
-use crate::timed::{self, MatcherKind, TimedReport};
+use crate::timed::{self, MatcherKind, RecoveryPolicy, RunError, TimedReport, TimedSetup};
 use crate::workload::Workload;
-use sim::SimError;
+use sim::{SimError, Trace};
 
 /// Runs the level-2 model with the paper's default partition.
 ///
@@ -39,20 +41,32 @@ pub fn run_instrumented(
     workload: &Workload,
     instrument: &telemetry::SharedInstrument,
 ) -> Result<TimedReport, SimError> {
-    timed::run_faulted_instrumented(
+    let expected = reference_trace(&workload.reference_results());
+    run_against(workload, &expected, instrument)
+}
+
+/// The level-2 body: runs the paper's level-2 mapping and compares its
+/// trace with `expected`, the workload's [`reference_trace`].
+///
+/// # Errors
+///
+/// Propagates kernel errors.
+pub(crate) fn run_against(
+    workload: &Workload,
+    expected: &Trace<Msg>,
+    instrument: &telemetry::SharedInstrument,
+) -> Result<TimedReport, SimError> {
+    let setup = TimedSetup {
         workload,
-        &Partition::paper_level2(),
-        &ArchConfig::default(),
-        MatcherKind::Hardwired,
-        None,
-        crate::timed::RecoveryPolicy::default(),
-        instrument,
-    )
-    .map_err(|e| match e {
-        crate::timed::RunError::Sim(e) => e,
-        crate::timed::RunError::Platform(f) => {
-            unreachable!("platform fault without a fault plan: {f}")
-        }
+        partition: &Partition::paper_level2(),
+        arch: &ArchConfig::default(),
+        matcher_kind: MatcherKind::Hardwired,
+        faults: None,
+        recovery: RecoveryPolicy::default(),
+    };
+    timed::run_against(setup, expected, instrument).map_err(|e| match e {
+        RunError::Sim(e) => e,
+        RunError::Platform(f) => unreachable!("platform fault without a fault plan: {f}"),
     })
 }
 

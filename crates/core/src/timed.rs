@@ -21,7 +21,6 @@
 use crate::msg::Msg;
 use crate::partition::{ArchConfig, Domain, Partition};
 use crate::workload::Workload;
-use behav::bytecode::BehavExec;
 use media::kernels::CompiledKernel;
 use media::pipeline::{
     bay, calcdist, calcline, crtbord, crtline, edge, ellipse, erosion, root, winner, FeatureVector,
@@ -897,7 +896,6 @@ pub fn run_faulted(
 /// # Panics
 ///
 /// Same as [`run_faulted`].
-#[allow(clippy::too_many_lines)]
 pub fn run_faulted_instrumented(
     workload: &Workload,
     partition: &Partition,
@@ -907,6 +905,52 @@ pub fn run_faulted_instrumented(
     recovery: RecoveryPolicy,
     instrument: &telemetry::SharedInstrument,
 ) -> Result<TimedReport, RunError> {
+    let expected = crate::level1::reference_trace(&workload.reference_results());
+    let setup = TimedSetup {
+        workload,
+        partition,
+        arch,
+        matcher_kind,
+        faults,
+        recovery,
+    };
+    run_against(setup, &expected, instrument)
+}
+
+/// What one timed run simulates: the workload on a partitioned
+/// architecture, with the level's matcher and an optional fault campaign
+/// under a recovery policy.
+pub(crate) struct TimedSetup<'a> {
+    pub(crate) workload: &'a Workload,
+    pub(crate) partition: &'a Partition,
+    pub(crate) arch: &'a ArchConfig,
+    pub(crate) matcher_kind: MatcherKind,
+    pub(crate) faults: Option<FaultPlan>,
+    pub(crate) recovery: RecoveryPolicy,
+}
+
+/// The timed body behind levels 2 and 3: runs `setup` and compares its
+/// trace with `expected`, the workload's
+/// [`crate::level1::reference_trace`]. The flow builds that trace once
+/// and hands it to every level.
+///
+/// # Errors
+///
+/// Same as [`run_faulted`].
+#[allow(clippy::too_many_lines)]
+pub(crate) fn run_against(
+    setup: TimedSetup<'_>,
+    expected: &Trace<Msg>,
+    instrument: &telemetry::SharedInstrument,
+) -> Result<TimedReport, RunError> {
+    let TimedSetup {
+        workload,
+        partition,
+        arch,
+        matcher_kind,
+        faults,
+        recovery,
+    } = setup;
     let config = *workload.dataset.config();
     let gallery_len = workload.gallery_len();
 
@@ -1033,35 +1077,20 @@ pub fn run_faulted_instrumented(
     let ch_req = sim.add_fifo("cpu→matcher", 2);
     let ch_resp = sim.add_fifo("matcher→cpu", gallery_len.max(2));
 
-    // HW front-end: precompute frames + charges, trace checkpoints now —
-    // no: checkpoints must be traced in-simulation. The front-end traces
-    // bay/erosion checksums when it hands the frame over.
+    // HW front-end: the eroded frames it hands over, with their charges,
+    // and the bay/erosion checksums, all from one pass per probe. The
+    // checkpoints are traced in-simulation, by a thin wrapper process
+    // reading the handover FIFO.
     let front_charge: u64 = ["camera", "bay", "erosion"].iter().map(|m| charge(m)).sum();
-    let frames: VecDeque<(media::image::GrayImage, u64)> = workload
-        .probes
-        .iter()
-        .map(|&(id, pose, seed)| {
-            let raw = workload.dataset.frame(id, pose, seed);
-            let gray = bay(&raw);
-            let eroded = erosion(&gray);
-            (eroded, front_charge)
-        })
-        .collect();
-    // Checkpoint traces for bay/erosion are emitted by a thin wrapper
-    // process reading the handover FIFO.
-    let bay_sums: VecDeque<(u64, u64)> = workload
-        .probes
-        .iter()
-        .map(|&(id, pose, seed)| {
-            let raw = workload.dataset.frame(id, pose, seed);
-            let g = bay(&raw);
-            let e = erosion(&g);
-            (
-                g.data.iter().map(|&p| p as u64).sum(),
-                e.data.iter().map(|&p| p as u64).sum(),
-            )
-        })
-        .collect();
+    let checksum = |g: &media::image::GrayImage| -> u64 { g.data.iter().map(|&p| p as u64).sum() };
+    let mut frames: VecDeque<(media::image::GrayImage, u64)> = VecDeque::new();
+    let mut bay_sums: VecDeque<(u64, u64)> = VecDeque::new();
+    for &(id, pose, seed) in &workload.probes {
+        let gray = bay(&workload.dataset.frame(id, pose, seed));
+        let eroded = erosion(&gray);
+        bay_sums.push_back((checksum(&gray), checksum(&eroded)));
+        frames.push_back((eroded, front_charge));
+    }
     let ch_traced = sim.add_fifo("front_traced", 2);
     sim.add_process(HwFront {
         frames,
@@ -1116,8 +1145,8 @@ pub fn run_faulted_instrumented(
         policy: recovery,
         recovery: recovery_state.clone(),
         root_rtl,
-        distance_kernel: CompiledKernel::distance_step(BehavExec::default()),
-        root_kernel: CompiledKernel::root(BehavExec::default()),
+        distance_kernel: CompiledKernel::distance_step(),
+        root_kernel: CompiledKernel::root(),
         current: None,
         pending: VecDeque::new(),
     });
@@ -1133,9 +1162,7 @@ pub fn run_faulted_instrumented(
     let trace = sim.take_trace();
     let total_ticks = outcome.stats.final_time.ticks();
 
-    let reference = workload.reference_results();
-    let expected = crate::level1::reference_trace(&reference);
-    let cmp = trace.matches_untimed(&expected);
+    let cmp = trace.matches_untimed(expected);
     let recognized: Vec<usize> = trace
         .items_for("winner")
         .into_iter()

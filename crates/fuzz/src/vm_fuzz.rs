@@ -12,8 +12,9 @@
 //! agree on the *entire* instrumented output: return value, coverage
 //! set, op counts, step count, uninitialized reads, out-of-bounds
 //! records, and the call trace (or on the identical
-//! [`behav::interp::ExecError`]). The VM's two lean entry points, which
-//! carry the hot paths, are held to the same reference:
+//! [`behav::interp::ExecError`]) — and on how many times each called its
+//! resource handler, error runs included. The VM's two lean entry
+//! points, which carry the hot paths, are held to the same reference:
 //! [`Vm::run_value`] (every kernel call in levels 1–3) must return the
 //! interpreter's return value or error, and [`Vm::run_signature`] (the
 //! ATPG fault sweep) its return value and call trace.
@@ -355,25 +356,38 @@ pub fn evaluate(case: &VmCase) -> Evaluation {
             .chain(std::iter::repeat(0))
             .take(func.num_params())
             .collect();
-        let mut interp = Interpreter::new(&func).with_step_limit(case.step_limit);
-        if let Some(f) = fault {
-            interp = interp.with_fault(f);
-        }
-        if case.calls {
-            interp = interp.with_resource_handler(Box::new(resource_model));
-        }
-        let reference = interp.run(&v);
+        // Each engine's handler counts its calls: an error discards the
+        // call trace, so only the counts show a call one engine made
+        // before hitting its step limit and the other did not.
+        let (mut interp_calls, mut vm_calls) = (0u64, 0u64);
+        let reference = {
+            let mut interp = Interpreter::new(&func).with_step_limit(case.step_limit);
+            if let Some(f) = fault {
+                interp = interp.with_fault(f);
+            }
+            if case.calls {
+                interp = interp.with_resource_handler(Box::new(|name: &str, args: &[u64]| {
+                    interp_calls += 1;
+                    resource_model(name, args)
+                }));
+            }
+            interp.run(&v)
+        };
         let observed = if case.calls {
-            let mut h = resource_model;
+            let mut h = |name: &str, args: &[u64]| {
+                vm_calls += 1;
+                resource_model(name, args)
+            };
             vm.run_with_handler(&v, Some(&mut h))
         } else {
             vm.run(&v)
         };
-        if reference != observed {
+        if reference != observed || interp_calls != vm_calls {
             return Evaluation {
                 disagreement: Some(format!(
                     "vm diverged from interpreter on {v:?} (fault {fault:?}): \
-                     interp {reference:?} vs vm {observed:?}"
+                     interp {reference:?} after {interp_calls} handler calls vs \
+                     vm {observed:?} after {vm_calls}"
                 )),
                 counters,
             };

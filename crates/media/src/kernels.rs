@@ -9,7 +9,7 @@
 //! level 4, and the equivalence tests pin all three versions (pure Rust,
 //! interpreter, netlist) to each other.
 
-use behav::bytecode::{BehavExec, Runner};
+use behav::bytecode::{compile, Vm};
 use behav::{Expr, Function, FunctionBuilder};
 
 /// Width of feature elements processed by the DISTANCE kernel.
@@ -101,31 +101,30 @@ pub fn root_function() -> Function {
     fb.build()
 }
 
-/// A media kernel compiled once and executed many times — the per-frame
-/// fast path. The engine is a construction-time choice ([`BehavExec`]
-/// defaults to the bytecode VM; the interpreter remains available as the
-/// reference).
+/// A media kernel compiled once and executed many times on the bytecode
+/// [`Vm`] — the per-frame fast path. The tree-walking interpreter stays
+/// the reference the equivalence tests hold the VM to.
 #[derive(Debug)]
 pub struct CompiledKernel {
-    runner: Runner,
+    vm: Vm,
 }
 
 impl CompiledKernel {
-    /// Compiles an arbitrary kernel function under the chosen engine.
-    pub fn new(func: &Function, exec: BehavExec) -> CompiledKernel {
+    /// Compiles an arbitrary kernel function.
+    pub fn new(func: &Function) -> CompiledKernel {
         CompiledKernel {
-            runner: Runner::new(func, exec),
+            vm: Vm::new(compile(func)),
         }
     }
 
     /// The DISTANCE step kernel, ready to run per feature element.
-    pub fn distance_step(exec: BehavExec) -> CompiledKernel {
-        CompiledKernel::new(&distance_step_function(), exec)
+    pub fn distance_step() -> CompiledKernel {
+        CompiledKernel::new(&distance_step_function())
     }
 
     /// The ROOT kernel, ready to run per frame.
-    pub fn root(exec: BehavExec) -> CompiledKernel {
-        CompiledKernel::new(&root_function(), exec)
+    pub fn root() -> CompiledKernel {
+        CompiledKernel::new(&root_function())
     }
 
     /// Executes the kernel on `inputs`.
@@ -135,8 +134,9 @@ impl CompiledKernel {
     /// Panics on arity mismatch or if the kernel fails to return a value
     /// within the default step limit — impossible for the bounded-loop
     /// media kernels.
+    #[inline]
     pub fn run(&mut self, inputs: &[u64]) -> u64 {
-        self.runner
+        self.vm
             .run_value(inputs)
             .expect("kernel exceeds step limit")
             .expect("kernel returns a value")
@@ -289,15 +289,16 @@ mod tests {
 
     #[test]
     fn compiled_kernels_match_reference_functions() {
-        let mut droot = CompiledKernel::root(BehavExec::default());
+        let mut droot = CompiledKernel::root();
         for x in [0u64, 1, 50, 65_535, 1_000_000] {
             assert_eq!(droot.run(&[x]), rust_root(x) as u64 & 0xFFFF);
         }
-        let mut dist = CompiledKernel::distance_step(BehavExec::default());
-        let mut dist_interp = CompiledKernel::distance_step(BehavExec::Interp);
+        let f = distance_step_function();
+        let mut dist = CompiledKernel::distance_step();
         for (a, b, acc) in [(0u64, 0u64, 0u64), (9, 4, 11), (4, 9, 11), (65535, 0, 7)] {
             let got = dist.run(&[a, b, acc]);
-            assert_eq!(got, dist_interp.run(&[a, b, acc]));
+            let interp = Interpreter::new(&f).run(&[a, b, acc]).unwrap();
+            assert_eq!(Some(got), interp.return_value);
             let d = (a as i64 - b as i64).unsigned_abs();
             assert_eq!(got, (acc + d * d) & 0xFFFF_FFFF);
         }

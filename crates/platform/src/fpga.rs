@@ -165,6 +165,9 @@ impl std::error::Error for LoadFault {}
 pub struct Fpga {
     name: String,
     contexts: Vec<Context>,
+    /// Design-time CRC of each context's bitstream, recorded once by
+    /// [`Fpga::add_context`] (a context never changes once added).
+    reference_crcs: Vec<u32>,
     loaded: Option<ContextId>,
     /// Bus address of the configuration port (bitstreams are written here).
     config_port_addr: u64,
@@ -193,6 +196,7 @@ impl Fpga {
         Fpga {
             name: name.to_owned(),
             contexts: Vec::new(),
+            reference_crcs: Vec::new(),
             loaded: None,
             config_port_addr,
             switch_cycles,
@@ -234,8 +238,10 @@ impl Fpga {
         &self.name
     }
 
-    /// Registers a context.
+    /// Registers a context and records its design-time CRC, which every
+    /// later download of it is verified against.
     pub fn add_context(&mut self, context: Context) -> ContextId {
+        self.reference_crcs.push(context.crc());
         self.contexts.push(context);
         ContextId(self.contexts.len() - 1)
     }
@@ -287,10 +293,9 @@ impl Fpga {
         if self.loaded == Some(context) {
             return Ok(None);
         }
-        let (ctx_name, words, expected_crc) = {
-            let ctx = &self.contexts[context.0];
-            (ctx.name.clone(), ctx.bitstream_words, ctx.crc())
-        };
+        let ctx = &self.contexts[context.0];
+        let (ctx_name, words) = (ctx.name.clone(), ctx.bitstream_words);
+        let expected_crc = self.reference_crcs[context.0];
         let reservation = match bus.borrow_mut().transfer(
             now,
             &Payload::burst(master, self.config_port_addr, AccessKind::Write, words),
@@ -623,6 +628,11 @@ mod tests {
                 if context == "config1" && expected_crc != got_crc),
             "unexpected fault: {fault}"
         );
+        // The recorded reference is the context's own design-time CRC.
+        let FpgaError::BitstreamCorrupted { expected_crc, .. } = fault.error else {
+            unreachable!("checked above");
+        };
+        assert_eq!(expected_crc, fpga.contexts()[0].crc());
         // Partially configured device trusts nothing: even the previously
         // loaded context is gone, so calls fail loudly instead of silently.
         assert_eq!(fpga.loaded(), None);

@@ -3,7 +3,17 @@
 //! disagreements between the independent engine implementations, plus
 //! the determinism contract the reproducer format depends on.
 
-use fuzz::{run, Family, FuzzConfig};
+use fuzz::{run, Family, FuzzConfig, FuzzOutcome};
+
+/// Each disagreement of a run with its reproducer, for a failure message.
+fn reproducers(outcome: &FuzzOutcome) -> String {
+    outcome
+        .disagreements
+        .iter()
+        .map(|d| format!("SYMBAD_FUZZ_REPRO={} ({})", d.repro, d.detail))
+        .collect::<Vec<_>>()
+        .join("; ")
+}
 
 #[test]
 fn every_family_runs_clean_at_its_default_budget() {
@@ -15,17 +25,33 @@ fn every_family_runs_clean_at_its_default_budget() {
             outcome.disagreements.is_empty(),
             "{} family found disagreements: {}",
             family.as_str(),
-            outcome
-                .disagreements
-                .iter()
-                .map(|d| format!("SYMBAD_FUZZ_REPRO={} ({})", d.repro, d.detail))
-                .collect::<Vec<_>>()
-                .join("; ")
+            reproducers(&outcome)
         );
         assert!(
             outcome.distinct_signatures > 1,
             "{} family exercised only one engine-behaviour signature",
             family.as_str()
+        );
+    }
+}
+
+/// The deep interpreter-vs-VM differential run: 10,000 `vm` cases at
+/// each of three seeds (about 25 s in release). Ignored by default; run
+/// it with `cargo test --release --test fuzz_smoke -- --ignored`.
+#[test]
+#[ignore = "deep run, about 25 s in release"]
+fn vm_family_runs_clean_at_three_seeds() {
+    for seed in [0, 7, 11] {
+        let config = FuzzConfig {
+            seed,
+            iters: 10_000,
+            steering: true,
+        };
+        let outcome = run(Family::Vm, &config);
+        assert!(
+            outcome.disagreements.is_empty(),
+            "vm family at seed {seed} found disagreements: {}",
+            reproducers(&outcome)
         );
     }
 }
