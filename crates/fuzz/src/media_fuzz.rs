@@ -32,8 +32,11 @@ pub struct MediaCase {
     pub identities: usize,
     /// Poses per identity (1..=2).
     pub poses: usize,
-    /// Square frame edge length (≥ 32).
-    pub size: usize,
+    /// Frame width (32..=40).
+    pub width: usize,
+    /// Frame height (32..=40), drawn apart from the width so that frames
+    /// are mostly non-square.
+    pub height: usize,
     /// Sensor noise amplitude.
     pub noise_amp: i64,
     /// Probe identity (modulo `identities`).
@@ -55,7 +58,8 @@ pub fn generate(rng: &mut FuzzRng, bias: u64) -> MediaCase {
     MediaCase {
         identities: rng.range_usize(2, 4),
         poses: rng.range_usize(1, 2),
-        size: 32 + rng.range_usize(0, 8),
+        width: 32 + rng.range_usize(0, 8),
+        height: 32 + rng.range_usize(0, 8),
         noise_amp: (bias & 7) as i64,
         probe_identity: rng.range_usize(0, 8),
         probe_pose: rng.range_usize(0, 8),
@@ -69,8 +73,8 @@ pub fn evaluate(case: &MediaCase) -> Evaluation {
     let dataset = Dataset::new(DatasetConfig {
         identities: case.identities,
         poses: case.poses,
-        width: case.size,
-        height: case.size,
+        width: case.width,
+        height: case.height,
         noise_amp: case.noise_amp,
     });
     let gallery = enroll(&dataset);
@@ -197,9 +201,14 @@ fn shrink_candidates(case: &MediaCase) -> Vec<MediaCase> {
         c.poses -= 1;
         out.push(c);
     }
-    if case.size > 32 {
+    if case.width > 32 {
         let mut c = case.clone();
-        c.size = 32;
+        c.width = 32;
+        out.push(c);
+    }
+    if case.height > 32 {
+        let mut c = case.clone();
+        c.height = 32;
         out.push(c);
     }
     if case.noise_amp > 0 {
@@ -251,6 +260,23 @@ mod tests {
             let eval = evaluate(&case);
             assert_eq!(eval.disagreement, None, "case {case:?}");
         }
+    }
+
+    #[test]
+    fn frames_are_non_square_and_shrink_one_axis_at_a_time() {
+        let mut rng = FuzzRng::new(23);
+        let cases: Vec<MediaCase> = (0..32).map(|_| generate(&mut rng, 0)).collect();
+        assert!(cases.iter().all(|c| (32..=40).contains(&c.width)));
+        assert!(cases.iter().all(|c| (32..=40).contains(&c.height)));
+        assert!(cases.iter().any(|c| c.width != c.height));
+        let mut case = cases[0].clone();
+        (case.width, case.height) = (37, 39);
+        let axes: Vec<(usize, usize)> = shrink_candidates(&case)
+            .iter()
+            .map(|c| (c.width, c.height))
+            .filter(|&shape| shape != (37, 39))
+            .collect();
+        assert_eq!(axes, vec![(32, 39), (37, 32)]);
     }
 
     #[test]

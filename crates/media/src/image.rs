@@ -79,15 +79,6 @@ impl GrayImage {
         &mut self.data[y * self.width + x]
     }
 
-    /// Clamped pixel access (out-of-range coordinates clamp to the border,
-    /// the usual convolution boundary convention).
-    #[inline]
-    pub fn at_clamped(&self, x: isize, y: isize) -> u16 {
-        let cx = x.clamp(0, self.width as isize - 1) as usize;
-        let cy = y.clamp(0, self.height as isize - 1) as usize;
-        self.at(cx, cy)
-    }
-
     /// Mean pixel value.
     pub fn mean(&self) -> u16 {
         if self.data.is_empty() {
@@ -136,15 +127,6 @@ mod tests {
         *g.at_mut(2, 1) = 77;
         assert_eq!(g.at(2, 1), 77);
         assert_eq!(g.at(0, 0), 0);
-    }
-
-    #[test]
-    fn clamped_access() {
-        let mut g = GrayImage::new(2, 2);
-        *g.at_mut(0, 0) = 5;
-        *g.at_mut(1, 1) = 9;
-        assert_eq!(g.at_clamped(-3, -3), 5);
-        assert_eq!(g.at_clamped(10, 10), 9);
     }
 
     #[test]

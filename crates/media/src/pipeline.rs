@@ -6,6 +6,12 @@
 //! tasks while annotated simulated time advances, and the two FPGA kernels
 //! (DISTANCE, ROOT) additionally exist as `behav` functions in
 //! [`crate::kernels`] for the formal levels.
+//!
+//! Simulated time comes from the static mixes of [`crate::profile`], not
+//! from these bodies, so the front-end kernels (BAY, EROSION, EDGE,
+//! ELLIPSE) are written for host speed: they work on row slices, and the
+//! two 3×3 filters are separable. `tests/media_properties.rs` holds their
+//! direct per-pixel definitions and checks them bit for bit.
 
 use crate::image::{BayerImage, BinaryImage, GrayImage};
 
@@ -62,55 +68,107 @@ pub type FeatureVector = Vec<u16>;
 
 /// BAY: demosaics the RGGB Bayer frame into grayscale by averaging each
 /// pixel's 2×2 quad (gains of the three channels cancel in the average).
+/// A quad cut off by an odd right or bottom border repeats its last
+/// column or row.
 pub fn bay(raw: &BayerImage) -> GrayImage {
-    let mut out = GrayImage::new(raw.width, raw.height);
-    for y in 0..raw.height {
-        for x in 0..raw.width {
-            // Quad anchored at the even coordinates covering (x, y).
-            let qx = x & !1;
-            let qy = y & !1;
-            let x1 = (qx + 1).min(raw.width - 1);
-            let y1 = (qy + 1).min(raw.height - 1);
-            let sum = raw.at(qx, qy) as u32
-                + raw.at(x1, qy) as u32
-                + raw.at(qx, y1) as u32
-                + raw.at(x1, y1) as u32;
-            *out.at_mut(x, y) = (sum / 4).min(255) as u16;
+    let (w, h) = (raw.width, raw.height);
+    let mut out = GrayImage::new(w, h);
+    if w == 0 {
+        return out;
+    }
+    let row = |y: usize| &raw.data[y * w..][..w];
+    // Both output rows of a quad row are equal: compute the first, copy it.
+    for (quad_row, rows) in out.data.chunks_mut(2 * w).enumerate() {
+        let qy = 2 * quad_row;
+        let (top, bottom) = (row(qy), row((qy + 1).min(h - 1)));
+        let (first, second) = rows.split_at_mut(w);
+        for ((o, t), b) in first.chunks_mut(2).zip(top.chunks(2)).zip(bottom.chunks(2)) {
+            let sum = u32::from(t[0]) + u32::from(t[t.len() - 1]);
+            let sum = sum + u32::from(b[0]) + u32::from(b[b.len() - 1]);
+            o.fill((sum / 4).min(255) as u16);
+        }
+        if !second.is_empty() {
+            second.copy_from_slice(first);
         }
     }
     out
 }
 
-/// EROSION: 3×3 grayscale erosion (minimum filter) — suppresses salt
-/// noise before edge detection.
-pub fn erosion(img: &GrayImage) -> GrayImage {
-    let mut out = GrayImage::new(img.width, img.height);
-    for y in 0..img.height {
-        for x in 0..img.width {
-            let mut m = u16::MAX;
-            for dy in -1i32..=1 {
-                for dx in -1i32..=1 {
-                    m = m.min(img.at_clamped(x as isize + dx as isize, y as isize + dy as isize));
-                }
-            }
-            *out.at_mut(x, y) = m;
+/// Rows `y − 1`, `y` and `y + 1` of `img`, clamped to the image: the
+/// border convention of the 3×3 filters. `img` has a non-zero width.
+fn clamped_rows(img: &GrayImage, y: usize) -> [&[u16]; 3] {
+    let w = img.width;
+    let row = |y: usize| &img.data[y * w..][..w];
+    [
+        row(y.saturating_sub(1)),
+        row(y),
+        row((y + 1).min(img.height - 1)),
+    ]
+}
+
+/// `dst[x] = min(src[x − 1], src[x], src[x + 1])`, indices clamped to the
+/// row. `src` and `dst` have the same, non-zero length.
+fn min3_clamped(src: &[u16], dst: &mut [u16]) {
+    let w = src.len();
+    dst[0] = src[0].min(src[1.min(w - 1)]);
+    if w > 1 {
+        dst[w - 1] = src[w - 2].min(src[w - 1]);
+        for (d, s) in dst[1..w - 1].iter_mut().zip(src.windows(3)) {
+            *d = s[0].min(s[1]).min(s[2]);
         }
+    }
+}
+
+/// EROSION: 3×3 grayscale erosion (minimum filter) — suppresses salt
+/// noise before edge detection. Out-of-range neighbours clamp to the
+/// border. The clamped 3×3 window is the product of the clamped row and
+/// column neighbourhoods, so each output row is the horizontal minimum
+/// of the vertical minima of three source rows.
+pub fn erosion(img: &GrayImage) -> GrayImage {
+    let (w, h) = (img.width, img.height);
+    let mut out = GrayImage::new(w, h);
+    if w == 0 {
+        return out;
+    }
+    let mut column_min = vec![0u16; w];
+    for (y, out_row) in out.data.chunks_exact_mut(w).enumerate() {
+        let [up, mid, down] = clamped_rows(img, y);
+        for (m, ((&u, &c), &d)) in column_min.iter_mut().zip(up.iter().zip(mid).zip(down)) {
+            *m = u.min(c).min(d);
+        }
+        min3_clamped(&column_min, out_row);
     }
     out
 }
 
 /// EDGE: Sobel gradient magnitude thresholded against half the image mean.
+/// Out-of-range neighbours clamp to the border. The Sobel kernels are
+/// separable: with `V = up + 2·mid + down` and `D = down − up` per
+/// column, `gx = V[x + 1] − V[x − 1]` and `gy = D[x − 1] + 2·D[x] +
+/// D[x + 1]`. Both stay within ±4·65535, so no `u16` input overflows.
 pub fn edge(img: &GrayImage) -> BinaryImage {
-    let mut out = BinaryImage::new(img.width, img.height);
+    let (w, h) = (img.width, img.height);
+    let mut out = BinaryImage::new(w, h);
+    if w == 0 {
+        return out;
+    }
     let threshold = (img.mean() as u32 / 2).max(16);
-    for y in 0..img.height {
-        for x in 0..img.width {
-            let p = |dx: isize, dy: isize| img.at_clamped(x as isize + dx, y as isize + dy) as i32;
-            let gx = -p(-1, -1) - 2 * p(-1, 0) - p(-1, 1) + p(1, -1) + 2 * p(1, 0) + p(1, 1);
-            let gy = -p(-1, -1) - 2 * p(0, -1) - p(1, -1) + p(-1, 1) + 2 * p(0, 1) + p(1, 1);
-            let mag = (gx.abs() + gy.abs()) as u32 / 4;
-            if mag > threshold {
-                *out.at_mut(x, y) = 1;
+    let flag = |gx: i32, gy: i32| u8::from((gx.abs() + gy.abs()) as u32 / 4 > threshold);
+    let (mut v, mut d) = (vec![0i32; w], vec![0i32; w]);
+    for (y, out_row) in out.data.chunks_exact_mut(w).enumerate() {
+        let [up, mid, down] = clamped_rows(img, y);
+        for (x, ((&u, &c), &b)) in up.iter().zip(mid).zip(down).enumerate() {
+            let (u, c, b) = (i32::from(u), i32::from(c), i32::from(b));
+            v[x] = u + 2 * c + b;
+            d[x] = b - u;
+        }
+        let at = |l: usize, x: usize, r: usize| flag(v[r] - v[l], d[l] + 2 * d[x] + d[r]);
+        out_row[0] = at(0, 0, 1.min(w - 1));
+        if w > 1 {
+            out_row[w - 1] = at(w - 2, w - 1, w - 1);
+            let interior = out_row[1..w - 1].iter_mut();
+            for (o, (vw, dw)) in interior.zip(v.windows(3).zip(d.windows(3))) {
+                *o = flag(vw[2] - vw[0], dw[0] + 2 * dw[1] + dw[2]);
             }
         }
     }
@@ -120,16 +178,28 @@ pub fn edge(img: &GrayImage) -> BinaryImage {
 /// ELLIPSE: fits an ellipse to the edge cloud via first and second
 /// moments. Returns a centered unit fit when no edges exist.
 pub fn ellipse(edges: &BinaryImage) -> EllipseFit {
+    // Each row's index with the columns of its set pixels. A width-0
+    // mask has no data, so it has no rows either.
+    let rows = || {
+        edges
+            .data
+            .chunks_exact(edges.width.max(1))
+            .enumerate()
+            .map(|(y, row)| {
+                let xs = row.iter().enumerate().filter(|&(_, &b)| b != 0);
+                (y, xs.map(|(x, _)| x))
+            })
+    };
     let mut n = 0u64;
     let (mut sx, mut sy) = (0u64, 0u64);
-    for y in 0..edges.height {
-        for x in 0..edges.width {
-            if edges.at(x, y) != 0 {
-                n += 1;
-                sx += x as u64;
-                sy += y as u64;
-            }
+    for (y, xs) in rows() {
+        let mut count = 0u64;
+        for x in xs {
+            count += 1;
+            sx += x as u64;
         }
+        n += count;
+        sy += count * y as u64;
     }
     if n == 0 {
         return EllipseFit {
@@ -143,15 +213,15 @@ pub fn ellipse(edges: &BinaryImage) -> EllipseFit {
     let cx = (sx / n) as i64;
     let cy = (sy / n) as i64;
     let (mut vxx, mut vyy) = (0u64, 0u64);
-    for y in 0..edges.height {
-        for x in 0..edges.width {
-            if edges.at(x, y) != 0 {
-                let dx = x as i64 - cx;
-                let dy = y as i64 - cy;
-                vxx += (dx * dx) as u64;
-                vyy += (dy * dy) as u64;
-            }
+    for (y, xs) in rows() {
+        let dy = y as i64 - cy;
+        let mut count = 0u64;
+        for x in xs {
+            count += 1;
+            let dx = x as i64 - cx;
+            vxx += (dx * dx) as u64;
         }
+        vyy += count * (dy * dy) as u64;
     }
     // Semi-axes: 2·stddev covers the bulk of an elliptic outline.
     let a = 2 * root((vxx / n).max(1)) as i32;

@@ -1,11 +1,14 @@
 //! Per-module operation mixes — the level-1 profiling data.
 //!
 //! "Accurate profiling is of key relevance to estimate performance of the
-//! architecture under investigation" (§4.1). The mixes below are derived
-//! from the per-pixel / per-element operation counts of the
-//! [`crate::pipeline`] implementations, scaled by the workload geometry;
-//! they feed [`platform::Profile`] and from there the level-2/3 SW timing
-//! annotation.
+//! architecture under investigation" (§4.1). The mixes below model the
+//! target CPU running each module's direct formulation — per pixel or per
+//! element, as commented on each arm (EROSION: a 3×3 window of 9 loads and
+//! 8 compares) — scaled by the workload geometry; they feed
+//! [`platform::Profile`] and from there the level-2/3 SW timing
+//! annotation. The host implementations in [`crate::pipeline`] compute the
+//! same outputs by cheaper separable, row-sliced passes; the mixes, and so
+//! simulated time, do not depend on them.
 
 use crate::dataset::DatasetConfig;
 use crate::pipeline::FEATURE_LEN;

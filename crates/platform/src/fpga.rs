@@ -15,6 +15,25 @@ use std::rc::Rc;
 use telemetry::SharedInstrument;
 use tlm::{AccessKind, BusError, Payload, Reservation, SharedBus};
 
+/// Byte-at-a-time lookup table of the reflected CRC-32 polynomial
+/// `0xEDB88320`: entry `b` is the register after shifting byte `b`
+/// through eight bit-serial steps.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+};
+
 /// CRC-32 (reflected, polynomial `0xEDB88320`) over a stream of words,
 /// little-endian byte order. This is the checksum the FPGA verifies after
 /// every bitstream download: a single corrupted word always changes it.
@@ -22,11 +41,7 @@ pub fn crc32_words(words: impl Iterator<Item = u32>) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for word in words {
         for byte in word.to_le_bytes() {
-            crc ^= byte as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
+            crc = CRC32_TABLE[usize::from(crc as u8 ^ byte)] ^ (crc >> 8);
         }
     }
     !crc
@@ -56,18 +71,20 @@ pub struct Context {
 }
 
 impl Context {
-    /// Word `i` of this context's pseudo-bitstream. The stream content is
-    /// synthesized deterministically from the context name so the model
-    /// carries no real configuration data yet still has a well-defined
-    /// CRC that corruption faults can break.
-    pub fn bitstream_word(&self, i: u32) -> u32 {
-        sim::faults::mix64(sim::faults::fnv1a(self.name.as_bytes()) ^ u64::from(i)) as u32
+    /// This context's pseudo-bitstream, `bitstream_words` words in
+    /// download order. The stream content is synthesized
+    /// deterministically from the context name (hashed once per stream)
+    /// so the model carries no real configuration data yet still has a
+    /// well-defined CRC that corruption faults can break.
+    pub fn bitstream(&self) -> impl Iterator<Item = u32> {
+        let name = sim::faults::fnv1a(self.name.as_bytes());
+        (0..self.bitstream_words).map(move |i| sim::faults::mix64(name ^ u64::from(i)) as u32)
     }
 
     /// Reference CRC-32 of the full bitstream, as recorded at "design
     /// time". Downloads are verified against this value.
     pub fn crc(&self) -> u32 {
-        crc32_words((0..self.bitstream_words).map(|i| self.bitstream_word(i)))
+        crc32_words(self.bitstream())
     }
 }
 
@@ -340,15 +357,8 @@ impl Fpga {
             .and_then(|p| p.borrow_mut().bitstream_corruption(&ctx_name, words))
         {
             Some((index, mask)) => {
-                let ctx = &self.contexts[context.0];
-                crc32_words((0..words).map(|i| {
-                    let w = ctx.bitstream_word(i);
-                    if i == index {
-                        w ^ mask
-                    } else {
-                        w
-                    }
-                }))
+                let stream = self.contexts[context.0].bitstream().zip(0..);
+                crc32_words(stream.map(|(w, i)| if i == index { w ^ mask } else { w }))
             }
             None => expected_crc,
         };
@@ -608,6 +618,44 @@ mod tests {
         assert_ne!(
             crc32_words([1u32 ^ 0x8000, 2u32].into_iter()),
             crc32_words([1u32, 2u32].into_iter())
+        );
+    }
+
+    #[test]
+    fn bitstream_checksums_are_pinned() {
+        // Design-time CRCs of a few streams, and the CRC of config1's
+        // stream as received under the corruption fault of plan seed 7.
+        for (name, words, crc) in [
+            ("config1", 256, 0x4F50_FFB9),
+            ("config2", 128, 0x95A7_EC23),
+            ("", 1, 0x7FFC_D26D),
+            ("ctx", 4096, 0x6D4E_554A),
+            ("z", 0, 0),
+        ] {
+            let context = Context {
+                name: name.to_owned(),
+                functions: Vec::new(),
+                bitstream_words: words,
+            };
+            assert_eq!(context.bitstream().count(), words as usize);
+            assert_eq!(context.crc(), crc, "{name}/{words}");
+        }
+        let (mut fpga, bus, m) = device();
+        fpga.set_fault_plan(
+            sim::FaultPlan::new(7)
+                .with_bitstream_corruption(sim::faults::PPM)
+                .shared(),
+        );
+        let fault = fpga
+            .load(ContextId(0), t(0), &bus, m)
+            .expect_err("corrupted");
+        assert_eq!(
+            fault.error,
+            FpgaError::BitstreamCorrupted {
+                context: "config1".to_owned(),
+                expected_crc: 0x4F50_FFB9,
+                got_crc: 0x1070_D5C6,
+            }
         );
     }
 
