@@ -199,3 +199,219 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a (64-bit) over little-endian words: the digest the trajectory
+/// pin folds each solver's observable state into.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds the solver's state after a call that returned `verdict`
+    /// (`None` = budget exhausted): the verdict, the last model, the
+    /// counters, the clause counts and the exported original problem.
+    fn fold(&mut self, s: &sat::Solver, verdict: Option<sat::SolveResult>) {
+        self.word(match verdict {
+            Some(sat::SolveResult::Unsat) => 0,
+            Some(sat::SolveResult::Sat) => 1,
+            None => 2,
+        });
+        for v in 0..s.num_vars() {
+            self.word(match s.value(sat::Var::from_index(v)) {
+                Some(false) => 0,
+                Some(true) => 1,
+                None => 2,
+            });
+        }
+        for w in [
+            s.conflicts(),
+            s.decisions(),
+            s.propagations(),
+            s.num_learnt() as u64,
+            s.num_clauses() as u64,
+        ] {
+            self.word(w);
+        }
+        let cnf = s.export_cnf();
+        self.word(cnf.num_vars as u64);
+        self.word(cnf.clauses.len() as u64);
+        for clause in &cnf.clauses {
+            self.word(clause.len() as u64);
+            for l in clause {
+                self.word(l.code() as u64);
+            }
+        }
+    }
+}
+
+/// The pinned corpus's three search counters, summed over its cases and
+/// asserted on their own so a failing pin says which one moved.
+#[derive(Default)]
+struct Totals {
+    conflicts: u64,
+    decisions: u64,
+    propagations: u64,
+}
+
+impl Totals {
+    /// Adds one finished case's counters.
+    fn add(&mut self, s: &sat::Solver) {
+        self.conflicts += s.conflicts();
+        self.decisions += s.decisions();
+        self.propagations += s.propagations();
+    }
+}
+
+/// Loads a DIMACS-convention case into a fresh VSIDS solver.
+fn load_case(case: &fuzz::sat_fuzz::CnfCase) -> (sat::Solver, Vec<sat::Var>) {
+    let mut s = sat::Solver::new();
+    let vars: Vec<sat::Var> = (0..case.num_vars).map(|_| s.new_var()).collect();
+    for clause in &case.clauses {
+        s.add_clause(dimacs_lits(&vars, clause));
+    }
+    (s, vars)
+}
+
+fn dimacs_lits(vars: &[sat::Var], clause: &[i64]) -> Vec<sat::Lit> {
+    clause
+        .iter()
+        .map(|&l| sat::Lit::with_polarity(vars[(l.unsigned_abs() - 1) as usize], l > 0))
+        .collect()
+}
+
+/// A three-operand `width`-bit sum as a ripple-carry chain, either
+/// `(a + b) + c` or `a + (b + c)`.
+fn add3(b: &mut sat::CnfBuilder, x: &[sat::Lit], y: &[sat::Lit], z: &[sat::Lit]) -> Vec<sat::Lit> {
+    let add = |b: &mut sat::CnfBuilder, p: &[sat::Lit], q: &[sat::Lit]| {
+        let mut carry = b.lit_false();
+        p.iter()
+            .zip(q)
+            .map(|(&pi, &qi)| {
+                let (sum, c) = b.full_adder(pi, qi, carry);
+                carry = c;
+                sum
+            })
+            .collect::<Vec<_>>()
+    };
+    let xy = add(b, x, y);
+    add(b, &xy, z)
+}
+
+/// The CDCL search, pinned bit for bit: verdicts, models, counters,
+/// clause counts and exported CNFs over a fixed corpus. A change to the
+/// solver's data layout must leave every value here unchanged; only a
+/// deliberate change to the search itself may re-pin them.
+#[test]
+fn cdcl_search_trajectory_is_pinned() {
+    use fuzz::rng::FuzzRng;
+    use fuzz::{sat_fuzz, share_fuzz};
+
+    let mut rng = FuzzRng::new(20_031);
+    let mut t = Totals::default();
+
+    // Conflict-heavy planted 3-XOR systems.
+    let mut d = Fnv::new();
+    for _ in 0..8 {
+        let (mut s, _) = load_case(&share_fuzz::generate_hard(&mut rng));
+        let r = s.solve();
+        d.fold(&s, Some(r));
+        t.add(&s);
+    }
+    let hard = d.0;
+
+    // Small planted SAT and UNSAT cases.
+    let mut d = Fnv::new();
+    for _ in 0..100 {
+        let bias = rng.next_u64();
+        let (mut s, _) = load_case(&sat_fuzz::generate(&mut rng, bias));
+        let r = s.solve();
+        d.fold(&s, Some(r));
+        t.add(&s);
+    }
+    let planted = d.0;
+
+    // One incremental script: assumptions, clauses appended after learnt
+    // clauses, and a budgeted call that exhausts and is then resumed.
+    let mut d = Fnv::new();
+    let case = share_fuzz::generate_hard(&mut rng);
+    let model = case.planted.clone().expect("hard cases are planted");
+    let mut s = sat::Solver::new();
+    let vars: Vec<sat::Var> = (0..case.num_vars).map(|_| s.new_var()).collect();
+    let half = case.clauses.len() / 2;
+    for clause in &case.clauses[..half] {
+        s.add_clause(dimacs_lits(&vars, clause));
+    }
+    let agree: Vec<sat::Lit> = (0..4)
+        .map(|i| sat::Lit::with_polarity(vars[i], model[i]))
+        .collect();
+    let r = s.solve_under_assumptions(&agree);
+    d.fold(&s, Some(r));
+    let r = s.solve_under_assumptions(&[!agree[0], agree[1]]);
+    d.fold(&s, Some(r));
+    for clause in &case.clauses[half..] {
+        s.add_clause(dimacs_lits(&vars, clause));
+    }
+    let effort = exec::Effort {
+        sat_conflicts: Some(25),
+        sat_decisions: None,
+        bdd_nodes: None,
+    };
+    let r = s.solve_budgeted(&[], &effort);
+    assert!(r.is_exhausted(), "25 conflicts cannot decide a hard case");
+    d.fold(&s, r.decided());
+    let r = s.solve();
+    assert!(r.is_sat(), "the planted model satisfies the case");
+    d.fold(&s, Some(r));
+    let r = s.solve_under_assumptions(&agree);
+    d.fold(&s, Some(r));
+    t.add(&s);
+    let incremental = d.0;
+
+    // A default-constructed builder (`var_inc = 0`, so decisions follow
+    // allocation order) proving a small associativity miter.
+    let mut d = Fnv::new();
+    let mut b = sat::CnfBuilder::default();
+    let width = 5;
+    let ops: Vec<Vec<sat::Lit>> = (0..3)
+        .map(|_| (0..width).map(|_| b.new_lit()).collect())
+        .collect();
+    let left = add3(&mut b, &ops[0], &ops[1], &ops[2]);
+    let right = add3(&mut b, &ops[1], &ops[2], &ops[0]);
+    let diffs: Vec<sat::Lit> = left
+        .iter()
+        .zip(&right)
+        .map(|(&l, &r)| b.xor_gate(l, r))
+        .collect();
+    let any = b.or_many(&diffs);
+    b.assert_lit(any);
+    let r = b.solve();
+    assert!(r.is_unsat(), "addition is associative and commutative");
+    d.fold(b.solver(), Some(r));
+    t.add(b.solver());
+    let miter = d.0;
+
+    assert_eq!(
+        (t.conflicts, t.decisions, t.propagations),
+        (2_863, 3_877, 103_607),
+        "summed conflicts, decisions, propagations"
+    );
+    assert_eq!(
+        [hard, planted, incremental, miter],
+        [
+            0xd676_0fd8_d19e_2c61,
+            0x11fd_483d_d5c1_909c,
+            0xfba4_1ccb_b1f5_a8a4,
+            0x9083_446d_4a9e_66c0,
+        ],
+        "digests of the hard, planted, incremental and miter cases"
+    );
+}
