@@ -200,6 +200,81 @@ proptest! {
     }
 }
 
+/// One call of an incremental script, `(kind, literals, cap, assumed)`.
+/// Kind `0` adds the first literal as a unit clause, `1..=11` add all
+/// three literals as a clause, `12..=13` solve under the first `assumed`
+/// literals, and `14..=15` make a budgeted call under them, capped at
+/// `cap` conflicts.
+type Step = (u8, Vec<(usize, bool)>, u64, usize);
+
+/// A random incremental script over at most 10 variables. Literals are
+/// drawn with replacement, so clauses with duplicate literals and
+/// tautologies occur, as do contradictory assumptions.
+fn script_strategy() -> impl Strategy<Value = (usize, Vec<Step>)> {
+    (1usize..=10).prop_flat_map(|n| {
+        let step = (
+            0u8..=15,
+            proptest::collection::vec((0..n, any::<bool>()), 3),
+            1u64..=3,
+            0usize..=3,
+        );
+        (Just(n), proptest::collection::vec(step, 1..=60))
+    })
+}
+
+proptest! {
+    // Few tiny-budget calls run out (about one in sixty), so the
+    // exhausted-then-resumed leg needs many scripts to be exercised.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Incremental use against brute force: clauses added between calls
+    /// (after learnt clauses exist), assumptions, and budgeted calls.
+    /// Every decided verdict equals brute force over the clauses so far
+    /// plus the assumptions, every model satisfies both, and the call
+    /// after an exhausted one reaches the verdict.
+    #[test]
+    fn incremental_calls_agree_with_brute_force((n, script) in script_strategy()) {
+        let mut solver = sat::Solver::new();
+        let vars: Vec<sat::Var> = (0..n).map(|_| solver.new_var()).collect();
+        let lits = |c: &[(usize, bool)]| -> Vec<sat::Lit> {
+            c.iter().map(|&(v, pos)| sat::Lit::with_polarity(vars[v], pos)).collect()
+        };
+        let mut clauses: Vec<Vec<(usize, bool)>> = Vec::new();
+        for (kind, step, cap, assumed) in script {
+            if kind <= 11 {
+                let clause = if kind == 0 { step[..1].to_vec() } else { step };
+                solver.add_clause(lits(&clause));
+                clauses.push(clause);
+                continue;
+            }
+            let assumed = &step[..assumed];
+            // Assumptions act as unit clauses for the reference.
+            let mut constrained = clauses.clone();
+            constrained.extend(assumed.iter().map(|&l| vec![l]));
+            let expected = brute_force_sat(n, &constrained);
+            let assumptions = lits(assumed);
+            let verdict = if kind <= 13 {
+                Some(solver.solve_under_assumptions(&assumptions))
+            } else {
+                let effort = exec::Effort {
+                    sat_conflicts: Some(cap),
+                    sat_decisions: None,
+                    bdd_nodes: None,
+                };
+                solver.solve_budgeted(&assumptions, &effort).decided()
+            };
+            let verdict = verdict.unwrap_or_else(|| solver.solve_under_assumptions(&assumptions));
+            prop_assert_eq!(verdict.is_sat(), expected);
+            if verdict.is_sat() {
+                for c in &constrained {
+                    let satisfied = c.iter().any(|&(v, pos)| solver.value(vars[v]) == Some(pos));
+                    prop_assert!(satisfied, "model violates {:?}", c);
+                }
+            }
+        }
+    }
+}
+
 /// FNV-1a (64-bit) over little-endian words: the digest the trajectory
 /// pin folds each solver's observable state into.
 struct Fnv(u64);
