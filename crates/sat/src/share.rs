@@ -2,8 +2,9 @@
 //!
 //! A [`SolverShare::collector`] attached to a [`crate::Solver`] records
 //! the short, low-glue clauses the solver learns. Level 4 stores them in
-//! the lemma pool under the obligation's canonical-CNF fingerprint, and
-//! the next solver over a fingerprint-identical formula imports them with
+//! the lemma pool under the miter's source key (the hash of the two
+//! netlists it compares, `level4::solve_miter`), and the next solver
+//! over a miter with the same key imports them with
 //! [`crate::Solver::import_clause`] before it searches.
 //!
 //! Soundness rests on three legs (see DESIGN.md §16):
@@ -16,9 +17,10 @@
 //!    solver rests at decision level 0 — the same discipline as
 //!    [`crate::Solver::add_clause`] — so watched-literal and trail
 //!    invariants are never violated mid-search.
-//! 3. **Identical formulas.** The pool is keyed by the 128-bit
-//!    canonical-CNF fingerprint, so a clause can only ever reach a solver
-//!    whose formula entails it.
+//! 3. **Identical formulas.** The pool is keyed by the miter's 128-bit
+//!    source key. Miter construction and bit-blasting are deterministic,
+//!    so equal sources build byte-identical CNFs (DESIGN.md §10), and a
+//!    clause can only ever reach a solver whose formula entails it.
 //!
 //! Exporting and importing may change *effort* (conflicts, decisions) —
 //! never *answers*.

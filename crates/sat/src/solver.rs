@@ -64,100 +64,126 @@ const PANIC_MUTANT_PERIOD: u64 = 256;
 
 const UNASSIGNED: u8 = 2;
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
+/// Value of `l` under `assign`: 1 true, 0 false, [`UNASSIGNED`] otherwise.
+#[inline]
+fn lit_value(assign: &[u8], l: Lit) -> u8 {
+    let a = assign[l.var().index()];
+    if a == UNASSIGNED {
+        UNASSIGNED
+    } else {
+        a ^ (l.code() as u8 & 1)
+    }
 }
 
+/// A clause reference: the offset of the clause's header word in
+/// [`Solver`]'s clause arena.
+type CRef = u32;
+
+/// A watch-list entry: the watched clause and a *blocker*, one of its
+/// other literals. A true blocker proves the clause satisfied without
+/// touching the arena.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
-    clause: usize,
+    clause: CRef,
     blocker: Lit,
 }
+
+/// `VarOrder::position` of a variable that is not in the heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
 
 /// Activity-ordered variable heap (MiniSat-style).
 #[derive(Debug, Default)]
 struct VarOrder {
     heap: Vec<Var>,
-    position: Vec<Option<usize>>,
+    /// Heap index of each variable, or [`NOT_IN_HEAP`].
+    position: Vec<u32>,
 }
 
 impl VarOrder {
     fn grow(&mut self, n: usize) {
-        while self.position.len() < n {
-            self.position.push(None);
+        if self.position.len() < n {
+            self.position.resize(n, NOT_IN_HEAP);
         }
     }
 
     fn contains(&self, v: Var) -> bool {
-        self.position[v.index()].is_some()
+        self.position[v.index()] != NOT_IN_HEAP
     }
 
     fn push(&mut self, v: Var, act: &[f64]) {
         if self.contains(v) {
             return;
         }
-        self.position[v.index()] = Some(self.heap.len());
         self.heap.push(v);
         self.sift_up(self.heap.len() - 1, act);
     }
 
     fn pop(&mut self, act: &[f64]) -> Option<Var> {
+        let last = self.heap.pop()?;
         if self.heap.is_empty() {
-            return None;
+            self.position[last.index()] = NOT_IN_HEAP;
+            return Some(last);
         }
-        let top = self.heap[0];
-        self.position[top.index()] = None;
-        let last = self.heap.pop().expect("non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.position[last.index()] = Some(0);
-            self.sift_down(0, act);
-        }
+        let top = std::mem::replace(&mut self.heap[0], last);
+        self.position[top.index()] = NOT_IN_HEAP;
+        self.sift_down(0, act);
         Some(top)
     }
 
     fn bump(&mut self, v: Var, act: &[f64]) {
-        if let Some(pos) = self.position[v.index()] {
-            self.sift_up(pos, act);
+        let pos = self.position[v.index()];
+        if pos != NOT_IN_HEAP {
+            self.sift_up(pos as usize, act);
         }
     }
 
+    /// Moves the variable at heap index `i` up past every parent of
+    /// strictly lower activity, shifting each such parent down one level.
     fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        let a = act[v.index()];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if act[self.heap[i].index()] <= act[self.heap[parent].index()] {
+            let pv = self.heap[parent];
+            if a <= act[pv.index()] {
                 break;
             }
-            self.swap(i, parent);
+            self.heap[i] = pv;
+            self.position[pv.index()] = i as u32;
             i = parent;
         }
+        self.heap[i] = v;
+        self.position[v.index()] = i as u32;
     }
 
+    /// Moves the variable at heap index `i` down while its larger child
+    /// (the right one only when strictly larger than the left) has
+    /// strictly higher activity, shifting that child up one level.
     fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        let a = act[v.index()];
+        let n = self.heap.len();
         loop {
             let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut best = i;
-            if l < self.heap.len() && act[self.heap[l].index()] > act[self.heap[best].index()] {
-                best = l;
-            }
-            if r < self.heap.len() && act[self.heap[r].index()] > act[self.heap[best].index()] {
-                best = r;
-            }
-            if best == i {
+            if l >= n {
                 break;
             }
-            self.swap(i, best);
-            i = best;
+            let r = l + 1;
+            let child = if r < n && act[self.heap[r].index()] > act[self.heap[l].index()] {
+                r
+            } else {
+                l
+            };
+            let cv = self.heap[child];
+            if act[cv.index()] <= a {
+                break;
+            }
+            self.heap[i] = cv;
+            self.position[cv.index()] = i as u32;
+            i = child;
         }
-    }
-
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.position[self.heap[a].index()] = Some(a);
-        self.position[self.heap[b].index()] = Some(b);
+        self.heap[i] = v;
+        self.position[v.index()] = i as u32;
     }
 }
 
@@ -168,11 +194,17 @@ impl VarOrder {
 /// solves under temporary assumptions.
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every stored clause (original and learnt) in attach order, each a
+    /// header word `len << 1 | learnt` followed by its literal codes. A
+    /// [`CRef`] is a header's offset. Nothing deletes clauses, so the
+    /// arena only grows and offsets never move.
+    arena: Vec<u32>,
+    /// Clauses in the arena (original + learnt).
+    num_clauses: usize,
     watches: Vec<Vec<Watch>>,
     assign: Vec<u8>,
     level: Vec<u32>,
-    reason: Vec<Option<usize>>,
+    reason: Vec<Option<CRef>>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     queue_head: usize,
@@ -180,6 +212,11 @@ pub struct Solver {
     var_inc: f64,
     order: VarOrder,
     polarity: Vec<bool>,
+    /// Conflict analysis's per-variable mark, all `false` between
+    /// conflicts (grown by `new_var`, reused by every `analyze`).
+    seen: Vec<bool>,
+    /// Conflict analysis's learnt-clause buffer, reused across conflicts.
+    learnt: Vec<Lit>,
     unsat: bool,
     model: Vec<u8>,
     conflicts: u64,
@@ -223,7 +260,8 @@ pub struct Solver {
 impl Default for Solver {
     fn default() -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            num_clauses: 0,
             watches: Vec::new(),
             assign: Vec::new(),
             level: Vec::new(),
@@ -239,6 +277,8 @@ impl Default for Solver {
             var_inc: 0.0,
             order: VarOrder::default(),
             polarity: Vec::new(),
+            seen: Vec::new(),
+            learnt: Vec::new(),
             unsat: false,
             model: Vec::new(),
             conflicts: 0,
@@ -277,6 +317,7 @@ impl Solver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.polarity.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.grow(self.assign.len());
@@ -291,7 +332,7 @@ impl Solver {
 
     /// Number of stored clauses (original + learnt).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Number of learnt (conflict-derived) clauses currently stored.
@@ -323,16 +364,6 @@ impl Solver {
         self.instrument = Some(instrument);
     }
 
-    #[inline]
-    fn lit_value(&self, l: Lit) -> u8 {
-        let a = self.assign[l.var().index()];
-        if a == UNASSIGNED {
-            UNASSIGNED
-        } else {
-            a ^ (l.code() as u8 & 1)
-        }
-    }
-
     /// Adds a clause. Returns `false` when the clause (after level-0
     /// simplification) makes the formula trivially unsatisfiable.
     ///
@@ -354,7 +385,7 @@ impl Solver {
             if i + 1 < lits.len() && lits[i + 1] == !l {
                 return true; // tautology: l and ¬l adjacent after sort
             }
-            match self.lit_value(l) {
+            match lit_value(&self.assign, l) {
                 1 => return true,        // already satisfied at level 0
                 0 => {}                  // falsified at level 0: drop it
                 _ => simplified.push(l), // unassigned: keep
@@ -378,7 +409,7 @@ impl Solver {
                 true
             }
             _ => {
-                self.attach_clause(simplified, false);
+                self.attach_clause(&simplified, false);
                 true
             }
         }
@@ -397,8 +428,9 @@ impl Solver {
         self.share.take()
     }
 
-    /// Integrates one *entailed* foreign clause — a lemma-pool entry
-    /// keyed by this CNF's canonical fingerprint — at decision level 0.
+    /// Integrates one *entailed* foreign clause — a lemma-pool entry,
+    /// stored under the miter's source key (see [`crate::share`]) — at
+    /// decision level 0.
     /// The clause attaches as a learnt clause, so [`Solver::export_cnf`]
     /// keeps reporting the original problem. Clauses referencing unallocated variables are
     /// rejected as [`ImportResult::Redundant`] (the defensive stance for
@@ -428,7 +460,7 @@ impl Solver {
             if i + 1 < lits.len() && lits[i + 1] == !l {
                 return ImportResult::Redundant; // tautology
             }
-            match self.lit_value(l) {
+            match lit_value(&self.assign, l) {
                 1 => return ImportResult::Redundant, // satisfied at level 0
                 0 => {}                              // falsified at level 0: drop
                 _ => simplified.push(l),
@@ -449,7 +481,7 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach_clause(simplified, true);
+                self.attach_clause(&simplified, true);
                 ImportResult::Added
             }
         }
@@ -484,25 +516,48 @@ impl Solver {
         vars.into_iter().map(|i| Var(i as u32)).collect()
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> usize {
-        let idx = self.clauses.len();
-        let w0 = lits[0];
-        let w1 = lits[1];
-        self.watches[(!w0).code()].push(Watch {
-            clause: idx,
-            blocker: w1,
+    /// Appends a clause of at least two literals to the arena and
+    /// watches its first two.
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> CRef {
+        let cr = CRef::try_from(self.arena.len())
+            .expect("clause arena offset exceeds u32::MAX; the solver addresses clauses by u32");
+        let header = u32::try_from(lits.len() << 1).expect("clause length fits a header word");
+        self.arena.push(header | learnt as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.watches[(!lits[0]).code()].push(Watch {
+            clause: cr,
+            blocker: lits[1],
         });
-        self.watches[(!w1).code()].push(Watch {
-            clause: idx,
-            blocker: w0,
+        self.watches[(!lits[1]).code()].push(Watch {
+            clause: cr,
+            blocker: lits[0],
         });
+        self.num_clauses += 1;
         self.num_learnt += learnt as usize;
-        self.clauses.push(Clause { lits, learnt });
-        idx
+        cr
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Option<usize>) -> bool {
-        match self.lit_value(l) {
+    /// The literal codes of the clause at `cr`.
+    #[inline]
+    fn clause(&self, cr: CRef) -> &[u32] {
+        let start = cr as usize + 1;
+        &self.arena[start..start + (self.arena[cr as usize] >> 1) as usize]
+    }
+
+    /// Every stored clause in attach order, as (learnt, literal codes),
+    /// read from the arena's header words.
+    fn clauses(&self) -> impl Iterator<Item = (bool, &[u32])> {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let header = *self.arena.get(at)?;
+            let start = at + 1;
+            at = start + (header >> 1) as usize;
+            Some((header & 1 == 1, &self.arena[start..at]))
+        })
+    }
+
+    fn enqueue(&mut self, l: Lit, reason: Option<CRef>) -> bool {
+        match lit_value(&self.assign, l) {
             0 => false,
             1 => true,
             _ => {
@@ -517,7 +572,7 @@ impl Solver {
     }
 
     /// Propagates until fixpoint; returns the conflicting clause if any.
-    fn propagate(&mut self) -> Option<usize> {
+    fn propagate(&mut self) -> Option<CRef> {
         while self.queue_head < self.trail.len() {
             let p = self.trail[self.queue_head];
             self.queue_head += 1;
@@ -539,6 +594,7 @@ impl Solver {
                     );
                 }
             }
+            let false_lit = (!p).0;
             let mut watch_list = std::mem::take(&mut self.watches[p.code()]);
             let mut keep = 0;
             let mut conflict = None;
@@ -546,50 +602,42 @@ impl Solver {
             while wi < watch_list.len() {
                 let watch = watch_list[wi];
                 wi += 1;
-                if self.lit_value(watch.blocker) == 1 {
+                if lit_value(&self.assign, watch.blocker) == 1 {
                     watch_list[keep] = watch;
                     keep += 1;
                     continue;
                 }
-                let ci = watch.clause;
+                let start = watch.clause as usize + 1;
+                let len = (self.arena[start - 1] >> 1) as usize;
+                let lits = &mut self.arena[start..start + len];
                 // Ensure lits[0] is the other watched literal.
-                {
-                    let clause = &mut self.clauses[ci];
-                    if clause.lits[0] == !p {
-                        clause.lits.swap(0, 1);
-                    }
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[ci].lits[0];
-                if first != watch.blocker && self.lit_value(first) == 1 {
+                let first = Lit(lits[0]);
+                if first != watch.blocker && lit_value(&self.assign, first) == 1 {
                     watch_list[keep] = Watch {
-                        clause: ci,
+                        clause: watch.clause,
                         blocker: first,
                     };
                     keep += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut found = false;
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let cand = self.clauses[ci].lits[k];
-                    if self.lit_value(cand) != 0 {
-                        self.clauses[ci].lits.swap(1, k);
-                        let new_watch = self.clauses[ci].lits[1];
-                        self.watches[(!new_watch).code()].push(Watch {
-                            clause: ci,
-                            blocker: first,
-                        });
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                let unfalsified = lits[2..]
+                    .iter()
+                    .position(|&code| lit_value(&self.assign, Lit(code)) != 0);
+                if let Some(k) = unfalsified {
+                    lits.swap(1, k + 2);
+                    self.watches[(!Lit(lits[1])).code()].push(Watch {
+                        clause: watch.clause,
+                        blocker: first,
+                    });
                     continue;
                 }
                 // Clause is unit or conflicting.
                 watch_list[keep] = Watch {
-                    clause: ci,
+                    clause: watch.clause,
                     blocker: first,
                 };
                 keep += 1;
@@ -604,7 +652,7 @@ impl Solver {
                         continue;
                     }
                 }
-                if !self.enqueue(first, Some(ci)) {
+                if !self.enqueue(first, Some(watch.clause)) {
                     // Conflict: keep the remaining watches and bail out.
                     while wi < watch_list.len() {
                         watch_list[keep] = watch_list[wi];
@@ -612,7 +660,7 @@ impl Solver {
                         wi += 1;
                     }
                     self.queue_head = self.trail.len();
-                    conflict = Some(ci);
+                    conflict = Some(watch.clause);
                 }
             }
             watch_list.truncate(keep);
@@ -639,22 +687,29 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    /// First-UIP conflict analysis. Returns (learnt clause, backtrack level).
-    fn analyze(&mut self, mut conflict: usize) -> (Vec<Lit>, u32) {
-        let mut seen = vec![false; self.num_vars()];
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder for asserting lit
+    /// First-UIP conflict analysis. Writes the learnt clause into
+    /// `learnt` (asserting literal first, then one of the highest
+    /// remaining level) and returns the backtrack level. Allocates
+    /// nothing once `learnt` has grown: reason clauses are read in place
+    /// from the arena, and `seen` is all `false` again on return.
+    fn analyze(&mut self, mut conflict: CRef, learnt: &mut Vec<Lit>) -> u32 {
+        learnt.clear();
+        learnt.push(Lit::pos(Var(0))); // placeholder for asserting lit
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let current_level = self.trail_lim.len() as u32;
 
         loop {
-            let start = if p.is_none() { 0 } else { 1 };
-            let lits: Vec<Lit> = self.clauses[conflict].lits[start..].to_vec();
-            for q in lits {
+            // Read the clause in place; after the first step, skip the
+            // literal the reason clause asserted (slot 0).
+            let base = conflict as usize + 1;
+            let len = self.clause(conflict).len();
+            for at in base + usize::from(p.is_some())..base + len {
+                let q = Lit(self.arena[at]);
                 let v = q.var();
-                if !seen[v.index()] && self.level[v.index()] > 0 {
-                    seen[v.index()] = true;
+                if !self.seen[v.index()] && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = true;
                     self.bump_var(v);
                     if self.level[v.index()] == current_level {
                         counter += 1;
@@ -667,13 +722,13 @@ impl Solver {
             loop {
                 index -= 1;
                 let l = self.trail[index];
-                if seen[l.var().index()] {
+                if self.seen[l.var().index()] {
                     p = Some(l);
                     break;
                 }
             }
             let pv = p.expect("found").var();
-            seen[pv.index()] = false;
+            self.seen[pv.index()] = false;
             counter -= 1;
             if counter == 0 {
                 learnt[0] = !p.expect("found");
@@ -681,9 +736,14 @@ impl Solver {
             }
             conflict = self.reason[pv.index()].expect("non-decision has reason");
         }
+        // Every current-level mark was cleared on the trail walk; the
+        // lower-level ones are exactly the learnt clause's other literals.
+        for l in &learnt[1..] {
+            self.seen[l.var().index()] = false;
+        }
 
         // Backtrack level: second-highest decision level in the clause.
-        let bt_level = if learnt.len() == 1 {
+        if learnt.len() == 1 {
             0
         } else {
             let mut max_i = 1;
@@ -694,8 +754,7 @@ impl Solver {
             }
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
-        };
-        (learnt, bt_level)
+        }
     }
 
     fn backtrack_to(&mut self, level: u32) {
@@ -818,7 +877,7 @@ impl Solver {
         if let Some(r) = result {
             if r.is_sat() {
                 // Snapshot the model before clearing search state.
-                self.model = self.assign.clone();
+                self.model.clone_from(&self.assign);
             }
         }
         // Leave level-0 state only.
@@ -901,10 +960,10 @@ impl Solver {
                 // that introduced no assignment). Backtrack to the highest
                 // level actually involved so analysis sees a literal at the
                 // conflict level.
-                let conflict_level = self.clauses[conflict]
-                    .lits
+                let conflict_level = self
+                    .clause(conflict)
                     .iter()
-                    .map(|l| self.level[l.var().index()])
+                    .map(|&code| self.level[Lit(code).var().index()])
                     .max()
                     .unwrap_or(0);
                 if conflict_level == 0 {
@@ -914,7 +973,8 @@ impl Solver {
                 if conflict_level < self.trail_lim.len() as u32 {
                     self.backtrack_to(conflict_level);
                 }
-                let (learnt, bt) = self.analyze(conflict);
+                let mut learnt = std::mem::take(&mut self.learnt);
+                let bt = self.analyze(conflict, &mut learnt);
                 // Glue (LBD — distinct decision levels among the learnt
                 // literals) must be read *before* backtracking wipes the
                 // per-variable levels; the length pre-check keeps the
@@ -924,22 +984,17 @@ impl Solver {
                     _ => None,
                 };
                 self.backtrack_to(bt);
-                if learnt.len() == 1 {
-                    if !self.enqueue(learnt[0], None) {
-                        self.unsat = true;
-                        return Some(SolveResult::Unsat);
-                    }
-                } else {
-                    let ci = self.attach_clause(learnt.clone(), true);
-                    if !self.enqueue(learnt[0], Some(ci)) {
-                        self.unsat = true;
-                        return Some(SolveResult::Unsat);
-                    }
-                }
-                if let Some(glue) = export_glue {
-                    if let Some(share) = self.share.as_mut() {
+                let reason = (learnt.len() > 1).then(|| self.attach_clause(&learnt, true));
+                let asserted = self.enqueue(learnt[0], reason);
+                if asserted {
+                    if let (Some(glue), Some(share)) = (export_glue, self.share.as_mut()) {
                         share.offer(&learnt, glue);
                     }
+                }
+                self.learnt = learnt;
+                if !asserted {
+                    self.unsat = true;
+                    return Some(SolveResult::Unsat);
                 }
                 self.decay_activities();
                 if conflicts_here >= conflict_budget {
@@ -954,7 +1009,7 @@ impl Solver {
                 let decision_level = self.trail_lim.len();
                 if decision_level < assumptions.len() {
                     let a = assumptions[decision_level];
-                    match self.lit_value(a) {
+                    match lit_value(&self.assign, a) {
                         1 => {
                             // Already true: open a level anyway to keep the
                             // level/assumption correspondence simple.
@@ -991,7 +1046,7 @@ impl Solver {
         }
     }
 
-    /// Value of a literal in the current assignment.
+    /// Value of a literal in the most recent model (see [`Solver::value`]).
     pub fn lit_is_true(&self, lit: Lit) -> Option<bool> {
         self.value(lit.var()).map(|v| v == lit.is_positive())
     }
@@ -1001,8 +1056,10 @@ impl Solver {
     /// clauses (units are enqueued on the trail at add time, never stored
     /// in the clause database), plus the empty clause when the formula is
     /// already known unsatisfiable. Call between solve calls (the solver
-    /// rests at decision level 0 then). This is what the obligation
-    /// fingerprint and the cube-and-conquer fallback consume.
+    /// rests at decision level 0 then). Its one consumer is level 4's
+    /// budget fallback, which hands the snapshot to
+    /// [`crate::cube::conquer`] when a budgeted miter solve exhausts.
+    /// Stored clauses come out in attach order.
     pub fn export_cnf(&self) -> Cnf {
         let mut clauses: Vec<Vec<Lit>> = Vec::new();
         if self.unsat {
@@ -1013,9 +1070,9 @@ impl Solver {
                 clauses.push(vec![l]);
             }
         }
-        for c in &self.clauses {
-            if !c.learnt {
-                clauses.push(c.lits.clone());
+        for (learnt, lits) in self.clauses() {
+            if !learnt {
+                clauses.push(lits.iter().map(|&code| Lit(code)).collect());
             }
         }
         Cnf {
@@ -1349,7 +1406,7 @@ mod tests {
         assert_eq!(s.num_learnt(), 0);
         assert!(s.solve().is_unsat());
         // The incremental count matches a fresh scan of the database.
-        let scanned = s.clauses.iter().filter(|c| c.learnt).count();
+        let scanned = s.clauses().filter(|&(learnt, _)| learnt).count();
         assert!(scanned > 0, "PHP(5,4) must learn clauses");
         assert_eq!(s.num_learnt(), scanned);
     }
