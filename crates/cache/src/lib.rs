@@ -41,11 +41,9 @@
 
 mod fingerprint;
 mod persist;
-pub mod pool;
 mod store;
 
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
-pub use pool::{LemmaPool, PoolStats};
 pub use store::{CacheStats, ObligationCache, TagStats};
 
 use std::sync::OnceLock;

@@ -1,17 +1,14 @@
 //! Versioned on-disk persistence under `target/symbad-cache/`.
 //!
-//! Two hand-rolled JSON files, mirroring the `telemetry` crate's
-//! zero-dependency writer, plus the minimal parser needed to read them
-//! back: `obligations-v2.json` (verdict payloads) and `lemmas-v1.json`
-//! (the lemma pool's learnt clauses, stored as arrays of unsigned packed
-//! literal codes — see [`sat::Lit::code`]). Entries are written sorted
-//! by fingerprint, so both files are byte-deterministic for a given
-//! cache content. Anything unreadable — missing file, wrong version,
-//! malformed JSON, out-of-range literal codes — loads as empty:
-//! persistence can make reruns faster, never wrong.
+//! One hand-rolled JSON file, `obligations-v2.json` (verdict payloads),
+//! mirroring the `telemetry` crate's zero-dependency writer, plus the
+//! minimal parser needed to read it back. Entries are written sorted by
+//! fingerprint, so the file is byte-deterministic for a given cache
+//! content. Anything unreadable — missing file, wrong version, malformed
+//! JSON — loads as empty: persistence can make reruns faster, never
+//! wrong.
 
 use crate::{Fingerprint, ObligationCache};
-use sat::Lit;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -26,23 +23,12 @@ pub const FORMAT_VERSION: u64 = 2;
 const FILE_NAME: &str = "obligations-v2.json";
 const FORMAT_TAG: &str = "symbad-obligation-cache";
 
-/// The lemma pool's own format version, independent of the verdict
-/// file's: pool entries are keyed by the miter key, and equal miter keys
-/// mean byte-identical miter CNFs whatever the key recipe.
-const LEMMA_FORMAT_VERSION: u64 = 1;
-const LEMMA_FILE_NAME: &str = "lemmas-v1.json";
-const LEMMA_FORMAT_TAG: &str = "symbad-lemma-pool";
-/// Upper bound accepted for a persisted literal code (2 × 16M
-/// variables): a corrupted or hand-edited lemma file cannot make the
-/// loader build absurd clauses. (Imports are additionally range-checked
-/// against the importing solver's variable count.)
-const MAX_LIT_CODE: u64 = 1 << 25;
-/// Deepest container nesting either file legitimately has: root object →
-/// entries array → entry object → clauses array → clause array. The
-/// parser recurses once per level, so a deeper (hostile or corrupted)
-/// file is rejected rather than allowed to overflow the stack — an abort
-/// no caller could turn into the promised cold start.
-const MAX_DEPTH: usize = 5;
+/// Deepest container nesting the file legitimately has: root object →
+/// entries array → entry object. The parser recurses once per level, so
+/// a deeper (hostile or corrupted) file is rejected rather than allowed
+/// to overflow the stack — an abort no caller could turn into the
+/// promised cold start.
+const MAX_DEPTH: usize = 3;
 
 impl ObligationCache {
     /// Serialises every entry to `<dir>/obligations-v2.json`, creating
@@ -78,47 +64,7 @@ impl ObligationCache {
         // truncated file — load_or_empty would treat it as a cold start.
         let tmp = dir.join(format!("{FILE_NAME}.tmp"));
         fs::write(&tmp, out)?;
-        fs::rename(tmp, dir.join(FILE_NAME))?;
-        self.save_lemmas(dir)
-    }
-
-    /// Serialises the lemma pool to `<dir>/lemmas-v1.json` (clauses as
-    /// arrays of unsigned packed literal codes, entries sorted by
-    /// fingerprint — byte-deterministic like the verdict file).
-    fn save_lemmas(&self, dir: &Path) -> io::Result<()> {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"format\": \"{LEMMA_FORMAT_TAG}\",");
-        let _ = writeln!(out, "  \"version\": {LEMMA_FORMAT_VERSION},");
-        let _ = write!(out, "  \"entries\": [");
-        let entries = self.lemmas().entries_sorted();
-        for (i, (fp, clauses)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {{ \"fp\": \"{}\", \"clauses\": [", fp.to_hex());
-            for (j, clause) in clauses.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                for (k, lit) in clause.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}", lit.code());
-                }
-                out.push(']');
-            }
-            out.push_str("] }");
-        }
-        if !entries.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        let tmp = dir.join(format!("{LEMMA_FILE_NAME}.tmp"));
-        fs::write(&tmp, out)?;
-        fs::rename(tmp, dir.join(LEMMA_FILE_NAME))
+        fs::rename(tmp, dir.join(FILE_NAME))
     }
 
     /// Loads the cache persisted in `dir`, or an empty cache when there
@@ -155,68 +101,7 @@ impl ObligationCache {
                 }
             }
         }
-        cache.load_lemmas(dir);
         cache
-    }
-
-    /// Loads `<dir>/lemmas-v1.json` into the lemma pool. Any departure
-    /// from the expected shape — wrong tag/version, malformed JSON,
-    /// non-numeric or out-of-range literal codes — drops the offending
-    /// entry or the whole file: a cold pool is always a safe answer.
-    fn load_lemmas(&self, dir: &Path) {
-        let Ok(text) = fs::read_to_string(dir.join(LEMMA_FILE_NAME)) else {
-            return;
-        };
-        let Some(Value::Obj(members)) = Parser::new(&text).parse() else {
-            return;
-        };
-        let field = |name: &str| members.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        if field("format") != Some(&Value::Str(LEMMA_FORMAT_TAG.to_owned()))
-            || field("version") != Some(&Value::Num(LEMMA_FORMAT_VERSION))
-        {
-            return;
-        }
-        let Some(Value::Arr(entries)) = field("entries") else {
-            return;
-        };
-        for entry in entries {
-            let Value::Obj(fields) = entry else { continue };
-            let fp = fields.iter().find_map(|(k, v)| match v {
-                Value::Str(s) if k == "fp" => Fingerprint::from_hex(s),
-                _ => None,
-            });
-            let clause_values = fields.iter().find_map(|(k, v)| match v {
-                Value::Arr(cs) if k == "clauses" => Some(cs),
-                _ => None,
-            });
-            let (Some(fp), Some(clause_values)) = (fp, clause_values) else {
-                continue;
-            };
-            let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(clause_values.len());
-            let mut well_formed = true;
-            'clauses: for clause_value in clause_values {
-                let Value::Arr(codes) = clause_value else {
-                    well_formed = false;
-                    break;
-                };
-                let mut clause = Vec::with_capacity(codes.len());
-                for code in codes {
-                    match code {
-                        Value::Num(n) if *n < MAX_LIT_CODE => {
-                            clause.push(Lit::from_code(*n as usize));
-                        }
-                        _ => {
-                            well_formed = false;
-                            break 'clauses;
-                        }
-                    }
-                }
-                clauses.push(clause);
-            }
-            if well_formed {
-                self.lemmas().insert(fp, &clauses);
-            }
-        }
     }
 }
 
@@ -530,119 +415,6 @@ mod tests {
         let c = ObligationCache::new();
         c.save(&dir).expect("save");
         assert!(ObligationCache::load_or_empty(&dir).is_empty());
-        assert!(ObligationCache::load_or_empty(&dir).lemmas().is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    fn lit(code: usize) -> Lit {
-        Lit::from_code(code)
-    }
-
-    #[test]
-    fn lemma_pool_round_trips() {
-        let dir = tmp_dir("lemmas-roundtrip");
-        let c = ObligationCache::new();
-        for i in 0..8u64 {
-            let fp = FingerprintBuilder::new("t").param(i).finish();
-            c.lemmas().insert(
-                fp,
-                &[vec![lit(2), lit(5)], vec![lit(7)], vec![lit(1), lit(9)]],
-            );
-        }
-        c.save(&dir).expect("save");
-        let loaded = ObligationCache::load_or_empty(&dir);
-        assert_eq!(
-            loaded.lemmas().entries_sorted(),
-            c.lemmas().entries_sorted()
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lemma_file_is_byte_deterministic() {
-        let dir_a = tmp_dir("lemmas-det-a");
-        let dir_b = tmp_dir("lemmas-det-b");
-        for dir in [&dir_a, &dir_b] {
-            let c = ObligationCache::new();
-            let range: Vec<u64> = if dir == &dir_a {
-                (0..10).collect()
-            } else {
-                (0..10).rev().collect()
-            };
-            for i in range {
-                let fp = FingerprintBuilder::new("t").param(i).finish();
-                // Clause order differs too; the normal form must not.
-                c.lemmas().insert(fp, &[vec![lit(4), lit(2)], vec![lit(8)]]);
-                c.lemmas().insert(fp, &[vec![lit(2), lit(4)]]);
-            }
-            c.save(dir).expect("save");
-        }
-        let a = fs::read(dir_a.join(LEMMA_FILE_NAME)).unwrap();
-        let b = fs::read(dir_b.join(LEMMA_FILE_NAME)).unwrap();
-        assert_eq!(a, b);
-        let _ = fs::remove_dir_all(&dir_a);
-        let _ = fs::remove_dir_all(&dir_b);
-    }
-
-    #[test]
-    fn corrupted_lemma_file_loads_an_empty_pool() {
-        let dir = tmp_dir("lemmas-corrupt");
-        let c = ObligationCache::new();
-        c.insert(FingerprintBuilder::new("t").param(1).finish(), "t".into());
-        c.save(&dir).expect("save");
-        for garbage in [
-            "{ not json",
-            "",
-            "\u{0}\u{1}<<<not json>>>",
-            // Wrong tag and wrong version.
-            &format!("{{\"format\": \"something-else\", \"version\": {FORMAT_VERSION}, \"entries\": []}}"),
-            &format!("{{\"format\": \"{LEMMA_FORMAT_TAG}\", \"version\": 999, \"entries\": []}}"),
-            // Right envelope, garbage clause payloads (string literal,
-            // negative-looking code, oversized code).
-            &format!(
-                "{{\"format\": \"{LEMMA_FORMAT_TAG}\", \"version\": {LEMMA_FORMAT_VERSION}, \"entries\": [{{ \"fp\": \"{}\", \"clauses\": [[\"x\"]] }}] }}",
-                FingerprintBuilder::new("t").param(1).finish().to_hex()
-            ),
-            &format!(
-                "{{\"format\": \"{LEMMA_FORMAT_TAG}\", \"version\": {LEMMA_FORMAT_VERSION}, \"entries\": [{{ \"fp\": \"{}\", \"clauses\": [[99999999999]] }}] }}",
-                FingerprintBuilder::new("t").param(1).finish().to_hex()
-            ),
-        ] {
-            fs::write(dir.join(LEMMA_FILE_NAME), garbage).unwrap();
-            let loaded = ObligationCache::load_or_empty(&dir);
-            // Verdict entries still load; the pool comes back empty.
-            assert_eq!(loaded.len(), 1, "verdicts survive lemma corruption");
-            assert!(
-                loaded.lemmas().is_empty(),
-                "corrupted lemma file must load empty: {garbage:?}"
-            );
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncated_lemma_file_loads_an_empty_pool() {
-        let dir = tmp_dir("lemmas-torn");
-        let c = ObligationCache::new();
-        let fp = FingerprintBuilder::new("t").param(1).finish();
-        c.lemmas().insert(fp, &[vec![lit(2), lit(5)], vec![lit(7)]]);
-        c.save(&dir).expect("save");
-        let full = fs::read_to_string(dir.join(LEMMA_FILE_NAME)).unwrap();
-        for cut in [0, 1, full.len() / 4, full.len() / 2, full.len() - 3] {
-            fs::write(dir.join(LEMMA_FILE_NAME), &full[..cut]).unwrap();
-            assert!(
-                ObligationCache::load_or_empty(&dir).lemmas().is_empty(),
-                "cut at {cut} must load empty"
-            );
-        }
-        // The intact file still round-trips after all that.
-        fs::write(dir.join(LEMMA_FILE_NAME), &full).unwrap();
-        assert_eq!(
-            ObligationCache::load_or_empty(&dir)
-                .lemmas()
-                .entries_sorted(),
-            c.lemmas().entries_sorted()
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -650,30 +422,10 @@ mod tests {
     fn deeply_nested_files_load_empty() {
         // Unbounded recursion over a million open brackets would overflow
         // the stack and abort the process instead of loading cold.
-        let deep = "[".repeat(1 << 20);
-        for name in [FILE_NAME, LEMMA_FILE_NAME] {
-            let dir = tmp_dir(&format!("deep-{name}"));
-            // A valid verdict file, so the lemma file is read at all.
-            ObligationCache::new().save(&dir).expect("save");
-            fs::write(dir.join(name), &deep).unwrap();
-            let loaded = ObligationCache::load_or_empty(&dir);
-            assert!(loaded.is_empty(), "{name} must load an empty cache");
-            assert!(loaded.lemmas().is_empty(), "{name} must load an empty pool");
-            let _ = fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn retained_lemmas_survive_without_verdicts() {
-        let c = ObligationCache::new();
-        let fp = FingerprintBuilder::new("t").param(1).finish();
-        c.insert(fp, "t".into());
-        c.lemmas().insert(fp, &[vec![lit(2), lit(5)]]);
-        let warm_pool = c.retain_lemmas();
-        assert!(warm_pool.is_empty(), "verdicts dropped");
-        assert_eq!(
-            warm_pool.lemmas().entries_sorted(),
-            c.lemmas().entries_sorted()
-        );
+        let dir = tmp_dir("deep");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(FILE_NAME), "[".repeat(1 << 20)).unwrap();
+        assert!(ObligationCache::load_or_empty(&dir).is_empty());
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,6 @@
 //! The in-memory obligation store: lock-striped, shared across worker
 //! threads, with hit/miss accounting.
 
-use crate::pool::LemmaPool;
 use crate::Fingerprint;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -90,11 +89,6 @@ pub struct ObligationCache {
     /// Tenant attribution state (service mode); see
     /// [`ObligationCache::set_tenant`].
     tenancy: Mutex<Tenancy>,
-    /// Lemma-level reuse companion to the verdict entries: learnt
-    /// clauses keyed by the same fingerprints (see [`crate::pool`]).
-    /// Enabled exactly when the verdict store is, so the [`crate::noop`]
-    /// cache's pool is inert too.
-    lemmas: LemmaPool,
 }
 
 /// Per-tenant attribution state, active only while a batch service has
@@ -133,7 +127,6 @@ impl ObligationCache {
             tags: Mutex::new(BTreeMap::new()),
             tenancy_on: AtomicBool::new(false),
             tenancy: Mutex::new(Tenancy::default()),
-            lemmas: LemmaPool::new(),
         }
     }
 
@@ -141,26 +134,8 @@ impl ObligationCache {
     pub fn disabled() -> Self {
         ObligationCache {
             enabled: false,
-            lemmas: LemmaPool::disabled(),
             ..ObligationCache::new()
         }
-    }
-
-    /// The lemma pool riding alongside the verdict entries — learnt
-    /// clauses keyed by the same obligation fingerprints, enabled (and
-    /// persisted) together with them.
-    pub fn lemmas(&self) -> &LemmaPool {
-        &self.lemmas
-    }
-
-    /// A fresh, enabled cache holding *only* this cache's lemma pool —
-    /// no verdicts, no counters. This is the "warm pool, cold verdicts"
-    /// configuration the equivalence tests use to isolate lemma-level
-    /// reuse from verdict-level reuse.
-    pub fn retain_lemmas(&self) -> ObligationCache {
-        let fresh = ObligationCache::new();
-        self.lemmas.copy_into(&fresh.lemmas);
-        fresh
     }
 
     /// Whether lookups/inserts are live (false only for [`crate::noop`]).

@@ -66,8 +66,7 @@ pub fn prove_equivalence(func: &Function, rtl: &Rtl) -> bool {
 ///
 /// Returns `Some(equivalent)` on a verdict and `None` when the budget ran
 /// out first. Verdicts are cached; exhaustion is never cached, because a
-/// larger budget may still decide the query. Only an effort that leaves
-/// SAT unbounded seeds the solve from the cache's lemma pool.
+/// larger budget may still decide the query.
 pub fn prove_equivalence_budgeted(
     func: &Function,
     rtl: &Rtl,
@@ -89,21 +88,19 @@ pub fn prove_equivalence_budgeted(
         netlists: &[rtl, &golden],
         property: None,
     };
-    mc::obligation::probe(cache, instrument, &sources, |key| {
-        solve_miter(rtl, &golden, effort, instrument, cache.lemmas(), key)
+    mc::obligation::probe(cache, instrument, &sources, || {
+        solve_miter(rtl, &golden, effort, instrument)
     })
 }
 
-/// Builds and solves the miter of `rtl` against `golden`. `key` is the
-/// obligation's cache key (`None` under a disabled cache), under which
-/// an unbudgeted solve seeds from and feeds the lemma pool.
+/// Builds and solves the miter of `rtl` against `golden` under `effort`
+/// (an unbounded effort is a plain solve): `Some(true)` when no input
+/// tells them apart, `None` when the budget ran out first.
 fn solve_miter(
     rtl: &Rtl,
     golden: &Rtl,
     effort: &exec::Effort,
     instrument: &telemetry::SharedInstrument,
-    pool: &cache::LemmaPool,
-    key: Option<cache::Fingerprint>,
 ) -> Option<bool> {
     let mut ctx = CnfBackend::new();
     if instrument.enabled() {
@@ -112,79 +109,10 @@ fn solve_miter(
     let any = build_miter(rtl, golden, &mut ctx);
     let builder = ctx.builder_mut();
     builder.assert_lit(any);
-    if effort.bounds_sat() {
-        match builder.solve_budgeted(&[], effort).decided() {
-            Some(result) => Some(result.is_unsat()),
-            // Budget exhausted: cube-and-conquer fallback. Split on the
-            // probe solver's top-activity variables and re-solve each cube
-            // under the same per-cube budget; cubes run sequentially so the
-            // exhaustion point stays a pure function of CNF and budget. No
-            // lemma-pool seeding on a budget — a warm pool could move the
-            // exhaustion point and flip Exhausted <-> Decided across runs.
-            None => {
-                instrument.counter_add("sat.cube_splits", 1);
-                let split = builder.solver().top_activity_vars(CUBE_SPLIT_VARS);
-                let cnf = builder.solver().export_cnf();
-                let report = sat::cube::conquer(&cnf, &split, effort);
-                Some(report.verdict?.is_unsat())
-            }
-        }
-    } else {
-        // Lemma-pool warm start: seed clauses learnt by an earlier solve of
-        // a key-identical miter (same netlists, hence the same CNF and
-        // asserted root), then collect this solve's own short learnts back
-        // into the pool. Seeds are entailed by the exporter's CNF —
-        // byte-identical to ours — so they can shrink the search, never
-        // flip the verdict.
-        if let Some(fp) = key {
-            seed_from_pool(builder.solver_mut(), pool, fp, instrument);
-            builder.solver_mut().set_share(sat::SolverShare::collector(
-                sat::ShareFilter::default(),
-                cache::pool::MAX_CLAUSES_PER_ENTRY,
-            ));
-        }
-        let equivalent = builder.solve().is_unsat();
-        if let Some(fp) = key {
-            if let Some(share) = builder.solver_mut().take_share() {
-                pool.insert(fp, &share.into_pool_exports());
-            }
-        }
-        Some(equivalent)
-    }
-}
-
-/// Number of top-activity variables the budgeted miter splits on when
-/// its direct solve exhausts (2^k cubes; 3 → 8 cubes, enough to break
-/// symmetric hard instances without exploding the sequential sweep).
-const CUBE_SPLIT_VARS: usize = 3;
-
-/// Imports the lemma-pool entry for `fp` (if any) into `solver` at
-/// decision level 0, reporting pool telemetry. Returns early on a
-/// conflicting import — the solver is then already UNSAT and the caller's
-/// solve call reports it.
-fn seed_from_pool(
-    solver: &mut sat::Solver,
-    pool: &cache::LemmaPool,
-    fp: cache::Fingerprint,
-    instrument: &telemetry::SharedInstrument,
-) {
-    let seeds = pool.lookup(fp);
-    if seeds.is_empty() {
-        return;
-    }
-    instrument.counter_add("sat.pool_hits", 1);
-    let (mut imported, mut rejected) = (0u64, 0u64);
-    for clause in &seeds {
-        match solver.import_clause(clause) {
-            sat::ImportResult::Added => imported += 1,
-            sat::ImportResult::Redundant => rejected += 1,
-            // The seeds alone are UNSAT under the level-0 trail; further
-            // imports cannot change that verdict.
-            sat::ImportResult::Conflict => break,
-        }
-    }
-    instrument.counter_add("sat.pool_imports", imported);
-    instrument.counter_add("sat.pool_rejects", rejected);
+    builder
+        .solve_budgeted(&[], effort)
+        .decided()
+        .map(|r| r.is_unsat())
 }
 
 /// Builds the `rtl`-vs-`golden` miter in `ctx` over shared fresh inputs,

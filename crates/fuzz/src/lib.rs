@@ -74,15 +74,11 @@ pub enum Family {
     /// interpreter and the register bytecode VM, whole instrumented
     /// outputs compared bit for bit.
     Vm,
-    /// The lemma pool's export and import paths: exported clauses
-    /// brute-force checked for entailment, level-0 import seeding
-    /// checked to never change a verdict or invalidate a model.
-    Share,
 }
 
 impl Family {
     /// Every family, in canonical run order.
-    pub const ALL: [Family; 8] = [
+    pub const ALL: [Family; 7] = [
         Family::Sat,
         Family::Dimacs,
         Family::Mc,
@@ -90,7 +86,6 @@ impl Family {
         Family::Media,
         Family::Supervise,
         Family::Vm,
-        Family::Share,
     ];
 
     /// The short name used in reproducer IDs.
@@ -103,7 +98,6 @@ impl Family {
             Family::Media => "media",
             Family::Supervise => "supervise",
             Family::Vm => "vm",
-            Family::Share => "share",
         }
     }
 
@@ -124,7 +118,6 @@ impl Family {
             Family::Media => 4,
             Family::Supervise => 50,
             Family::Vm => 80,
-            Family::Share => 40,
         }
     }
 }
@@ -217,7 +210,6 @@ fn dispatch(family: Family, rng: &mut FuzzRng, bias: u64) -> FamilyOutcome {
         Family::Media => media_fuzz::run_one(rng, bias),
         Family::Supervise => supervise_fuzz::run_one(rng, bias),
         Family::Vm => vm_fuzz::run_one(rng, bias),
-        Family::Share => share_fuzz::run_one(rng, bias),
     }
 }
 

@@ -187,7 +187,7 @@ pub fn generate(rng: &mut FuzzRng, bias: u64) -> CnfCase {
     }
 }
 
-fn load_solver(case: &CnfCase) -> (Solver, Vec<Var>) {
+pub(crate) fn load_solver(case: &CnfCase) -> (Solver, Vec<Var>) {
     let mut solver = Solver::new();
     let vars: Vec<Var> = (0..case.num_vars).map(|_| solver.new_var()).collect();
     for clause in &case.clauses {
@@ -200,7 +200,7 @@ fn load_solver(case: &CnfCase) -> (Solver, Vec<Var>) {
     (solver, vars)
 }
 
-fn extract_model(solver: &Solver, vars: &[Var]) -> Vec<bool> {
+pub(crate) fn extract_model(solver: &Solver, vars: &[Var]) -> Vec<bool> {
     vars.iter()
         .map(|&v| solver.value(v) == Some(true))
         .collect()
@@ -398,7 +398,7 @@ fn with_ground_truth(mut case: CnfCase) -> CnfCase {
     case
 }
 
-pub(crate) fn shrink_candidates(case: &CnfCase) -> Vec<CnfCase> {
+fn shrink_candidates(case: &CnfCase) -> Vec<CnfCase> {
     let mut out = Vec::new();
     for i in 0..case.clauses.len() {
         let mut c = case.clone();

@@ -159,7 +159,7 @@ pub fn check_budgeted(
         netlists: &[rtl],
         property: Some(property),
     };
-    crate::obligation::probe(cache, instrument, &sources, |_| {
+    crate::obligation::probe(cache, instrument, &sources, || {
         check_effort(rtl, property, bound, effort, instrument)
     })
 }

@@ -110,18 +110,16 @@ impl Payload for Option<bool> {
 /// result without building anything; a miss — or a payload that fails to
 /// decode — runs `run` and stores its result (unless
 /// [`Payload::encode`] declines). Hits and misses count as `cache.hits`
-/// and `cache.misses` on `instrument`.
-///
-/// `run` receives the obligation's key, or `None` under a disabled cache
-/// ([`cache::noop()`]), which skips the hash and the counters entirely.
+/// and `cache.misses` on `instrument`. A disabled cache
+/// ([`cache::noop()`]) skips the hash and the counters entirely.
 pub fn probe<T: Payload>(
     cache: &ObligationCache,
     instrument: &telemetry::SharedInstrument,
     sources: &Sources<'_>,
-    run: impl FnOnce(Option<Fingerprint>) -> T,
+    run: impl FnOnce() -> T,
 ) -> T {
     if !cache.is_enabled() {
-        return run(None);
+        return run();
     }
     let key = sources.key();
     if let Some(payload) = cache.lookup_tagged(sources.engine, key) {
@@ -131,7 +129,7 @@ pub fn probe<T: Payload>(
         }
     }
     instrument.counter_add("cache.misses", 1);
-    let value = run(Some(key));
+    let value = run();
     if let Some(payload) = value.encode() {
         cache.insert_tagged(sources.engine, key, payload);
     }
@@ -366,8 +364,7 @@ mod tests {
         };
         let mut runs = 0;
         for _ in 0..2 {
-            let verdict = probe(&cache, &telemetry::noop(), &sources, |key| {
-                assert_eq!(key, Some(sources.key()));
+            let verdict = probe(&cache, &telemetry::noop(), &sources, || {
                 runs += 1;
                 Verdict::NoViolationUpTo(3)
             });
@@ -375,21 +372,21 @@ mod tests {
         }
         assert_eq!(runs, 1);
         assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
-        // Exhausted budgets are never stored; a disabled cache never
-        // hashes.
+        // Exhausted budgets are never stored.
         let budget = Sources {
             params: &[4],
             ..sources
         };
         for _ in 0..2 {
-            probe(&cache, &telemetry::noop(), &budget, |_| {
+            probe(&cache, &telemetry::noop(), &budget, || {
                 Verdict::Unknown(crate::UnknownReason::BudgetExhausted)
             });
         }
         assert_eq!(cache.stats().misses, 3);
-        probe(cache::noop(), &telemetry::noop(), &sources, |key| {
-            assert_eq!(key, None);
+        // A disabled cache always runs the engine.
+        let uncached = probe(cache::noop(), &telemetry::noop(), &sources, || {
             Verdict::Proven
         });
+        assert_eq!(uncached, Verdict::Proven);
     }
 }

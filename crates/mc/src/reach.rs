@@ -207,7 +207,7 @@ pub fn check_budgeted(
         netlists: &[rtl],
         property: Some(property),
     };
-    crate::obligation::probe(cache, instrument, &sources, |_| {
+    crate::obligation::probe(cache, instrument, &sources, || {
         let (verdict, nodes) = check_counting(rtl, property, budget);
         instrument.counter_add("bdd.nodes_allocated", nodes);
         verdict

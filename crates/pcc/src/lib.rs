@@ -190,9 +190,7 @@ fn fails_on_cached(
         netlists: &[rtl],
         property: Some(property),
     };
-    mc::obligation::probe(cache, instrument, &sources, |_| {
-        fails_on(rtl, property, cfg)
-    })
+    mc::obligation::probe(cache, instrument, &sources, || fails_on(rtl, property, cfg))
 }
 
 /// Whether a property fails (is violated) on a design.

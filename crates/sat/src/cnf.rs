@@ -262,13 +262,6 @@ impl CnfBuilder {
         &self.solver
     }
 
-    /// Mutable access to the underlying solver — the hook the cached
-    /// miter paths use to attach a sharing endpoint and import
-    /// lemma-pool clauses before solving.
-    pub fn solver_mut(&mut self) -> &mut Solver {
-        &mut self.solver
-    }
-
     /// Attaches a telemetry instrument to the underlying solver (see
     /// [`Solver::set_instrument`]).
     pub fn set_instrument(&mut self, instrument: telemetry::SharedInstrument) {

@@ -10,10 +10,7 @@
 //! * VSIDS-style activity-based decision heuristics,
 //! * Luby-sequence restarts,
 //! * incremental solving under assumptions,
-//! * deterministic effort budgets ([`Solver::solve_budgeted`]) with a
-//!   cube-and-conquer fallback ([`cube::conquer`]),
-//! * learnt-clause export and level-0 import for the cross-obligation
-//!   lemma pool ([`share`]).
+//! * deterministic effort budgets ([`Solver::solve_budgeted`]).
 //!
 //! [`cnf::CnfBuilder`] layers Tseitin gate encodings (AND/OR/XOR/MUX/equality)
 //! on top, which is how the `hdl` crate bit-blasts netlists into CNF.
@@ -39,15 +36,11 @@
 #![forbid(unsafe_code)]
 
 pub mod cnf;
-pub mod cube;
 pub mod dimacs;
-pub mod share;
 pub mod solver;
 pub mod types;
 
 pub use cnf::CnfBuilder;
-pub use cube::CubeReport;
 pub use dimacs::Dimacs;
-pub use share::{ImportResult, ShareFilter, ShareStats, SolverShare};
 pub use solver::{BudgetedResult, Cnf, SolveResult, Solver};
 pub use types::{Lit, Var};

@@ -1,7 +1,6 @@
 //! The CDCL solver core.
 #![allow(clippy::needless_range_loop)]
 
-use crate::share::{ImportResult, SolverShare};
 use crate::types::{Lit, Var};
 
 /// Outcome of a [`Solver::solve`] call.
@@ -243,9 +242,6 @@ pub struct Solver {
     budget_conflicts: Option<u64>,
     /// See [`Solver::budget_conflicts`](struct field above).
     budget_decisions: Option<u64>,
-    /// Optional lemma-pool collector. `None` — the default — keeps every
-    /// non-collecting path free of glue computation and clause clones.
-    share: Option<SolverShare>,
     /// Unit propagations seen by the test-only `mutant` feature, which
     /// silently drops every third one to prove the fuzzer's differential
     /// oracles catch an injected solver bug.
@@ -291,7 +287,6 @@ impl Default for Solver {
             flush_calls: 0,
             budget_conflicts: None,
             budget_decisions: None,
-            share: None,
             #[cfg(feature = "mutant")]
             mutant_units: 0,
             #[cfg(feature = "diverge-mutant")]
@@ -413,107 +408,6 @@ impl Solver {
                 true
             }
         }
-    }
-
-    /// Attaches a lemma-pool collector (see [`crate::share`]). The solver
-    /// then offers every learnt clause that passes the collector's
-    /// length/glue filter.
-    pub fn set_share(&mut self, share: SolverShare) {
-        self.share = Some(share);
-    }
-
-    /// Detaches and returns the collector (with its pool-bound exports
-    /// and export counters), if one was attached.
-    pub fn take_share(&mut self) -> Option<SolverShare> {
-        self.share.take()
-    }
-
-    /// Integrates one *entailed* foreign clause — a lemma-pool entry,
-    /// stored under the miter's source key (see [`crate::share`]) — at
-    /// decision level 0.
-    /// The clause attaches as a learnt clause, so [`Solver::export_cnf`]
-    /// keeps reporting the original problem. Clauses referencing unallocated variables are
-    /// rejected as [`ImportResult::Redundant`] (the defensive stance for
-    /// pool entries read back from disk). An imported *unit* lands on
-    /// the level-0 trail and therefore shows up in later `export_cnf`
-    /// snapshots; the snapshot stays equisatisfiable because imports are
-    /// entailed.
-    ///
-    /// Returning [`ImportResult::Conflict`] means the formula is now
-    /// unsatisfiable at level 0 — a real verdict, not a failure, again
-    /// because imports are entailed.
-    pub fn import_clause(&mut self, lits: &[Lit]) -> ImportResult {
-        debug_assert!(self.trail_lim.is_empty());
-        if self.unsat {
-            return ImportResult::Conflict;
-        }
-        if lits.iter().any(|l| l.var().index() >= self.num_vars()) {
-            return ImportResult::Redundant;
-        }
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort_unstable();
-        lits.dedup();
-        let mut simplified = Vec::with_capacity(lits.len());
-        let mut i = 0;
-        while i < lits.len() {
-            let l = lits[i];
-            if i + 1 < lits.len() && lits[i + 1] == !l {
-                return ImportResult::Redundant; // tautology
-            }
-            match lit_value(&self.assign, l) {
-                1 => return ImportResult::Redundant, // satisfied at level 0
-                0 => {}                              // falsified at level 0: drop
-                _ => simplified.push(l),
-            }
-            i += 1;
-        }
-        match simplified.len() {
-            0 => {
-                self.unsat = true;
-                ImportResult::Conflict
-            }
-            1 => {
-                if !self.enqueue(simplified[0], None) || self.propagate().is_some() {
-                    self.unsat = true;
-                    ImportResult::Conflict
-                } else {
-                    ImportResult::Added
-                }
-            }
-            _ => {
-                self.attach_clause(&simplified, true);
-                ImportResult::Added
-            }
-        }
-    }
-
-    /// Glue (LBD) of a just-learnt clause: the number of distinct
-    /// decision levels among its literals. Only meaningful between
-    /// [`Solver::analyze`] and the subsequent backjump, while the learnt
-    /// literals still hold their conflict-time levels.
-    fn clause_glue(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
-    }
-
-    /// The `k` unassigned variables with the highest VSIDS activity
-    /// (ties broken by variable index) — the deterministic split set for
-    /// cube-and-conquer after a budgeted solve exhausted. Call at
-    /// decision level 0.
-    pub fn top_activity_vars(&self, k: usize) -> Vec<Var> {
-        let mut vars: Vec<usize> = (0..self.num_vars())
-            .filter(|&i| self.assign[i] == UNASSIGNED)
-            .collect();
-        vars.sort_by(|&a, &b| {
-            self.activity[b]
-                .partial_cmp(&self.activity[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        vars.truncate(k);
-        vars.into_iter().map(|i| Var(i as u32)).collect()
     }
 
     /// Appends a clause of at least two literals to the arena and
@@ -975,22 +869,9 @@ impl Solver {
                 }
                 let mut learnt = std::mem::take(&mut self.learnt);
                 let bt = self.analyze(conflict, &mut learnt);
-                // Glue (LBD — distinct decision levels among the learnt
-                // literals) must be read *before* backtracking wipes the
-                // per-variable levels; the length pre-check keeps the
-                // no-sharing path free of the scan.
-                let export_glue = match &self.share {
-                    Some(share) if share.wants_len(learnt.len()) => Some(self.clause_glue(&learnt)),
-                    _ => None,
-                };
                 self.backtrack_to(bt);
                 let reason = (learnt.len() > 1).then(|| self.attach_clause(&learnt, true));
                 let asserted = self.enqueue(learnt[0], reason);
-                if asserted {
-                    if let (Some(glue), Some(share)) = (export_glue, self.share.as_mut()) {
-                        share.offer(&learnt, glue);
-                    }
-                }
                 self.learnt = learnt;
                 if !asserted {
                     self.unsat = true;
@@ -1056,10 +937,8 @@ impl Solver {
     /// clauses (units are enqueued on the trail at add time, never stored
     /// in the clause database), plus the empty clause when the formula is
     /// already known unsatisfiable. Call between solve calls (the solver
-    /// rests at decision level 0 then). Its one consumer is level 4's
-    /// budget fallback, which hands the snapshot to
-    /// [`crate::cube::conquer`] when a budgeted miter solve exhausts.
-    /// Stored clauses come out in attach order.
+    /// rests at decision level 0 then). Stored clauses come out in
+    /// attach order.
     pub fn export_cnf(&self) -> Cnf {
         let mut clauses: Vec<Vec<Lit>> = Vec::new();
         if self.unsat {

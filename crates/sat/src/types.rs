@@ -67,18 +67,11 @@ impl Lit {
         self.0 & 1 == 0
     }
 
-    /// Packed code (`2*var + sign`), used as a watch-list index.
+    /// Packed code (`2*var + sign`), used as a watch-list index and to
+    /// order gate operands for structural hashing.
     #[inline]
     pub fn code(self) -> usize {
         self.0 as usize
-    }
-
-    /// Rebuilds a literal from its packed [`Lit::code`] — the inverse
-    /// used when clauses round-trip through persistence as unsigned
-    /// codes (the lemma-pool disk format).
-    #[inline]
-    pub fn from_code(code: usize) -> Self {
-        Lit(code as u32)
     }
 }
 
@@ -117,8 +110,6 @@ mod tests {
         assert_eq!(!n, p);
         assert_eq!(p.code(), 10);
         assert_eq!(n.code(), 11);
-        assert_eq!(Lit::from_code(10), p);
-        assert_eq!(Lit::from_code(11), n);
     }
 
     #[test]

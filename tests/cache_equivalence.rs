@@ -224,262 +224,6 @@ fn garbage_entries_load_empty_and_garbage_payloads_stay_sound() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A deterministic conflict-rich CNF (planted 3-XOR chain over `n`
-/// variables) for exercising the lemma pool with real learnt clauses —
-/// the flow's own miters solve in near-zero conflicts and so may leave
-/// the pool empty.
-fn hard_cnf(n: usize) -> sat::Cnf {
-    let lit = |v: usize, pos: bool| sat::Lit::with_polarity(sat::Var::from_index(v), pos);
-    let mut clauses = Vec::new();
-    for i in 0..n {
-        let (a, b, c) = (i, (i * 7 + 3) % n, (i * 13 + 5) % n);
-        if a == b || b == c || a == c {
-            continue;
-        }
-        // Encode a ^ b ^ c = 1 as the four clauses ruling out the
-        // even-parity assignments.
-        for mask in 0..8u32 {
-            if (mask.count_ones() % 2) == 1 {
-                continue;
-            }
-            clauses.push(vec![
-                lit(a, mask & 1 == 0),
-                lit(b, mask & 2 == 0),
-                lit(c, mask & 4 == 0),
-            ]);
-        }
-    }
-    sat::Cnf {
-        num_vars: n,
-        clauses,
-    }
-}
-
-/// Solves `cnf` cold with a collector share attached and returns its
-/// pool-bound exports.
-fn exports_of(cnf: &sat::Cnf) -> Vec<Vec<sat::Lit>> {
-    collected_exports(cnf, sat::ShareFilter::permissive(16))
-}
-
-/// Solves `cnf` cold with a collector share using `filter` (capped at
-/// the pool's per-entry limit) and returns its pool-bound exports.
-fn collected_exports(cnf: &sat::Cnf, filter: sat::ShareFilter) -> Vec<Vec<sat::Lit>> {
-    let mut solver = sat::Solver::new();
-    cnf.load_into(&mut solver);
-    solver.set_share(sat::SolverShare::collector(
-        filter,
-        cache::pool::MAX_CLAUSES_PER_ENTRY,
-    ));
-    solver.solve();
-    solver
-        .take_share()
-        .expect("collector share is attached")
-        .into_pool_exports()
-}
-
-/// Pins the lemma-pool export stream end to end: which learnt clauses
-/// the collector admits (permissive and level 4's default filter), their
-/// normal form, and the persisted `lemmas-v1.json` layout. The
-/// share-mutant corrupts exports on purpose, so the pin is skipped there.
-#[cfg(not(feature = "share-mutant"))]
-#[test]
-fn lemma_pool_export_stream_matches_golden() {
-    let dir = scratch_dir("lemma-golden");
-    let cnf = hard_cnf(32);
-    let permissive = exports_of(&cnf);
-    let default = collected_exports(&cnf, sat::ShareFilter::default());
-    assert!(!permissive.is_empty() && !default.is_empty());
-    let obligations = cache::ObligationCache::new();
-    let lemmas = obligations.lemmas();
-    lemmas.insert(cache::Fingerprint(0x0101_0101_0101_0101), &permissive);
-    lemmas.insert(cache::Fingerprint(0x0202_0202_0202_0202), &default);
-    obligations.save(&dir).expect("cache saves");
-    let text = fs::read_to_string(dir.join("lemmas-v1.json")).expect("lemma file reads");
-    symbad_suite::testkit::assert_golden("lemma_pool_hard.json", &text);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// The lemma pool's effort claim (EXPERIMENTS.md E19): a cold solve's
-/// exports, seeded through a fresh pool into a re-solve of the same
-/// formula, keep the verdict and strictly cut conflicts. The counts are
-/// deterministic. The share-mutant corrupts exports on purpose, so the
-/// pin is skipped there.
-#[cfg(not(feature = "share-mutant"))]
-#[test]
-fn pool_seeded_resolve_fights_fewer_conflicts() {
-    let cnf = hard_cnf(48);
-    let mut cold = sat::Solver::new();
-    cnf.load_into(&mut cold);
-    let cold_verdict = cold.solve();
-
-    let pool = cache::LemmaPool::new();
-    let fp = cache::Fingerprint(0x5a7b_ad00_1337_c0de_5a7b_ad00_1337_c0de);
-    pool.insert(fp, &exports_of(&cnf));
-    let mut seeded = sat::Solver::new();
-    cnf.load_into(&mut seeded);
-    let imports = pool
-        .lookup(fp)
-        .iter()
-        .filter(|clause| seeded.import_clause(clause) == sat::ImportResult::Added)
-        .count();
-
-    assert_eq!(
-        seeded.solve(),
-        cold_verdict,
-        "seeding never changes a verdict"
-    );
-    assert!(
-        seeded.conflicts() < cold.conflicts(),
-        "the warm pool must reduce conflicts ({} cold vs {} seeded)",
-        cold.conflicts(),
-        seeded.conflicts()
-    );
-    assert_eq!(
-        (cold.conflicts(), seeded.conflicts(), imports),
-        (114, 39, 114)
-    );
-}
-
-#[test]
-fn lemma_pool_persistence_round_trips_through_disk() {
-    let dir = scratch_dir("lemma-round-trip");
-    let cnf = hard_cnf(32);
-    let exports = exports_of(&cnf);
-    assert!(
-        !exports.is_empty(),
-        "the hard CNF must produce learnt-clause exports"
-    );
-    let obligations = cache::ObligationCache::new();
-    let fp = cache::Fingerprint(0x1234_5678_9abc_def0_1122_3344_5566_7788);
-    obligations.lemmas().insert(fp, &exports);
-    obligations.save(&dir).expect("cache saves");
-    assert!(
-        dir.join("lemmas-v1.json").exists(),
-        "saving the cache must write the lemma pool file"
-    );
-
-    let reloaded = cache::ObligationCache::load_or_empty(&dir);
-    assert_eq!(
-        reloaded.lemmas().entries_sorted(),
-        obligations.lemmas().entries_sorted(),
-        "lemma entries must survive the save/load round trip verbatim"
-    );
-
-    // The reloaded clauses seed a plain solver at decision level 0 —
-    // level 4's import path — without moving the verdict.
-    let mut cold = sat::Solver::new();
-    cnf.load_into(&mut cold);
-    let mut seeded = sat::Solver::new();
-    cnf.load_into(&mut seeded);
-    let results: Vec<sat::ImportResult> = reloaded
-        .lemmas()
-        .lookup(fp)
-        .iter()
-        .map(|clause| seeded.import_clause(clause))
-        .collect();
-    assert_eq!(seeded.solve(), cold.solve());
-    assert!(
-        results.contains(&sat::ImportResult::Added),
-        "reloaded seeds must import"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupted_lemma_files_load_an_empty_pool_without_touching_verdicts() {
-    let dir = scratch_dir("lemma-corrupt");
-    let obligations = cache::ObligationCache::new();
-    let cold = run_full_flow_cached(
-        &Workload::small(),
-        &telemetry::noop(),
-        exec::ExecMode::Sequential,
-        &obligations,
-    )
-    .expect("cold flow runs");
-    let fp = cache::Fingerprint(0xfeed_face_cafe_f00d_feed_face_cafe_f00d);
-    obligations.lemmas().insert(fp, &exports_of(&hard_cnf(24)));
-    obligations.save(&dir).expect("cache saves");
-    let lemma_file = dir.join("lemmas-v1.json");
-    let text = fs::read_to_string(&lemma_file).expect("lemma file reads");
-
-    // Truncations, garbage tails, and version bumps each load as an
-    // empty pool — never a panic, never a partial entry — while the
-    // verdict cache alongside loads intact and the flow replay stays
-    // bit-identical (the pool is effort-advisory, so an empty pool can
-    // never change an answer).
-    let half = text.len() / 2;
-    let torn = format!("{}\u{0}<<<not json>>>", &text[..half]);
-    let versioned = text.replace("\"version\": 1", "\"version\": 999");
-    for corrupt in [&text[..half], &text[..1], torn.as_str(), versioned.as_str()] {
-        fs::write(&lemma_file, corrupt).unwrap();
-        let loaded = cache::ObligationCache::load_or_empty(&dir);
-        assert!(
-            loaded.lemmas().is_empty(),
-            "a corrupted lemma file must load an empty pool"
-        );
-        assert!(
-            !loaded.is_empty(),
-            "lemma corruption must not discard the verdict entries"
-        );
-        let warm = run_full_flow_cached(
-            &Workload::small(),
-            &telemetry::noop(),
-            exec::ExecMode::Sequential,
-            &loaded,
-        )
-        .expect("flow survives a corrupted lemma file");
-        assert_eq!(warm.to_json(), cold.to_json());
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn retain_lemmas_keeps_the_pool_and_drops_the_verdicts() {
-    let w = Workload::small();
-    let obligations = cache::ObligationCache::new();
-    let cold = run_full_flow_cached(
-        &w,
-        &telemetry::noop(),
-        exec::ExecMode::Sequential,
-        &obligations,
-    )
-    .expect("cold flow runs");
-    let fp = cache::Fingerprint(0xaaaa_bbbb_cccc_dddd_0000_1111_2222_3333);
-    obligations.lemmas().insert(fp, &exports_of(&hard_cnf(24)));
-
-    let warmed = obligations.retain_lemmas();
-    assert!(warmed.is_empty(), "retain_lemmas must drop verdict entries");
-    assert_eq!(
-        warmed.lemmas().entries_sorted(),
-        obligations.lemmas().entries_sorted(),
-        "retain_lemmas must copy the pool verbatim"
-    );
-
-    // Warm pool, cold verdicts: every obligation re-runs (zero hits) and
-    // the report is still bit-identical for sequential and parallel runs.
-    for mode in [
-        exec::ExecMode::Sequential,
-        exec::ExecMode::Parallel { workers: 2 },
-        exec::ExecMode::Parallel { workers: 8 },
-    ] {
-        let pool_only = warmed.retain_lemmas();
-        let report = run_full_flow_cached(&w, &telemetry::noop(), mode, &pool_only)
-            .expect("warm-pool flow runs");
-        assert_eq!(
-            report.to_json(),
-            cold.to_json(),
-            "warm-pool report diverged at {mode:?}"
-        );
-        // Verdicts re-run from scratch (repeat obligations inside the
-        // single run may still hit, but the cold-start misses prove the
-        // engines actually executed).
-        assert!(
-            pool_only.stats().misses > 0,
-            "a pool-only cache must re-run the engines"
-        );
-    }
-}
-
 #[test]
 fn bmc_constructs_strictly_fewer_solvers_than_it_makes_sat_calls() {
     // One solver per obligation, extended incrementally across depths:
