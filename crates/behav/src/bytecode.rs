@@ -32,6 +32,21 @@
 //! with an earlier one (Brent's cycle detection), and a repeat ends the
 //! run with the [`ExecError::StepLimit`] it would have reached anyway.
 //!
+//! [`Vm::run_rows`] runs one program once per row of arguments. For a
+//! lane-eligible program ([`Program::is_lane_eligible`]: no loop, array
+//! access, reconfiguration or resource call) it executes each op once
+//! over all the rows, the *lanes*, that reach it, with one register row
+//! of lanes per register. Such a program only jumps forward, so a single
+//! pass over its ops follows every lane's path in order: each lane
+//! carries a mask that is all ones or zero, a branch splits the masks, a
+//! jump parks lanes at its target, and arriving at a target ORs them
+//! back in. Every per-lane choice is a blend or a mask operation, never a
+//! branch on lane data: which way a kernel's `a ≥ b` goes depends on the
+//! data, and a per-lane branch would mispredict as often as a scalar run
+//! does. No lane run of such a program can fail, call a handler or read
+//! garbage, so the result equals per-row [`Vm::run_value`], which is the
+//! fallback for every other program, arity or step limit.
+//!
 //! The tree-walker stays as the differential oracle: [`Vm::run`] must
 //! produce a [`RunOutput`] bit-for-bit equal to the interpreter's on every
 //! function, input, and fault — a contract enforced by the kernel
@@ -209,6 +224,54 @@ pub struct Program {
     /// All-uncovered coverage sized for the source function; cloned per
     /// instrumented run.
     coverage_proto: CoverageSet,
+    /// How [`Vm::run_rows`] parks lanes, or `None` when the program must
+    /// run row by row.
+    lane_plan: Option<LanePlan>,
+}
+
+/// Marks an op that no jump targets.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The parking slots of a lane-eligible program: the slot of every op
+/// that a jump targets ([`NO_SLOT`] for the rest), and their number.
+#[derive(Debug, Clone)]
+struct LanePlan {
+    slot: Vec<u32>,
+    slots: usize,
+}
+
+/// The lane plan of a compiled program, or `None` when a loop back-edge,
+/// an array load or store, a reconfiguration or a resource call rules the
+/// lane pass out. The remaining jumps must all point forward; the
+/// compiler emits no other kind, and this checks it.
+fn lane_plan(ops: &[Op]) -> Option<LanePlan> {
+    let mut slot = vec![NO_SLOT; ops.len()];
+    let mut slots = 0u32;
+    for (pc, op) in ops.iter().enumerate() {
+        let target = match *op {
+            Op::Load { .. }
+            | Op::StoreArr { .. }
+            | Op::LoopJump { .. }
+            | Op::Reconfigure { .. }
+            | Op::ResourceCall { .. } => return None,
+            Op::Jump { target }
+            | Op::BranchIfZero { target, .. }
+            | Op::MuxJumpIfZero { target, .. }
+            | Op::CmpBranch { target, .. } => target as usize,
+            _ => continue,
+        };
+        if target <= pc {
+            return None;
+        }
+        if slot[target] == NO_SLOT {
+            slot[target] = slots;
+            slots += 1;
+        }
+    }
+    Some(LanePlan {
+        slot,
+        slots: slots as usize,
+    })
 }
 
 impl Program {
@@ -235,6 +298,15 @@ impl Program {
     /// A fresh all-uncovered coverage set sized for the source function.
     pub fn new_coverage(&self) -> CoverageSet {
         self.coverage_proto.clone()
+    }
+
+    /// Whether [`Vm::run_rows`] can run this program lane-parallel: it
+    /// has no loop, array access, reconfiguration or resource call. A
+    /// call also needs rows of [`Program::num_params`] values each and a
+    /// step limit no smaller than the function's statement count;
+    /// otherwise it runs row by row.
+    pub fn is_lane_eligible(&self) -> bool {
+        self.lane_plan.is_some()
     }
 }
 
@@ -365,6 +437,7 @@ pub fn compile(func: &Function) -> Program {
     c.emit(Op::Halt);
     let (ops, stmt_ids, call_args, func_names, max_regs) =
         (c.ops, c.stmt_ids, c.call_args, c.func_names, c.max_regs);
+    let lane_plan = lane_plan(&ops);
     Program {
         name: func.name().to_owned(),
         num_params: func.num_params(),
@@ -381,6 +454,7 @@ pub fn compile(func: &Function) -> Program {
         call_args,
         func_names,
         coverage_proto: CoverageSet::new(func),
+        lane_plan,
     }
 }
 
@@ -1011,6 +1085,195 @@ impl Mutant {
     }
 }
 
+/// State of the `vm-mutant` miscompile in a lane run: each lane's count
+/// of scalar assignments, as [`Mutant`] keeps for one run. Empty, and
+/// free, without the feature.
+#[derive(Debug, Clone, Default)]
+struct LaneMutant {
+    #[cfg(feature = "vm-mutant")]
+    writes: Vec<u64>,
+}
+
+impl LaneMutant {
+    /// Starts `n` lanes at zero assignments.
+    fn reset(&mut self, _n: usize) {
+        #[cfg(feature = "vm-mutant")]
+        {
+            self.writes.clear();
+            self.writes.resize(_n, 0);
+        }
+    }
+
+    /// The width mask lane `i` applies at a scalar assignment, which it
+    /// makes when `active` is all ones. With the feature on, every third
+    /// assignment of a lane skips the mask, as in a scalar run.
+    #[inline(always)]
+    fn mask(&mut self, _i: usize, _active: u64, mask: u64) -> u64 {
+        #[cfg(feature = "vm-mutant")]
+        {
+            let writes = &mut self.writes[_i];
+            *writes += _active & 1;
+            if writes.is_multiple_of(3) {
+                return u64::MAX;
+            }
+        }
+        mask
+    }
+}
+
+/// Lane state of [`Vm::run_rows`], struct-of-arrays over `n` lanes,
+/// kept in the [`Vm`] and reused across calls.
+#[derive(Debug, Clone, Default)]
+struct Lanes {
+    /// Register `r` of lane `i` at `regs[r * n + i]`.
+    regs: Vec<u64>,
+    /// All ones for each lane that executes the current op, else zero.
+    active: Vec<u64>,
+    /// Lanes waiting at each jump-target slot (`slot * n + i`), and
+    /// whether any lane waits there.
+    parked: Vec<u64>,
+    parked_any: Vec<bool>,
+    /// The current op's value in every lane, before it is blended in.
+    val: Vec<u64>,
+    /// Each lane's return value, and all ones once it returned one.
+    ret: Vec<u64>,
+    has_ret: Vec<u64>,
+    mutant: LaneMutant,
+}
+
+/// The `n` lanes of register `r`.
+#[inline(always)]
+fn lanes_of(regs: &[u64], n: usize, r: Reg) -> &[u64] {
+    &regs[r as usize * n..][..n]
+}
+
+/// The `n` lanes of register `r`, for writing.
+#[inline(always)]
+fn lanes_of_mut(regs: &mut [u64], n: usize, r: Reg) -> &mut [u64] {
+    &mut regs[r as usize * n..][..n]
+}
+
+/// Clears `v` to `len` copies of `value`.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
+/// `dst = val` in the active lanes; the others keep their value.
+#[inline(always)]
+fn blend(dst: &mut [u64], val: &[u64], active: &[u64]) {
+    for ((d, &v), &m) in dst.iter_mut().zip(val).zip(active) {
+        *d = (v & m) | (*d & !m);
+    }
+}
+
+/// The OR and AND masks the installed fault applies to a write of
+/// scalar register `dst`: the same for every lane.
+#[inline(always)]
+fn fault_bits(fault: Option<CompiledFault>, dst: Reg) -> (u64, u64) {
+    match fault {
+        Some(f) if f.reg == dst => (f.or, f.and),
+        _ => (0, u64::MAX),
+    }
+}
+
+/// A scalar assignment in the active lanes: `dst = val` with the fault's
+/// `(or, and)` bits forced and the variable's width `mask` applied.
+#[inline(always)]
+fn assign_lanes(
+    dst: &mut [u64],
+    val: &[u64],
+    active: &[u64],
+    (or, and): (u64, u64),
+    mask: u64,
+    mutant: &mut LaneMutant,
+) {
+    for (i, ((d, &v), &a)) in dst.iter_mut().zip(val).zip(active).enumerate() {
+        let v = (v | or) & and & mutant.mask(i, a, mask);
+        *d = (v & a) | (*d & !a);
+    }
+}
+
+/// Records `val` as the return value of every active lane.
+#[inline(always)]
+fn record_return(ret: &mut [u64], has_ret: &mut [u64], val: &[u64], active: &[u64]) {
+    blend(ret, val, active);
+    for (h, &a) in has_ret.iter_mut().zip(active) {
+        *h |= a;
+    }
+}
+
+/// Sends the active lanes whose `cond` is zero to a jump target's
+/// `parked` slot; the others stay active. Returns whether any lane stays
+/// and whether any left.
+#[inline(always)]
+fn split(active: &mut [u64], parked: &mut [u64], cond: &[u64]) -> (bool, bool) {
+    let (mut stay, mut left) = (0u64, 0u64);
+    for ((a, p), &c) in active.iter_mut().zip(parked).zip(cond) {
+        let taken = u64::from(c != 0).wrapping_neg();
+        let jump = *a & !taken;
+        *p |= jump;
+        *a &= taken;
+        stay |= *a;
+        left |= jump;
+    }
+    (stay != 0, left != 0)
+}
+
+/// `out = op(src)` in every lane, as the scalar `Unary` op computes it.
+fn unary_lanes(op: UnaryOp, mask: u64, src: &[u64], out: &mut [u64]) {
+    match op {
+        UnaryOp::Not => {
+            for (o, &a) in out.iter_mut().zip(src) {
+                *o = !a & mask;
+            }
+        }
+        UnaryOp::Neg => {
+            for (o, &a) in out.iter_mut().zip(src) {
+                *o = a.wrapping_neg() & mask;
+            }
+        }
+    }
+}
+
+/// `out = lhs <op> rhs` at `width` in every lane: [`apply_binop`] with
+/// the operator matched once, outside the lane loop. Lanes that do not
+/// execute the op compute garbage that is never blended in, so no
+/// operator may panic on any operand: division and remainder by zero
+/// take [`apply_binop`]'s values, and the wrapping shifts equal its
+/// `<<` and `>>` for every amount below 64, the only ones a width of at
+/// most 64 leaves.
+fn binop_lanes(op: BinOp, width: u32, lhs: &[u64], rhs: &[u64], out: &mut [u64]) {
+    let m = mask(width);
+    let w = u64::from(width);
+    macro_rules! lanes {
+        (|$a:ident, $b:ident| $value:expr) => {
+            for ((o, &$a), &$b) in out.iter_mut().zip(lhs).zip(rhs) {
+                let ($a, $b) = ($a & m, $b & m);
+                *o = $value;
+            }
+        };
+    }
+    match op {
+        BinOp::Add => lanes!(|a, b| a.wrapping_add(b) & m),
+        BinOp::Sub => lanes!(|a, b| a.wrapping_sub(b) & m),
+        BinOp::Mul => lanes!(|a, b| a.wrapping_mul(b) & m),
+        BinOp::Div => lanes!(|a, b| a.checked_div(b).map_or(m, |q| q & m)),
+        BinOp::Rem => lanes!(|a, b| a.checked_rem(b).map_or(a, |r| r & m)),
+        BinOp::And => lanes!(|a, b| a & b),
+        BinOp::Or => lanes!(|a, b| a | b),
+        BinOp::Xor => lanes!(|a, b| a ^ b),
+        BinOp::Shl => lanes!(|a, b| a.wrapping_shl((b % w) as u32) & m),
+        BinOp::Shr => lanes!(|a, b| a.wrapping_shr((b % w) as u32)),
+        BinOp::Eq => lanes!(|a, b| u64::from(a == b)),
+        BinOp::Ne => lanes!(|a, b| u64::from(a != b)),
+        BinOp::Lt => lanes!(|a, b| u64::from(a < b)),
+        BinOp::Le => lanes!(|a, b| u64::from(a <= b)),
+        BinOp::Gt => lanes!(|a, b| u64::from(a > b)),
+        BinOp::Ge => lanes!(|a, b| u64::from(a >= b)),
+    }
+}
+
 /// Per-array runtime state. `written` holds the stamp of the run that last
 /// wrote each element, so resetting between runs is a single counter bump
 /// instead of a memset.
@@ -1098,6 +1361,7 @@ pub struct Vm {
     fault: Option<CompiledFault>,
     garbage: u64,
     detector: CycleDetector,
+    lanes: Lanes,
 }
 
 impl Vm {
@@ -1122,6 +1386,7 @@ impl Vm {
             fault: None,
             garbage: 0xDEAD_BEEF_CAFE_F00D,
             detector: CycleDetector::default(),
+            lanes: Lanes::default(),
         }
     }
 
@@ -1236,6 +1501,222 @@ impl Vm {
         let mut hooks = SigHooks::default();
         let (ret, _) = self.run_hooked(inputs, &mut hooks, None)?;
         Ok((ret, hooks.trace))
+    }
+
+    /// Runs the program once per row of `rows`, each row a complete and
+    /// independent run under the installed fault and step limit. The
+    /// result equals `rows.iter().map(|r| vm.run_value(r.as_ref())).collect()`.
+    ///
+    /// A lane-eligible program ([`Program::is_lane_eligible`]) runs
+    /// lane-parallel, executing each op once over every row that reaches
+    /// it, when every row holds [`Program::num_params`] values and the
+    /// step limit is no smaller than the function's statement count.
+    /// Every other call runs the rows one by one through
+    /// [`Vm::run_value`].
+    pub fn run_rows<R: AsRef<[u64]>>(&mut self, rows: &[R]) -> Vec<Result<Option<u64>, ExecError>> {
+        let program = &self.program;
+        let lanes_fit = program.lane_plan.is_some()
+            && program.stmt_ids.len() as u64 <= self.step_limit
+            && rows.iter().all(|r| r.as_ref().len() == program.num_params);
+        if lanes_fit {
+            self.run_lanes(rows)
+        } else {
+            rows.iter().map(|r| self.run_value(r.as_ref())).collect()
+        }
+    }
+
+    /// The lane pass of [`Vm::run_rows`]: one pass over the ops in order.
+    /// Every jump points forward, so a lane parked at a target is merged
+    /// back in before the target's op runs. No lane can fail: each block
+    /// runs at most once, so a lane takes at most as many steps as the
+    /// function has statements.
+    fn run_lanes<R: AsRef<[u64]>>(&mut self, rows: &[R]) -> Vec<Result<Option<u64>, ExecError>> {
+        let program = &self.program;
+        let plan = program
+            .lane_plan
+            .as_ref()
+            .expect("run_rows checks the lane plan");
+        let n = rows.len();
+        let Lanes {
+            regs,
+            active,
+            parked,
+            parked_any,
+            val,
+            ret,
+            has_ret,
+            mutant,
+        } = &mut self.lanes;
+        // As in a scalar run: locals start at zero, parameters are bound
+        // masked, constants come from the preamble ops, and temporaries
+        // are written before they are read.
+        regs.resize(program.num_regs * n, 0);
+        for &r in &program.local_regs {
+            lanes_of_mut(regs, n, r).fill(0);
+        }
+        for (k, (&r, &m)) in program
+            .param_regs
+            .iter()
+            .zip(&program.param_masks)
+            .enumerate()
+        {
+            for (d, row) in lanes_of_mut(regs, n, r).iter_mut().zip(rows) {
+                *d = row.as_ref()[k] & m;
+            }
+        }
+        refill(active, n, u64::MAX);
+        refill(parked, plan.slots * n, 0);
+        refill(parked_any, plan.slots, false);
+        refill(has_ret, n, 0);
+        val.resize(n, 0);
+        ret.resize(n, 0);
+        mutant.reset(n);
+        let fault = self.fault;
+        let slot_of = |target: u32| plan.slot[target as usize] as usize;
+        // Whether any lane executes the current op.
+        let mut live = n > 0;
+        for (pc, op) in program.ops.iter().enumerate() {
+            let s = plan.slot[pc];
+            if s != NO_SLOT && parked_any[s as usize] {
+                let waiting = &parked[s as usize * n..][..n];
+                for (a, &p) in active.iter_mut().zip(waiting) {
+                    *a |= p;
+                }
+                live = true;
+            }
+            if !live {
+                continue;
+            }
+            match *op {
+                Op::Const { dst, value } => {
+                    val.fill(value);
+                    blend(lanes_of_mut(regs, n, dst), val, active);
+                }
+                Op::Copy { dst, src } => {
+                    val.copy_from_slice(lanes_of(regs, n, src));
+                    blend(lanes_of_mut(regs, n, dst), val, active);
+                }
+                Op::Unary { op, dst, src, mask } => {
+                    unary_lanes(op, mask, lanes_of(regs, n, src), val);
+                    blend(lanes_of_mut(regs, n, dst), val, active);
+                }
+                Op::Binary {
+                    op,
+                    dst,
+                    lhs,
+                    rhs,
+                    width,
+                } => {
+                    binop_lanes(
+                        op,
+                        width,
+                        lanes_of(regs, n, lhs),
+                        lanes_of(regs, n, rhs),
+                        val,
+                    );
+                    blend(lanes_of_mut(regs, n, dst), val, active);
+                }
+                Op::LoadMissing { dst } => {
+                    val.fill(0);
+                    blend(lanes_of_mut(regs, n, dst), val, active);
+                }
+                Op::AssignVar { dst, src, mask } => {
+                    val.copy_from_slice(lanes_of(regs, n, src));
+                    let bits = fault_bits(fault, dst);
+                    assign_lanes(lanes_of_mut(regs, n, dst), val, active, bits, mask, mutant);
+                }
+                Op::AssignBinary {
+                    op,
+                    dst,
+                    lhs,
+                    rhs,
+                    width,
+                    mask,
+                } => {
+                    binop_lanes(
+                        op,
+                        width,
+                        lanes_of(regs, n, lhs),
+                        lanes_of(regs, n, rhs),
+                        val,
+                    );
+                    let bits = fault_bits(fault, dst);
+                    assign_lanes(lanes_of_mut(regs, n, dst), val, active, bits, mask, mutant);
+                }
+                Op::Jump { target } => {
+                    let s = slot_of(target);
+                    for (p, a) in parked[s * n..][..n].iter_mut().zip(active.iter_mut()) {
+                        *p |= *a;
+                        *a = 0;
+                    }
+                    parked_any[s] = true;
+                    live = false;
+                }
+                Op::BranchIfZero { src, target, .. } | Op::MuxJumpIfZero { src, target } => {
+                    let s = slot_of(target);
+                    let (stay, left) =
+                        split(active, &mut parked[s * n..][..n], lanes_of(regs, n, src));
+                    parked_any[s] |= left;
+                    live = stay;
+                }
+                Op::CmpBranch {
+                    op,
+                    lhs,
+                    rhs,
+                    width,
+                    target,
+                    ..
+                } => {
+                    binop_lanes(
+                        op,
+                        width,
+                        lanes_of(regs, n, lhs),
+                        lanes_of(regs, n, rhs),
+                        val,
+                    );
+                    let s = slot_of(target);
+                    let (stay, left) = split(active, &mut parked[s * n..][..n], val);
+                    parked_any[s] |= left;
+                    live = stay;
+                }
+                Op::Block { .. } | Op::Atom { .. } => {}
+                Op::Return { src } => {
+                    if let Some(src) = src {
+                        record_return(ret, has_ret, lanes_of(regs, n, src), active);
+                    }
+                    active.fill(0);
+                    live = false;
+                }
+                Op::ReturnBinary {
+                    op,
+                    lhs,
+                    rhs,
+                    width,
+                } => {
+                    binop_lanes(
+                        op,
+                        width,
+                        lanes_of(regs, n, lhs),
+                        lanes_of(regs, n, rhs),
+                        val,
+                    );
+                    record_return(ret, has_ret, val, active);
+                    active.fill(0);
+                    live = false;
+                }
+                // The lanes still active fall through without a return.
+                Op::Halt => break,
+                Op::Load { .. }
+                | Op::StoreArr { .. }
+                | Op::LoopJump { .. }
+                | Op::Reconfigure { .. }
+                | Op::ResourceCall { .. } => unreachable!("the lane plan rules out {op:?}"),
+            }
+        }
+        ret.iter()
+            .zip(has_ret.iter())
+            .map(|(&v, &h)| Ok((h != 0).then_some(v)))
+            .collect()
     }
 
     /// The generic dispatch loop, monomorphized per hook set. Returns the
@@ -2009,6 +2490,190 @@ mod tests {
         assert_eq!(vm.run_value(&[300, 252]).unwrap(), full);
     }
 
+    /// `run_rows` against `run_value` on each row, and against the
+    /// interpreter under the same fault and step limit.
+    fn assert_rows_match(f: &Function, vm: &mut Vm, fault: Option<BitFault>, rows: &[Vec<u64>]) {
+        vm.set_fault(fault);
+        let lanes = vm.run_rows(rows);
+        let per_row: Vec<_> = rows.iter().map(|r| vm.run_value(r)).collect();
+        assert_eq!(lanes, per_row, "{} under fault {fault:?}", f.name());
+        for (row, got) in rows.iter().zip(&lanes) {
+            let mut interp = Interpreter::new(f).with_step_limit(vm.step_limit);
+            if let Some(fault) = fault {
+                interp = interp.with_fault(fault);
+            }
+            let want = interp.run(row).map(|out| out.return_value);
+            assert_eq!(got, &want, "{} on {row:?} under fault {fault:?}", f.name());
+        }
+    }
+
+    /// Every (a, b) pair of `values`.
+    fn pairs(values: &[u64]) -> Vec<Vec<u64>> {
+        values
+            .iter()
+            .flat_map(|&a| values.iter().map(move |&b| vec![a, b]))
+            .collect()
+    }
+
+    /// A loop-free program whose lanes split at every branch: a mux inside
+    /// a condition, nested `if`s with returns inside them, two pairs of
+    /// nested `if`s whose inner and outer branch jump to the same op, a
+    /// fall-through without `return`, division, remainder and shifts by
+    /// zero and past the width, a store through and an index into a
+    /// scalar, and narrow targets.
+    fn diverging_func() -> Function {
+        let mut fb = FunctionBuilder::new("diverging", 16);
+        let a = fb.param("a", 8);
+        let b = fb.param("b", 8);
+        let x = fb.local("x", 8);
+        let y = fb.local("y", 4);
+        let (va, vb, vx, vy) = (Expr::var(a), Expr::var(b), Expr::var(x), Expr::var(y));
+        let c = |v: u64| Expr::constant(v, 8);
+        fb.if_else(
+            Expr::mux(
+                Expr::lt(va.clone(), c(16)),
+                Expr::ne(vb.clone(), c(1)),
+                Expr::gt(va.clone(), vb.clone()),
+            ),
+            |t| {
+                t.assign(x, Expr::div(va.clone(), vb.clone()));
+                t.if_else(
+                    Expr::ne(vx.clone(), c(0)),
+                    |tt| {
+                        tt.assign(y, Expr::rem(va.clone(), vb.clone()));
+                        tt.ret(Expr::add(vx.clone(), Expr::not(vy.clone())));
+                    },
+                    |te| te.assign(y, Expr::shl(va.clone(), vb.clone())),
+                );
+            },
+            |e| {
+                e.assign(x, Expr::shr(va.clone(), vb.clone()));
+                e.store(y, c(0), va.clone());
+                e.if_(Expr::lt(vx.clone(), c(4)), |et| {
+                    et.ret(Expr::neg(Expr::index(y, c(1))));
+                });
+                e.assign(y, Expr::sub(vx.clone(), vb.clone()));
+            },
+        );
+        fb.if_(Expr::ge(vy.clone(), Expr::constant(8, 4)), |t| {
+            let inner = Expr::mux(
+                Expr::le(vx.clone(), vb.clone()),
+                Expr::ne(va.clone(), c(0)),
+                Expr::gt(vb.clone(), c(4)),
+            );
+            t.if_(inner, |tt| tt.ret(Expr::xor(vx.clone(), vy.clone())));
+        });
+        let outer = Expr::mux(
+            Expr::lt(va.clone(), c(128)),
+            Expr::ge(vx.clone(), c(2)),
+            Expr::eq(vb.clone(), c(3)),
+        );
+        fb.if_(outer, |t| {
+            t.if_(Expr::lt(vx.clone(), vb.clone()), |tt| {
+                tt.ret(Expr::mul(va.clone(), vb.clone()));
+            });
+        });
+        fb.if_(Expr::lt(vx.clone(), c(200)), |t| {
+            t.ret(Expr::sub(vx.clone(), va.clone()));
+        });
+        fb.build()
+    }
+
+    #[test]
+    fn diverging_lanes_match_row_runs_and_the_interpreter() {
+        let f = diverging_func();
+        let mut vm = Vm::new(compile(&f));
+        assert!(vm.program().is_lane_eligible());
+        let rows = pairs(&[0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 200, 255, 256, u64::MAX]);
+        let lanes = vm.run_rows(&rows);
+        assert!(lanes.contains(&Ok(None)), "some lane must fall through");
+        assert!(lanes.iter().any(|r| matches!(r, Ok(Some(_)))));
+        assert_rows_match(&f, &mut vm, None, &rows);
+        for fault in enumerate_bit_faults(&f) {
+            assert_rows_match(&f, &mut vm, Some(fault), &rows);
+        }
+        // Every two-row batch, after the full one: buffers sized for many
+        // rows must not leak into fewer, and one lane may leave at a branch
+        // while the other stays at a later branch to the same target.
+        vm.set_fault(None);
+        for (r1, want1) in rows.iter().zip(&lanes) {
+            for (r2, want2) in rows.iter().zip(&lanes) {
+                let got = vm.run_rows(&[r1, r2]);
+                assert_eq!(got, [want1.clone(), want2.clone()], "{r1:?} {r2:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ineligible_programs_and_calls_run_row_by_row() {
+        let one_param = |name: &str, body: &dyn Fn(&mut FunctionBuilder, VarId)| {
+            let mut fb = FunctionBuilder::new(name, 16);
+            let a = fb.param("a", 16);
+            body(&mut fb, a);
+            fb.build()
+        };
+        let load = one_param("load", &|fb, a| {
+            let arr = fb.array("buf", 16, 4);
+            fb.ret(Expr::add(
+                Expr::var(a),
+                Expr::index(arr, Expr::constant(1, 8)),
+            ));
+        });
+        let store = one_param("store", &|fb, a| {
+            let arr = fb.array("buf", 16, 4);
+            fb.store(arr, Expr::constant(2, 8), Expr::var(a));
+            fb.ret(Expr::var(a));
+        });
+        let call = one_param("call", &|fb, a| {
+            let x = fb.local("x", 16);
+            fb.resource_call("probe", vec![Expr::var(a)], Some(x));
+            fb.ret(Expr::add(Expr::var(x), Expr::var(a)));
+        });
+        let reconfigure = one_param("reconfigure", &|fb, a| {
+            fb.reconfigure(ConfigId(1));
+            fb.ret(Expr::var(a));
+        });
+        let values = [0, 1, 3, 48, 18, 1000, u64::MAX];
+        let one_column: Vec<Vec<u64>> = values.iter().map(|&v| vec![v]).collect();
+        for (f, rows) in [
+            (gcd_func(), pairs(&values)),
+            (load, one_column.clone()),
+            (store, one_column.clone()),
+            (call, one_column.clone()),
+            (reconfigure, one_column),
+        ] {
+            let mut vm = Vm::new(compile(&f));
+            assert!(!vm.program().is_lane_eligible(), "{}", f.name());
+            assert_rows_match(&f, &mut vm, None, &rows);
+            // Under a small limit, the rows whose loop runs out of steps
+            // fail, each on its own, and the others still return.
+            let mut vm = vm.with_step_limit(7);
+            assert_rows_match(&f, &mut vm, None, &rows);
+        }
+        // An eligible program with a step limit below its statement count,
+        // rows of the wrong arity, or no rows at all.
+        let f = diverging_func();
+        let rows = pairs(&[0, 5, 17, 255]);
+        let mut vm = Vm::new(compile(&f)).with_step_limit(2);
+        assert!(u64::from(f.num_statements()) > vm.step_limit);
+        assert_rows_match(&f, &mut vm, None, &rows);
+        assert!(vm.run_rows(&rows).iter().any(Result::is_err));
+        let mut vm = Vm::new(compile(&f));
+        let ragged = vec![vec![1, 2], vec![3], vec![4, 5, 6], vec![7, 8]];
+        assert_eq!(
+            vm.run_rows(&ragged),
+            ragged.iter().map(|r| vm.run_value(r)).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            vm.run_rows(&ragged)[1],
+            Err(ExecError::ArityMismatch {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(vm.run_rows::<Vec<u64>>(&[]), vec![]);
+    }
+
     #[test]
     fn program_reports_shape() {
         let p = compile(&gcd_func());
@@ -2043,5 +2708,33 @@ mod mutant_tests {
         let interp = Interpreter::new(&f).run(&[0xF0]).unwrap();
         let vm = Vm::new(compile(&f)).run(&[0xF0]).unwrap();
         assert_ne!(interp.return_value, vm.return_value);
+    }
+
+    /// The lane path carries the miscompile too: each lane counts its own
+    /// assignments, so a lane run equals the mutant's scalar run and
+    /// diverges from the interpreter on every row.
+    #[test]
+    fn seeded_miscompile_bites_every_lane() {
+        let mut fb = FunctionBuilder::new("narrow", 8);
+        let a = fb.param("a", 8);
+        let x = fb.local("x", 4);
+        fb.if_else(
+            Expr::lt(Expr::var(a), Expr::constant(0x80, 8)),
+            |t| t.assign(x, Expr::add(Expr::var(a), Expr::constant(1, 8))),
+            |e| e.assign(x, Expr::sub(Expr::var(a), Expr::constant(1, 8))),
+        );
+        fb.assign(x, Expr::add(Expr::var(a), Expr::constant(2, 8)));
+        fb.assign(x, Expr::add(Expr::var(a), Expr::constant(3, 8)));
+        fb.ret(Expr::var(x));
+        let f = fb.build();
+        let mut vm = Vm::new(compile(&f));
+        assert!(vm.program().is_lane_eligible());
+        let rows: Vec<[u64; 1]> = vec![[0x30], [0xF0], [0x7E], [0x81]];
+        let lanes = vm.run_rows(&rows);
+        for (row, got) in rows.iter().zip(&lanes) {
+            assert_eq!(got, &vm.run_value(row), "{row:?}");
+            let interp = Interpreter::new(&f).run(row).unwrap().return_value;
+            assert_ne!(got, &Ok(interp), "{row:?}");
+        }
     }
 }

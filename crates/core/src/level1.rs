@@ -108,7 +108,8 @@ struct DistanceProc {
     seen: usize,
     pending: VecDeque<Msg>,
     /// The DISTANCE step kernel compiled once for the whole run (the
-    /// bytecode-VM fast path); per-element squares are exact for u16
+    /// bytecode-VM fast path), run once per element, one lane-parallel
+    /// call per gallery entry; per-element squares are exact for u16
     /// features, so traces stay bit-identical to `pipeline::distance`.
     kernel: CompiledKernel,
 }
@@ -138,11 +139,12 @@ impl Process<Msg> for DistanceProc {
             None => Activation::WaitFifoReadable(self.gallery_in),
             Some(Msg::GalleryEntry(idx, g)) => {
                 let f = self.current.as_ref().expect("features present");
-                let sq: Vec<u64> = f
+                let rows: Vec<[u64; 3]> = f
                     .iter()
                     .zip(&g)
-                    .map(|(&x, &y)| self.kernel.run(&[x as u64, y as u64, 0]))
+                    .map(|(&x, &y)| [x as u64, y as u64, 0])
                     .collect();
+                let sq = self.kernel.run_rows(&rows);
                 self.pending.push_back(Msg::SquaredDiffs(idx, sq));
                 self.seen += 1;
                 if self.seen == self.gallery_len {

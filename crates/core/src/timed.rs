@@ -399,13 +399,15 @@ impl Process<Msg> for Matcher {
                 Ok(r) => r,
                 Err(f) => return fail(&self.recovery, f),
             };
-            // Per-element squares through the compiled kernel — exact for
-            // u16 features (|x − y|² < 2³²), so sums match `distance`.
-            let sq: Vec<u64> = features
+            // Per-element squares through the compiled kernel, one run per
+            // element in one lane-parallel call — exact for u16 features
+            // (|x − y|² < 2³²), so sums match `distance`.
+            let rows: Vec<[u64; 3]> = features
                 .iter()
                 .zip(g)
-                .map(|(&x, &y)| self.distance_kernel.run(&[x as u64, y as u64, 0]))
+                .map(|(&x, &y)| [x as u64, y as u64, 0])
                 .collect();
+            let sq = self.distance_kernel.run_rows(&rows);
             let sum = calcdist(&sq);
             // Residency check + cycles (FPGA, SW fallback, or hardwired).
             let compute = match self.compute_cycles("distance") {

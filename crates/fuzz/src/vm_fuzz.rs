@@ -15,9 +15,12 @@
 //! [`behav::interp::ExecError`]) — and on how many times each called its
 //! resource handler, error runs included. The VM's two lean entry
 //! points, which carry the hot paths, are held to the same reference:
-//! [`Vm::run_value`] (every kernel call in levels 1–3) must return the
-//! interpreter's return value or error, and [`Vm::run_signature`] (the
-//! ATPG fault sweep) its return value and call trace.
+//! [`Vm::run_value`] must return the interpreter's return value or error,
+//! and [`Vm::run_signature`] (the ATPG fault sweep) its return value and
+//! call trace. [`Vm::run_rows`] (the DISTANCE calls of levels 1–3) runs
+//! all of a case's vectors as one batch, lane-parallel when the function
+//! is lane-eligible and row by row otherwise, and must return the same
+//! values and errors row by row.
 //!
 //! With the `vm-mutant` feature the VM deliberately skips the width
 //! mask on every third scalar assignment; `tests/vm_mutant.rs` proves
@@ -27,7 +30,7 @@ use crate::rng::FuzzRng;
 use crate::shrink;
 use crate::{Evaluation, FamilyOutcome};
 use behav::bytecode::{compile, Vm};
-use behav::interp::{enumerate_bit_faults, mask, Interpreter};
+use behav::interp::{enumerate_bit_faults, mask, BitFault, ExecError, Interpreter};
 use behav::{BlockBuilder, ConfigId, Expr, Function, FunctionBuilder, VarId};
 use sim::faults::{fnv1a, mix64};
 
@@ -328,17 +331,71 @@ pub fn build_function(case: &VmCase) -> Function {
     fb.build()
 }
 
-/// Runs the differential oracle on the case.
-pub fn evaluate(case: &VmCase) -> Evaluation {
-    let func = build_function(case);
-    let faults = enumerate_bit_faults(&func);
-    let fault = case.fault_pick.and_then(|k| {
+/// The case's injected fault, if any, resolved against its function.
+fn pick_fault(case: &VmCase, func: &Function) -> Option<BitFault> {
+    let faults = enumerate_bit_faults(func);
+    case.fault_pick.and_then(|k| {
         if faults.is_empty() {
             None
         } else {
             Some(faults[(k % faults.len() as u64) as usize])
         }
-    });
+    })
+}
+
+/// The case's input vectors, padded with zeros or cut to the arity.
+fn padded_vectors(case: &VmCase, func: &Function) -> Vec<Vec<u64>> {
+    case.vectors
+        .iter()
+        .map(|v| {
+            v.iter()
+                .copied()
+                .chain(std::iter::repeat(0))
+                .take(func.num_params())
+                .collect()
+        })
+        .collect()
+}
+
+/// The reference interpreter under the case's step limit and fault, with
+/// no resource handler yet.
+fn interpreter<'f, 'h>(
+    func: &'f Function,
+    case: &VmCase,
+    fault: Option<BitFault>,
+) -> Interpreter<'f, 'h> {
+    let interp = Interpreter::new(func).with_step_limit(case.step_limit);
+    match fault {
+        Some(f) => interp.with_fault(f),
+        None => interp,
+    }
+}
+
+/// The batch leg of the oracle: every vector through one [`Vm::run_rows`]
+/// call, held row by row to `want`, each vector's return value or error
+/// from a handler-free run. [`evaluate`] passes the per-vector
+/// [`Vm::run_value`] results, which it has already held to the
+/// interpreter.
+fn rows_disagreement(
+    vm: &mut Vm,
+    vectors: &[Vec<u64>],
+    want: &[Result<Option<u64>, ExecError>],
+    fault: Option<BitFault>,
+) -> Option<String> {
+    let batch = vm.run_rows(vectors);
+    (batch != want).then(|| {
+        format!(
+            "vm run_rows diverged from interpreter on {vectors:?} (fault {fault:?}, \
+             lane-eligible {}): run_rows {batch:?} vs {want:?}",
+            vm.program().is_lane_eligible()
+        )
+    })
+}
+
+/// Runs the differential oracle on the case.
+pub fn evaluate(case: &VmCase) -> Evaluation {
+    let func = build_function(case);
+    let fault = pick_fault(case, &func);
     let mut vm = Vm::new(compile(&func)).with_step_limit(case.step_limit);
     vm.set_fault(fault);
     let mut counters = vec![
@@ -349,38 +406,31 @@ pub fn evaluate(case: &VmCase) -> Evaluation {
         0,
         0,
     ];
-    for v in &case.vectors {
-        let v: Vec<u64> = v
-            .iter()
-            .copied()
-            .chain(std::iter::repeat(0))
-            .take(func.num_params())
-            .collect();
+    let vectors = padded_vectors(case, &func);
+    let mut want_values = Vec::with_capacity(vectors.len());
+    for v in &vectors {
         // Each engine's handler counts its calls: an error discards the
         // call trace, so only the counts show a call one engine made
         // before hitting its step limit and the other did not.
         let (mut interp_calls, mut vm_calls) = (0u64, 0u64);
         let reference = {
-            let mut interp = Interpreter::new(&func).with_step_limit(case.step_limit);
-            if let Some(f) = fault {
-                interp = interp.with_fault(f);
-            }
+            let mut interp = interpreter(&func, case, fault);
             if case.calls {
                 interp = interp.with_resource_handler(Box::new(|name: &str, args: &[u64]| {
                     interp_calls += 1;
                     resource_model(name, args)
                 }));
             }
-            interp.run(&v)
+            interp.run(v)
         };
         let observed = if case.calls {
             let mut h = |name: &str, args: &[u64]| {
                 vm_calls += 1;
                 resource_model(name, args)
             };
-            vm.run_with_handler(&v, Some(&mut h))
+            vm.run_with_handler(v, Some(&mut h))
         } else {
-            vm.run(&v)
+            vm.run(v)
         };
         if reference != observed || interp_calls != vm_calls {
             return Evaluation {
@@ -395,17 +445,13 @@ pub fn evaluate(case: &VmCase) -> Evaluation {
         // The lean entry points the hot paths call take no resource
         // handler, so their reference is an interpreter run without one.
         let unhandled = if case.calls {
-            let mut interp = Interpreter::new(&func).with_step_limit(case.step_limit);
-            if let Some(f) = fault {
-                interp = interp.with_fault(f);
-            }
-            interp.run(&v)
+            interpreter(&func, case, fault).run(v)
         } else {
             reference.clone()
         };
-        let value = vm.run_value(&v);
+        let value = vm.run_value(v);
         let want_value = unhandled.clone().map(|out| out.return_value);
-        let signature = vm.run_signature(&v);
+        let signature = vm.run_signature(v);
         let want_signature = unhandled.map(|out| (out.return_value, out.call_trace));
         if value != want_value || signature != want_signature {
             return Evaluation {
@@ -426,9 +472,10 @@ pub fn evaluate(case: &VmCase) -> Evaluation {
             }
             Err(_) => counters[5] += 1,
         }
+        want_values.push(value);
     }
     Evaluation {
-        disagreement: None,
+        disagreement: rows_disagreement(&mut vm, &vectors, &want_values, fault),
         counters,
     }
 }
@@ -530,6 +577,41 @@ mod tests {
             let eval = evaluate(&case);
             assert_eq!(eval.disagreement, None, "case {case:?}");
         }
+    }
+
+    /// The seeded miscompile bites the lane path too, and the batch leg
+    /// catches it on its own: held to the interpreter, a lane-parallel
+    /// `run_rows` batch of the mutant VM disagrees within a few hundred
+    /// generated cases.
+    #[test]
+    #[cfg(feature = "vm-mutant")]
+    fn the_batch_leg_alone_catches_the_miscompile_in_lanes() {
+        let mut rng = FuzzRng::new(0);
+        let caught = (0..400u64).find_map(|bias| {
+            let case = generate(&mut rng, bias);
+            let func = build_function(&case);
+            let program = compile(&func);
+            if !program.is_lane_eligible() || u64::from(func.num_statements()) > case.step_limit {
+                return None;
+            }
+            let fault = pick_fault(&case, &func);
+            let vectors = padded_vectors(&case, &func);
+            let want: Vec<_> = vectors
+                .iter()
+                .map(|v| {
+                    interpreter(&func, &case, fault)
+                        .run(v)
+                        .map(|o| o.return_value)
+                })
+                .collect();
+            let mut vm = Vm::new(program).with_step_limit(case.step_limit);
+            vm.set_fault(fault);
+            rows_disagreement(&mut vm, &vectors, &want, fault)
+        });
+        assert!(
+            caught.is_some(),
+            "no lane-parallel batch of the mutant VM disagreed"
+        );
     }
 
     #[test]

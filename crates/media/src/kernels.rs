@@ -104,6 +104,11 @@ pub fn root_function() -> Function {
 /// A media kernel compiled once and executed many times on the bytecode
 /// [`Vm`] — the per-frame fast path. The tree-walking interpreter stays
 /// the reference the equivalence tests hold the VM to.
+///
+/// [`CompiledKernel::run`] makes one run; [`CompiledKernel::run_rows`]
+/// makes one run per row in a single call. DISTANCE is loop-free, so its
+/// rows run lane-parallel ([`Vm::run_rows`]); ROOT has a loop, so its
+/// rows would run one by one.
 #[derive(Debug)]
 pub struct CompiledKernel {
     vm: Vm,
@@ -140,6 +145,24 @@ impl CompiledKernel {
             .run_value(inputs)
             .expect("kernel exceeds step limit")
             .expect("kernel returns a value")
+    }
+
+    /// Executes the kernel once per row of `rows`, each row an
+    /// independent run: the result equals [`CompiledKernel::run`] on each
+    /// row in turn.
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledKernel::run`], on any row.
+    pub fn run_rows<R: AsRef<[u64]>>(&mut self, rows: &[R]) -> Vec<u64> {
+        self.vm
+            .run_rows(rows)
+            .into_iter()
+            .map(|r| {
+                r.expect("kernel exceeds step limit")
+                    .expect("kernel returns a value")
+            })
+            .collect()
     }
 }
 
@@ -290,17 +313,33 @@ mod tests {
     #[test]
     fn compiled_kernels_match_reference_functions() {
         let mut droot = CompiledKernel::root();
-        for x in [0u64, 1, 50, 65_535, 1_000_000] {
+        let xs = [0u64, 1, 50, 65_535, 1_000_000];
+        for x in xs {
             assert_eq!(droot.run(&[x]), rust_root(x) as u64 & 0xFFFF);
         }
+        let roots: Vec<u64> = xs.iter().map(|&x| rust_root(x) as u64 & 0xFFFF).collect();
+        assert_eq!(droot.run_rows(&xs.map(|x| [x])), roots);
         let f = distance_step_function();
         let mut dist = CompiledKernel::distance_step();
-        for (a, b, acc) in [(0u64, 0u64, 0u64), (9, 4, 11), (4, 9, 11), (65535, 0, 7)] {
+        let rows = [[0u64, 0u64, 0u64], [9, 4, 11], [4, 9, 11], [65535, 0, 7]];
+        for [a, b, acc] in rows {
             let got = dist.run(&[a, b, acc]);
             let interp = Interpreter::new(&f).run(&[a, b, acc]).unwrap();
             assert_eq!(Some(got), interp.return_value);
             let d = (a as i64 - b as i64).unsigned_abs();
             assert_eq!(got, (acc + d * d) & 0xFFFF_FFFF);
         }
+        let per_call: Vec<u64> = rows.iter().map(|r| dist.run(r)).collect();
+        assert_eq!(dist.run_rows(&rows), per_call);
+    }
+
+    /// Levels 1–3 run DISTANCE through `run_rows`, which is lane-parallel
+    /// only for a lane-eligible program. Without this pin, a compiler
+    /// change that sent DISTANCE back to one run per element would show
+    /// only as host time. ROOT has a loop and runs one row at a time.
+    #[test]
+    fn distance_is_lane_eligible_and_root_is_not() {
+        assert!(compile(&distance_step_function()).is_lane_eligible());
+        assert!(!compile(&root_function()).is_lane_eligible());
     }
 }

@@ -542,7 +542,7 @@ impl Solver {
                     // clause. The fuzz crate's model validation must
                     // catch this (see `fuzz/tests/mutant_detection.rs`).
                     self.mutant_units += 1;
-                    if self.mutant_units % 3 == 0 {
+                    if self.mutant_units.is_multiple_of(3) {
                         continue;
                     }
                 }

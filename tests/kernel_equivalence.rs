@@ -13,9 +13,11 @@ use behav::interp::{BitFault, Interpreter};
 use behav::unroll::unroll;
 use behav::{Function, VarId};
 use hdl::synth::synthesize;
-use media::kernels::{distance_step_function, root_function, ROOT_ITERATIONS};
-use media::pipeline::root as rust_root;
+use media::kernels::{distance_step_function, root_function, CompiledKernel, ROOT_ITERATIONS};
+use media::pipeline::{distance, root as rust_root};
+use media::reference::extract_features;
 use proptest::prelude::*;
+use symbad_core::workload::Workload;
 
 #[test]
 fn distance_four_way_equivalence_sampled() {
@@ -75,6 +77,37 @@ fn root_four_way_equivalence_sampled() {
             "unrolled vm x={x}"
         );
         assert_eq!(rust, hw, "rtl x={x}");
+    }
+}
+
+/// Levels 1–3 run DISTANCE lane-parallel, one `CompiledKernel::run_rows`
+/// call per (probe, gallery entry) pair. On every such pair of the small
+/// workload, that call must equal one `run` per element, the interpreter
+/// and `media::pipeline::distance`.
+#[test]
+fn distance_rows_match_on_every_workload_feature_pair() {
+    let w = Workload::small();
+    let func = distance_step_function();
+    let mut interp = Interpreter::new(&func);
+    let mut kernel = CompiledKernel::distance_step();
+    for &(id, pose, seed) in &w.probes {
+        let (probe, _) = extract_features(&w.dataset.frame(id, pose, seed));
+        for (_, _, entry) in &w.gallery.entries {
+            let rows: Vec<[u64; 3]> = probe
+                .iter()
+                .zip(entry)
+                .map(|(&x, &y)| [u64::from(x), u64::from(y), 0])
+                .collect();
+            let lanes = kernel.run_rows(&rows);
+            let per_call: Vec<u64> = rows.iter().map(|r| kernel.run(r)).collect();
+            let interpreted: Vec<u64> = rows
+                .iter()
+                .map(|r| interp.run(r).expect("runs").return_value.expect("returns"))
+                .collect();
+            assert_eq!(lanes, per_call, "probe {id}/{pose}");
+            assert_eq!(lanes, interpreted, "probe {id}/{pose}");
+            assert_eq!(lanes, distance(&probe, entry), "probe {id}/{pose}");
+        }
     }
 }
 
