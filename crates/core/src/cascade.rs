@@ -337,6 +337,26 @@ fn stage_lpv_liveness() -> StageResult {
 /// over-optimistic frame deadline on the paper partition's annotated task
 /// graph.
 fn stage_lpv_deadline() -> StageResult {
+    let g = deadline_task_graph();
+    let latency = g.latency_lp();
+    let too_tight = (latency.to_f64() * 0.5) as u64;
+    let achievable = (latency.to_f64() * 1.2) as u64;
+    let tight_verdict = check_deadline(&g, too_tight);
+    let ok_verdict = check_deadline(&g, achievable);
+    StageResult {
+        stage: "LPV (deadline achievement)",
+        level: 2,
+        seeded_error: "frame deadline set below the provable latency",
+        caught: matches!(tight_verdict, DeadlineVerdict::Violated { .. }),
+        clean_passes: ok_verdict.is_met(),
+        detail: format!("worst-case latency {latency} cycles"),
+    }
+}
+
+/// The paper partition's level-2 annotated task graph that stage 2b
+/// checks deadlines on: the Figure-2 modules in dataflow order, each
+/// charged its SW or HW cycles.
+pub fn deadline_task_graph() -> TaskGraph {
     let config = media::dataset::DatasetConfig::default();
     let profile = build_profile(&config, 80);
     let cpu = platform::CpuModel::arm7tdmi();
@@ -356,19 +376,7 @@ fn stage_lpv_deadline() -> StageResult {
         }
         prev = Some(t);
     }
-    let latency = g.latency_lp();
-    let too_tight = (latency.to_f64() * 0.5) as u64;
-    let achievable = (latency.to_f64() * 1.2) as u64;
-    let tight_verdict = check_deadline(&g, too_tight);
-    let ok_verdict = check_deadline(&g, achievable);
-    StageResult {
-        stage: "LPV (deadline achievement)",
-        level: 2,
-        seeded_error: "frame deadline set below the provable latency",
-        caught: matches!(tight_verdict, DeadlineVerdict::Violated { .. }),
-        clean_passes: ok_verdict.is_met(),
-        detail: format!("worst-case latency {latency} cycles"),
-    }
+    g
 }
 
 /// Stage 3: SymbC at level 3.

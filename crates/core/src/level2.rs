@@ -108,6 +108,19 @@ pub fn dimension_channels_mode(
     arch: &ArchConfig,
     mode: exec::ExecMode,
 ) -> Vec<(String, lp::FifoBound)> {
+    let (names, rates): (Vec<&str>, Vec<lp::ChannelRates>) =
+        channel_rates(workload, partition, arch).into_iter().unzip();
+    let bounds = lp::dimension_fifo_batch(&rates, mode);
+    names.into_iter().map(str::to_owned).zip(bounds).collect()
+}
+
+/// The producer/consumer rates of the level-2 model's inter-process
+/// channels, by channel name: what [`dimension_channels`] dimensions.
+pub fn channel_rates(
+    workload: &Workload,
+    partition: &Partition,
+    arch: &ArchConfig,
+) -> [(&'static str, lp::ChannelRates); 2] {
     use media::profile::module_mix;
     let config = workload.dataset.config();
     let gallery = workload.gallery_len();
@@ -136,28 +149,28 @@ pub fn dimension_channels_mode(
     let match_entry: u64 = (charge("distance") + charge("calcdist"))
         .div_ceil(gallery as u64)
         .max(1);
-    let rates = [
-        lp::ChannelRates {
-            producer_burst: 1,
-            producer_period: front_period.max(1),
-            consumer_period: cpu_period.max(1),
-            consumer_latency: 0,
-            horizon: horizon.max(1),
-        },
-        lp::ChannelRates {
-            producer_burst: 1,
-            producer_period: match_entry,
-            consumer_period: 1,
-            consumer_latency: match_entry * gallery as u64,
-            horizon: horizon.max(1),
-        },
-    ];
-    let bounds = lp::dimension_fifo_batch(&rates, mode);
-    ["front→cpu", "matcher→cpu"]
-        .iter()
-        .map(|n| (*n).to_owned())
-        .zip(bounds)
-        .collect()
+    [
+        (
+            "front→cpu",
+            lp::ChannelRates {
+                producer_burst: 1,
+                producer_period: front_period.max(1),
+                consumer_period: cpu_period.max(1),
+                consumer_latency: 0,
+                horizon: horizon.max(1),
+            },
+        ),
+        (
+            "matcher→cpu",
+            lp::ChannelRates {
+                producer_burst: 1,
+                producer_period: match_entry,
+                consumer_period: 1,
+                consumer_latency: match_entry * gallery as u64,
+                horizon: horizon.max(1),
+            },
+        ),
+    ]
 }
 
 #[cfg(test)]

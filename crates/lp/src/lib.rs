@@ -34,8 +34,8 @@ pub mod simplex;
 
 pub use lpv::{
     check_deadline, check_liveness, check_unreachable, dimension_fifo, dimension_fifo_batch,
-    ChannelRates, DeadlineVerdict, FifoBound, LivenessVerdict, MarkingConstraint, MarkingRelation,
-    Reachability, TaskGraph,
+    fifo_problems, liveness_problem, ChannelRates, DeadlineVerdict, FifoBound, LivenessVerdict,
+    MarkingConstraint, MarkingRelation, Reachability, TaskGraph,
 };
 pub use petri::{PetriNet, PlaceId, TransitionId};
 pub use rational::Rational;

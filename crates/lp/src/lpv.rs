@@ -66,30 +66,7 @@ pub fn check_liveness(net: &PetriNet) -> LivenessVerdict {
         return LivenessVerdict::NotMarkedGraph;
     }
     let num_p = net.num_places();
-    let num_t = net.num_transitions();
-    let c = net.incidence();
-    let m0 = net.initial_marking();
-
-    // Variables: y_p ≥ 0 per place (flow on the channel edge).
-    let mut lp = Problem::new(num_p);
-    lp.minimize(
-        &m0.iter()
-            .map(|&tokens| Rational::integer(tokens as i128))
-            .collect::<Vec<_>>(),
-    );
-    // Flow conservation at every transition: Σ_p C[p][t]·y_p = 0.
-    // (For a marked graph C[p][t] ∈ {−1,0,1}: +1 if t produces into p,
-    //  −1 if t consumes from p, so this equates in-flow and out-flow.)
-    for t in 0..num_t {
-        let row: Vec<Rational> = (0..num_p)
-            .map(|p| Rational::integer(c[p][t] as i128))
-            .collect();
-        lp.add_eq(&row, Rational::ZERO);
-    }
-    // Normalization picks out a non-trivial circulation.
-    lp.add_eq(&vec![Rational::ONE; num_p], Rational::ONE);
-
-    match lp.solve() {
+    match liveness_problem(net).solve() {
         Solution::Infeasible => {
             // No circulation at all: the channel graph is acyclic, hence no
             // directed circuit, hence live.
@@ -113,6 +90,35 @@ pub fn check_liveness(net: &PetriNet) -> LivenessVerdict {
             }
         }
     }
+}
+
+/// The circulation LP that [`check_liveness`] solves: minimize `m0 · y`
+/// over `y ≥ 0` with flow conservation at every transition and `Σy = 1`.
+pub fn liveness_problem(net: &PetriNet) -> Problem {
+    let num_p = net.num_places();
+    let num_t = net.num_transitions();
+    let c = net.incidence();
+    let m0 = net.initial_marking();
+
+    // Variables: y_p ≥ 0 per place (flow on the channel edge).
+    let mut lp = Problem::new(num_p);
+    lp.minimize(
+        &m0.iter()
+            .map(|&tokens| Rational::integer(tokens as i128))
+            .collect::<Vec<_>>(),
+    );
+    // Flow conservation at every transition: Σ_p C[p][t]·y_p = 0.
+    // (For a marked graph C[p][t] ∈ {−1,0,1}: +1 if t produces into p,
+    //  −1 if t consumes from p, so this equates in-flow and out-flow.)
+    for t in 0..num_t {
+        let row: Vec<Rational> = (0..num_p)
+            .map(|p| Rational::integer(c[p][t] as i128))
+            .collect();
+        lp.add_eq(&row, Rational::ZERO);
+    }
+    // Normalization picks out a non-trivial circulation.
+    lp.add_eq(&vec![Rational::ONE; num_p], Rational::ONE);
+    lp
 }
 
 /// Walks the support of a zero-token circulation to produce one concrete
@@ -479,10 +485,18 @@ impl TaskGraph {
     /// length; computing it by LP is the LPV formulation of "timing deadline
     /// achievement".
     pub fn latency_lp(&self) -> Rational {
-        let n = self.tasks.len();
-        if n == 0 {
+        if self.tasks.is_empty() {
             return Rational::ZERO;
         }
+        match self.latency_problem().solve() {
+            Solution::Optimal { value, .. } => value,
+            _ => unreachable!("scheduling LP is feasible and bounded"),
+        }
+    }
+
+    /// The scheduling LP that [`TaskGraph::latency_lp`] solves.
+    pub fn latency_problem(&self) -> Problem {
+        let n = self.tasks.len();
         // Variables: s_0..s_{n-1}, M.
         let mut lp = Problem::new(n + 1);
         let mut obj = vec![Rational::ZERO; n + 1];
@@ -502,10 +516,7 @@ impl TaskGraph {
             row[i] = -Rational::ONE;
             lp.add_ge(&row, Rational::integer(self.tasks[i].duration as i128));
         }
-        match lp.solve() {
-            Solution::Optimal { value, .. } => value,
-            _ => unreachable!("scheduling LP is feasible and bounded"),
-        }
+        lp
     }
 }
 
@@ -579,19 +590,7 @@ pub struct FifoBound {
 /// `C(t) ≥ (t − L)/Tc` bounds service, over `0 ≤ t ≤ horizon`.
 pub fn dimension_fifo(rates: &ChannelRates) -> FifoBound {
     assert!(rates.producer_period > 0 && rates.consumer_period > 0);
-    let tp = Rational::integer(rates.producer_period as i128);
-    let tc = Rational::integer(rates.consumer_period as i128);
-    let burst = Rational::integer(rates.producer_burst as i128);
-    let lat = Rational::integer(rates.consumer_latency as i128);
-    let horizon = Rational::integer(rates.horizon as i128);
-
-    // Segment 1: 0 ≤ t ≤ L, backlog ≤ burst + t/Tp.  (maximize over t)
-    let seg1 = solve_segment(burst, tp.recip(), Rational::ZERO, lat.min(horizon));
-    // Segment 2: L ≤ t ≤ H, backlog ≤ burst + t/Tp − (t−L)/Tc.
-    let slope2 = tp.recip() - tc.recip();
-    let intercept2 = burst + lat / tc;
-    let seg2 = solve_segment(intercept2, slope2, lat.min(horizon), horizon);
-
+    let [seg1, seg2] = backlog_segments(rates).map(|s| s.max_backlog());
     let bound = seg1.max(seg2);
     // Round up to an integer token capacity, minimum 1.
     let capacity = {
@@ -614,19 +613,70 @@ pub fn dimension_fifo_batch(rates: &[ChannelRates], mode: exec::ExecMode) -> Vec
     exec::map(mode, jobs, |_, i| dimension_fifo(&rates[i]))
 }
 
-/// Maximizes `intercept + slope·t` over `lo ≤ t ≤ hi` via a one-variable LP
-/// (shifted to a non-negative variable, as the simplex core requires).
-fn solve_segment(intercept: Rational, slope: Rational, lo: Rational, hi: Rational) -> Rational {
-    if hi < lo {
-        return intercept + slope * lo;
+/// The one-variable LPs that [`dimension_fifo`] solves, one per backlog
+/// segment whose time window is non-empty.
+pub fn fifo_problems(rates: &ChannelRates) -> Vec<Problem> {
+    backlog_segments(rates)
+        .iter()
+        .filter_map(Segment::problem)
+        .collect()
+}
+
+/// The backlog bound `intercept + slope·t` over `lo ≤ t ≤ hi`.
+struct Segment {
+    intercept: Rational,
+    slope: Rational,
+    lo: Rational,
+    hi: Rational,
+}
+
+/// The two backlog segments of a channel: before the consumer starts
+/// (`0 ≤ t ≤ L`) and after it (`L ≤ t ≤ H`).
+fn backlog_segments(rates: &ChannelRates) -> [Segment; 2] {
+    let tp = Rational::integer(rates.producer_period as i128);
+    let tc = Rational::integer(rates.consumer_period as i128);
+    let burst = Rational::integer(rates.producer_burst as i128);
+    let lat = Rational::integer(rates.consumer_latency as i128);
+    let horizon = Rational::integer(rates.horizon as i128);
+    [
+        // Segment 1: backlog ≤ burst + t/Tp.
+        Segment {
+            intercept: burst,
+            slope: tp.recip(),
+            lo: Rational::ZERO,
+            hi: lat.min(horizon),
+        },
+        // Segment 2: backlog ≤ burst + t/Tp − (t−L)/Tc.
+        Segment {
+            intercept: burst + lat / tc,
+            slope: tp.recip() - tc.recip(),
+            lo: lat.min(horizon),
+            hi: horizon,
+        },
+    ]
+}
+
+impl Segment {
+    /// Maximizes the bound over `u = t − lo`, `0 ≤ u ≤ hi − lo` (shifted
+    /// to a non-negative variable, as the simplex core requires); `None`
+    /// when the window is empty.
+    fn problem(&self) -> Option<Problem> {
+        if self.hi < self.lo {
+            return None;
+        }
+        let mut lp = Problem::new(1);
+        lp.maximize(&[self.slope]);
+        lp.add_le(&[Rational::ONE], self.hi - self.lo);
+        Some(lp)
     }
-    // Substitute t = lo + u, u ≥ 0, u ≤ hi − lo.
-    let mut lp = Problem::new(1);
-    lp.maximize(&[slope]);
-    lp.add_le(&[Rational::ONE], hi - lo);
-    match lp.solve() {
-        Solution::Optimal { value, .. } => intercept + slope * lo + value,
-        _ => unreachable!("segment LP is feasible and bounded"),
+
+    fn max_backlog(&self) -> Rational {
+        let at_lo = self.intercept + self.slope * self.lo;
+        match self.problem().map(|lp| lp.solve()) {
+            None => at_lo,
+            Some(Solution::Optimal { value, .. }) => at_lo + value,
+            Some(_) => unreachable!("segment LP is feasible and bounded"),
+        }
     }
 }
 

@@ -490,3 +490,131 @@ fn cdcl_search_trajectory_is_pinned() {
         "digests of the hard, planted, incremental and miter cases"
     );
 }
+
+/// One LP's solve and pivot count, through the instrumented entry point.
+fn solve_counting(p: &lp::Problem) -> (lp::Solution, u64) {
+    let collector = telemetry::Collector::shared();
+    let instrument: telemetry::SharedInstrument = collector.clone();
+    let solution = p.solve_instrumented(&instrument);
+    (solution, collector.counter("lp.pivots"))
+}
+
+impl Fnv {
+    fn rational(&mut self, r: lp::Rational) {
+        self.word(r.numer() as u64);
+        self.word((r.numer() >> 64) as u64);
+        self.word(r.denom() as u64);
+        self.word((r.denom() >> 64) as u64);
+    }
+
+    /// Folds one solve: the outcome, the optimum and its point, and the
+    /// pivot count.
+    fn lp(&mut self, (solution, pivots): &(lp::Solution, u64)) {
+        match solution {
+            lp::Solution::Infeasible => self.word(0),
+            lp::Solution::Unbounded => self.word(1),
+            lp::Solution::Optimal { value, point } => {
+                self.word(2);
+                self.rational(*value);
+                self.word(point.len() as u64);
+                for &x in point {
+                    self.rational(x);
+                }
+            }
+        }
+        self.word(*pivots);
+    }
+}
+
+/// A random LP: 1–6 variables, 1–6 rows of small integer coefficients
+/// (a third of them zero), each row `≤` (half of them), `≥` or `=`, and a
+/// random objective to maximize or minimize.
+fn random_lp(rng: &mut fuzz::rng::FuzzRng) -> lp::Problem {
+    let small = |rng: &mut fuzz::rng::FuzzRng, lo: i64, hi: i64| {
+        lp::Rational::from(lo + rng.below((hi - lo + 1) as u64) as i64)
+    };
+    let n = rng.range_usize(1, 6);
+    let mut p = lp::Problem::new(n);
+    let objective: Vec<lp::Rational> = (0..n).map(|_| small(rng, -4, 4)).collect();
+    if rng.flip() {
+        p.maximize(&objective);
+    } else {
+        p.minimize(&objective);
+    }
+    for _ in 0..rng.range_usize(1, 6) {
+        let row: Vec<lp::Rational> = (0..n)
+            .map(|_| {
+                if rng.chance(1, 3) {
+                    lp::Rational::ZERO
+                } else {
+                    small(rng, -3, 5)
+                }
+            })
+            .collect();
+        let rhs = small(rng, -2, 12);
+        match rng.below(4) {
+            0 | 1 => p.add_le(&row, rhs),
+            2 => p.add_ge(&row, rhs),
+            _ => p.add_eq(&row, rhs),
+        }
+    }
+    p
+}
+
+/// The exact simplex, pinned bit for bit: every solution (outcome,
+/// optimum, point) and pivot count over seeded random LPs and over the
+/// LPs the flow solves. A change to the tableau's arithmetic must leave
+/// every value here unchanged; only a deliberate change to the pivoting
+/// rule may re-pin them.
+#[test]
+fn simplex_trajectory_is_pinned() {
+    use symbad_core::{cascade, level2, partition::ArchConfig, Partition, Workload};
+
+    let mut rng = fuzz::rng::FuzzRng::new(26_001);
+    let mut d = Fnv::new();
+    let mut kinds = [0u32; 3];
+    let mut pivots = 0u64;
+    for _ in 0..400 {
+        let solved = solve_counting(&random_lp(&mut rng));
+        kinds[match solved.0 {
+            lp::Solution::Infeasible => 0,
+            lp::Solution::Unbounded => 1,
+            lp::Solution::Optimal { .. } => 2,
+        }] += 1;
+        pivots += solved.1;
+        d.lp(&solved);
+    }
+    let random = d.0;
+
+    // The flow's LPs: liveness of the Figure-2 net with and without its
+    // frame credit, the level-2 deadline LP, and the FIFO-dimensioning
+    // LPs of both level-2 channels on the small and paper workloads.
+    let mut d = Fnv::new();
+    let mut flow = Vec::new();
+    for credits in [0, 1] {
+        flow.push(lp::liveness_problem(&cascade::fig2_petri_net(credits)));
+    }
+    flow.push(cascade::deadline_task_graph().latency_problem());
+    for w in [Workload::small(), Workload::paper(20)] {
+        for (_, rates) in
+            level2::channel_rates(&w, &Partition::paper_level2(), &ArchConfig::default())
+        {
+            flow.extend(lp::fifo_problems(&rates));
+        }
+    }
+    let mut flow_pivots = 0u64;
+    for p in &flow {
+        let solved = solve_counting(p);
+        flow_pivots += solved.1;
+        d.lp(&solved);
+    }
+    let flow_digest = d.0;
+
+    assert_eq!(kinds, [203, 100, 97], "infeasible, unbounded, optimal");
+    assert_eq!((pivots, flow.len(), flow_pivots), (723, 11, 58), "pivots");
+    assert_eq!(
+        [random, flow_digest],
+        [0x3fdd_32f5_453e_90f5, 0xb6c3_89ba_7d95_c8d6],
+        "digests of the random and flow LPs"
+    );
+}
