@@ -130,6 +130,20 @@ impl Default for Rational {
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
+        // Fast paths: both return what the general formula returns.
+        if self.num == 0 {
+            return rhs;
+        }
+        if rhs.num == 0 {
+            return self;
+        }
+        if self.den == 1 && rhs.den == 1 {
+            let num = self
+                .num
+                .checked_add(rhs.num)
+                .expect("rational addition overflow");
+            return Rational::integer(num);
+        }
         let g = gcd(self.den, rhs.den).max(1);
         let lcm_part = rhs.den / g;
         let num = self
@@ -168,6 +182,17 @@ impl SubAssign for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Rational) -> Rational {
+        // Fast paths: both return what the general formula returns.
+        if self.num == 0 || rhs.num == 0 {
+            return Rational::ZERO;
+        }
+        if self.den == 1 && rhs.den == 1 {
+            let num = self
+                .num
+                .checked_mul(rhs.num)
+                .expect("rational multiplication overflow");
+            return Rational::integer(num);
+        }
         // Cross-reduce before multiplying to delay overflow.
         let g1 = gcd(self.num, rhs.den).max(1);
         let g2 = gcd(rhs.num, self.den).max(1);
@@ -278,6 +303,33 @@ mod tests {
         assert_eq!(r(2, 3) * r(3, 4), r(1, 2));
         assert_eq!(r(1, 2) / r(1, 4), r(2, 1));
         assert_eq!(-r(1, 2), r(-1, 2));
+    }
+
+    #[test]
+    fn fast_paths_match_the_general_formula() {
+        let values: Vec<Rational> = (-6..=6)
+            .flat_map(|n| (1..=4).map(move |d| r(n, d)))
+            .collect();
+        for &a in &values {
+            for &b in &values {
+                let sum = r(a.num * b.den + b.num * a.den, a.den * b.den);
+                let product = r(a.num * b.num, a.den * b.den);
+                assert_eq!((a + b, a - b, a * b), (sum, a + -b, product), "{a}, {b}");
+                assert_eq!((a + b).den, sum.den, "{a} + {b} stays in lowest terms");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rational addition overflow")]
+    fn integer_addition_overflow_panics() {
+        let _ = Rational::integer(i128::MAX) + Rational::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational multiplication overflow")]
+    fn integer_multiplication_overflow_panics() {
+        let _ = Rational::integer(i128::MAX) * Rational::integer(2);
     }
 
     #[test]

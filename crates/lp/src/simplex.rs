@@ -174,7 +174,8 @@ impl Problem {
     }
 }
 
-/// Dense simplex tableau in canonical form.
+/// Simplex tableau in canonical form, stored densely; every row update
+/// skips zero entries.
 struct Tableau {
     /// rows[i][j], j in 0..total_cols; last column is the RHS.
     rows: Vec<Vec<Rational>>,
@@ -264,15 +265,21 @@ impl Tableau {
         self.total_cols - 1
     }
 
+    /// Pivots on `(row, col)`. Only the pivot row's nonzero entries take
+    /// part: `v − f·0 = v` exactly, and every entry is in lowest terms, so
+    /// an update through a zero entry would return its input unchanged.
     fn pivot(&mut self, row: usize, col: usize) {
         self.pivots += 1;
         let pivot_val = self.rows[row][col];
         debug_assert!(!pivot_val.is_zero());
         let inv = pivot_val.recip();
-        for v in &mut self.rows[row] {
-            *v = *v * inv;
+        let mut pivot_row = Vec::new();
+        for (j, v) in self.rows[row].iter_mut().enumerate() {
+            if !v.is_zero() {
+                *v = *v * inv;
+                pivot_row.push((j, *v));
+            }
         }
-        let pivot_row = self.rows[row].clone();
         for (i, r) in self.rows.iter_mut().enumerate() {
             if i == row {
                 continue;
@@ -281,17 +288,21 @@ impl Tableau {
             if factor.is_zero() {
                 continue;
             }
-            for (v, pv) in r.iter_mut().zip(&pivot_row) {
-                *v -= factor * *pv;
+            for &(j, pv) in &pivot_row {
+                r[j] -= factor * pv;
             }
         }
         // Cost row.
         let factor = self.cost[col];
         if !factor.is_zero() {
-            for j in 0..self.cost.len() {
-                self.cost[j] -= factor * pivot_row[j];
+            let rhs_col = self.rhs_col();
+            for &(j, pv) in &pivot_row {
+                if j == rhs_col {
+                    self.cost_rhs -= factor * pv;
+                } else {
+                    self.cost[j] -= factor * pv;
+                }
             }
-            self.cost_rhs -= factor * pivot_row[self.rhs_col()];
         }
         self.basis[row] = col;
     }
@@ -346,11 +357,12 @@ impl Tableau {
             // Price out rows whose basic variable is artificial.
             for i in 0..self.rows.len() {
                 if self.basis[i] >= self.first_artificial {
-                    let row = self.rows[i].clone();
-                    for j in 0..self.cost.len() {
-                        self.cost[j] -= row[j];
+                    for (c, &v) in self.cost.iter_mut().zip(&self.rows[i]) {
+                        if !v.is_zero() {
+                            *c -= v;
+                        }
                     }
-                    self.cost_rhs -= row[rhs_col];
+                    self.cost_rhs -= self.rows[i][rhs_col];
                 }
             }
             let bounded = self.iterate(&|_| true);
@@ -390,11 +402,12 @@ impl Tableau {
             let b = self.basis[i];
             let cb = self.cost[b];
             if !cb.is_zero() {
-                let row = self.rows[i].clone();
-                for j in 0..self.cost.len() {
-                    self.cost[j] -= cb * row[j];
+                for (c, &v) in self.cost.iter_mut().zip(&self.rows[i]) {
+                    if !v.is_zero() {
+                        *c -= cb * v;
+                    }
                 }
-                self.cost_rhs -= cb * row[rhs_col];
+                self.cost_rhs -= cb * self.rows[i][rhs_col];
             }
         }
         let first_artificial = self.first_artificial;
