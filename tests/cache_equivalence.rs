@@ -11,7 +11,7 @@
 use std::fs;
 use symbad_core::flow::run_full_flow_cached;
 use symbad_core::workload::Workload;
-use symbad_suite::testkit::scratch_dir;
+use symbad_suite::testkit::{assert_golden, scratch_dir};
 
 #[test]
 fn warm_rerun_hits_at_least_half_of_obligations() {
@@ -138,6 +138,16 @@ fn saved_cache_text(name: &str) -> (std::path::PathBuf, String, String) {
     assert!(!obligations.is_empty(), "the flow must populate the cache");
     let text = fs::read_to_string(dir.join("obligations-v2.json")).expect("saved file reads");
     (dir, text, cold.to_json())
+}
+
+/// The persisted keys are a file format: `cache::persist::FORMAT_VERSION`
+/// must bump whenever the key recipe in `mc::obligation` changes. A cold
+/// `Workload::small()` flow saves exactly this file, so any change to a
+/// key, a payload or the entry order shows here.
+#[test]
+fn saved_cache_file_matches_golden() {
+    let (_, text, _) = saved_cache_text("golden-file");
+    assert_golden("obligations-v2.json", &text);
 }
 
 #[test]
