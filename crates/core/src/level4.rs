@@ -495,6 +495,61 @@ pub fn export_vhdl() -> Vec<(String, String)> {
 mod tests {
     use super::*;
 
+    /// PCC hashes each netlist once and keys every property from that
+    /// prefix. Across both level-4 runs, the keys it probes must be
+    /// exactly `Sources::key()` of every (netlist, property) pair, with
+    /// the parent's hit and miss counts.
+    #[test]
+    fn pcc_probes_the_full_recipe_keys() {
+        let wrapper = bus_wrapper_fsm("bus_wrapper");
+        let extended: Vec<Property> = extended_properties()
+            .into_iter()
+            .filter(provable_on_open_model)
+            .collect();
+        let initial: Vec<Property> = initial_properties()
+            .into_iter()
+            .filter(provable_on_open_model)
+            .collect();
+        let cfg = PccConfig { bmc_bound: 10 };
+        let mut netlists = vec![wrapper.clone()];
+        netlists.extend(
+            pcc::enumerate_faults(&wrapper)
+                .into_iter()
+                .map(|f| pcc::mutant(&wrapper, f)),
+        );
+        let mut expected = std::collections::BTreeSet::new();
+        for set in [&initial, &extended] {
+            for rtl in &netlists {
+                let sources = mc::obligation::Sources {
+                    engine: "pcc.fails_on",
+                    params: &[u64::from(cfg.bmc_bound)],
+                    netlists: &[rtl],
+                    property: None,
+                };
+                let prefix = sources.netlist_prefix();
+                for p in set.iter() {
+                    let key = mc::obligation::Sources {
+                        property: Some(p),
+                        ..sources
+                    }
+                    .key();
+                    assert_eq!(prefix.key(Some(p)), key, "{}", p.name());
+                    expected.insert(key);
+                }
+            }
+        }
+        let cache = cache::ObligationCache::new();
+        for set in [&initial, &extended] {
+            check_coverage(&wrapper, set, &cfg, &telemetry::noop(), &cache).expect("coverage");
+        }
+        let probed: std::collections::BTreeSet<_> =
+            cache.entries_sorted().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(probed, expected);
+        let stats = cache.stats();
+        assert_eq!((netlists.len(), initial.len() + extended.len()), (13, 7));
+        assert_eq!((stats.hits, stats.misses), (26, 65));
+    }
+
     #[test]
     fn kernels_synthesize_and_verify() {
         let report = run();

@@ -43,15 +43,36 @@ pub struct Sources<'a> {
 }
 
 impl Sources<'_> {
-    /// The obligation's cache key.
+    /// The obligation's cache key: its [`Sources::netlist_prefix`], then
+    /// the property.
     pub fn key(&self) -> Fingerprint {
+        self.netlist_prefix().key(self.property)
+    }
+
+    /// The key's netlist prefix: the engine tag, the parameters, the
+    /// netlist count and each netlist. It ignores `property`, so one
+    /// prefix keys every property checked on the same netlists.
+    pub fn netlist_prefix(&self) -> NetlistPrefix {
         let mut b = FingerprintBuilder::new(self.engine)
             .params(self.params)
             .param(self.netlists.len() as u64);
         for rtl in self.netlists {
             b = feed_rtl(b, rtl);
         }
-        match self.property {
+        NetlistPrefix(b)
+    }
+}
+
+/// A key with its netlists already hashed ([`Sources::netlist_prefix`]).
+#[derive(Debug, Clone)]
+pub struct NetlistPrefix(FingerprintBuilder);
+
+impl NetlistPrefix {
+    /// The key of these sources checking `property`: equal to
+    /// [`Sources::key`] with that property.
+    pub fn key(&self, property: Option<&Property>) -> Fingerprint {
+        let b = self.0.clone();
+        match property {
             None => b.param(0),
             Some(p) => feed_property(b.param(1), p),
         }
@@ -118,10 +139,24 @@ pub fn probe<T: Payload>(
     sources: &Sources<'_>,
     run: impl FnOnce() -> T,
 ) -> T {
+    probe_keyed(cache, instrument, sources, || sources.key(), run)
+}
+
+/// [`probe`] with the key computed by `key`, which must return
+/// `sources.key()`; a caller that shares a [`NetlistPrefix`] across
+/// properties passes its [`NetlistPrefix::key`]. A disabled cache never
+/// calls `key`.
+pub fn probe_keyed<T: Payload>(
+    cache: &ObligationCache,
+    instrument: &telemetry::SharedInstrument,
+    sources: &Sources<'_>,
+    key: impl FnOnce() -> Fingerprint,
+    run: impl FnOnce() -> T,
+) -> T {
     if !cache.is_enabled() {
         return run();
     }
-    let key = sources.key();
+    let key = key();
     if let Some(payload) = cache.lookup_tagged(sources.engine, key) {
         if let Some(value) = T::decode(&payload, sources.netlists[0]) {
             instrument.counter_add("cache.hits", 1);
@@ -347,6 +382,33 @@ mod tests {
                     seen.insert(fingerprint("pcc.fails_on", &m, &p, &[10])),
                     "mutant reg bit {reg_bit} stuck_at {stuck} collided"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_netlist_prefix_keys_every_property_like_the_full_recipe() {
+        let rtl = counter(5);
+        let properties = [
+            Property::invariant("lt5", BoolExpr::lt("q", 5)),
+            Property::response("wrap", BoolExpr::eq("q", 4), BoolExpr::eq("q", 0), 1),
+        ];
+        for netlists in [&[&rtl][..], &[&rtl, &rtl]] {
+            let sources = Sources {
+                engine: "bmc",
+                params: &[3, 7],
+                netlists,
+                property: None,
+            };
+            let prefix = sources.netlist_prefix();
+            assert_eq!(prefix.key(None), sources.key());
+            for p in &properties {
+                let with = Sources {
+                    property: Some(p),
+                    ..sources
+                };
+                assert_eq!(prefix.key(Some(p)), with.key());
+                assert_eq!(with.netlist_prefix().key(Some(p)), with.key());
             }
         }
     }
