@@ -170,29 +170,6 @@ impl PccReport {
     }
 }
 
-/// [`fails_on`] backed by the obligation cache (engine tag
-/// `"pcc.fails_on"`, parameter `bmc_bound`). Caching at this granularity
-/// — one boolean per `(mutant, property)` pair — lets a rerun of the
-/// coverage loop skip every already-decided mutant, and lets the initial
-/// property set's obligations be reused verbatim when coverage is
-/// re-measured with an extended set (the extension only adds *new*
-/// `(mutant, property)` pairs).
-fn fails_on_cached(
-    rtl: &Rtl,
-    property: &Property,
-    cfg: &PccConfig,
-    instrument: &telemetry::SharedInstrument,
-    cache: &cache::ObligationCache,
-) -> bool {
-    let sources = mc::obligation::Sources {
-        engine: "pcc.fails_on",
-        params: &[u64::from(cfg.bmc_bound)],
-        netlists: &[rtl],
-        property: Some(property),
-    };
-    mc::obligation::probe(cache, instrument, &sources, || fails_on(rtl, property, cfg))
-}
-
 /// Whether a property fails (is violated) on a design.
 ///
 /// Invariants use the exact BDD engine when the state space is small
@@ -229,9 +206,11 @@ fn fails_on(rtl: &Rtl, property: &Property, cfg: &PccConfig) -> bool {
 /// decision — good-design pre-check and per-mutant kill checks alike — is
 /// looked up in `cache` before an engine runs and stored after
 /// ([`cache::noop()`] skips both), and counted as `cache.hits` /
-/// `cache.misses` on `instrument`. The report stays bit-identical to the
-/// uncached run for any starting cache, because cached payloads are the
-/// engines' own verdicts.
+/// `cache.misses` on `instrument`. Caching at this granularity lets a
+/// rerun skip every already-decided mutant, and lets an extended property
+/// set reuse the initial set's decisions verbatim. The report stays
+/// bit-identical to the uncached run for any starting cache, because
+/// cached payloads are the engines' own verdicts.
 ///
 /// # Errors
 ///
@@ -245,13 +224,35 @@ pub fn check_coverage(
     instrument: &telemetry::SharedInstrument,
     cache: &cache::ObligationCache,
 ) -> Result<PccReport, PccError> {
+    // Which properties fail on one netlist, each decision probed in
+    // `cache` (engine tag `"pcc.fails_on"`, parameter `bmc_bound`). The
+    // netlist is hashed once for all properties, and only when the cache
+    // is enabled.
+    let failing = |design: &Rtl| -> Vec<bool> {
+        let sources = mc::obligation::Sources {
+            engine: "pcc.fails_on",
+            params: &[u64::from(cfg.bmc_bound)],
+            netlists: &[design],
+            property: None,
+        };
+        let prefix = std::cell::OnceCell::new();
+        properties
+            .iter()
+            .map(|p| {
+                let key = || prefix.get_or_init(|| sources.netlist_prefix()).key(Some(p));
+                let sources = mc::obligation::Sources {
+                    property: Some(p),
+                    ..sources
+                };
+                mc::obligation::probe_keyed(cache, instrument, &sources, key, || {
+                    fails_on(design, p, cfg)
+                })
+            })
+            .collect()
+    };
     // Pre-check every property on the fault-free design, then report the
     // first failure in declaration order.
-    let good: Vec<bool> = properties
-        .iter()
-        .map(|p| fails_on_cached(rtl, p, cfg, instrument, cache))
-        .collect();
-    if let Some(pi) = good.iter().position(|&fails| fails) {
+    if let Some(pi) = failing(rtl).iter().position(|&fails| fails) {
         return Err(PccError::PropertyFailsOnGoodDesign {
             property: properties[pi].name().to_owned(),
         });
@@ -260,13 +261,7 @@ pub fn check_coverage(
     // One obligation per fault: which properties kill its mutant.
     let kills: Vec<Vec<bool>> = faults
         .iter()
-        .map(|&fault| {
-            let m = mutant(rtl, fault);
-            properties
-                .iter()
-                .map(|p| fails_on_cached(&m, p, cfg, instrument, cache))
-                .collect()
-        })
+        .map(|&fault| failing(&mutant(rtl, fault)))
         .collect();
     let mut uncovered = Vec::new();
     let mut covered = 0usize;
