@@ -307,11 +307,12 @@ pub fn run_full_flow_supervised(
     run_flow(workload, &ArchConfig::default(), None, &ctx)
 }
 
-/// Runs the complete supervised flow a [`JobSpec`] describes: the spec's
-/// design becomes the workload, its platform variant drives the level-3
-/// architecture and the level-2 FIFO dimensioning, its fault campaign
-/// (if any) is injected into the level-3 simulation under the default
-/// [`RecoveryPolicy`], and its supervision policy budgets the
+/// Runs the complete supervised flow a [`JobSpec`] describes: `workload`
+/// is the spec's design, built by the caller (`spec.design.workload()`,
+/// so that jobs of one design can share it), its platform variant drives
+/// the level-3 architecture and the level-2 FIFO dimensioning, its fault
+/// campaign (if any) is injected into the level-3 simulation under the
+/// default [`RecoveryPolicy`], and its supervision policy budgets the
 /// verification obligations. With `JobSpec::default()` this is exactly
 /// [`run_full_flow_supervised`] on [`Workload::small`] — same phases,
 /// same verdicts, bit-identical JSON, same journal (pinned by
@@ -323,13 +324,24 @@ pub fn run_full_flow_supervised(
 /// # Errors
 ///
 /// Propagates kernel errors from the simulations.
+///
+/// # Panics
+///
+/// Debug builds panic when `workload` does not have the spec's dataset
+/// configuration and probe count.
 pub fn run_full_flow_job(
     spec: &JobSpec,
+    workload: &Workload,
     instrument: &telemetry::SharedInstrument,
     mode: exec::ExecMode,
     cache: &cache::ObligationCache,
     journal: Option<&telemetry::Journal>,
 ) -> Result<FlowReport, SimError> {
+    debug_assert!(
+        *workload.dataset.config() == spec.design.dataset
+            && workload.probes.len() == spec.design.probes,
+        "the workload must be the spec's design"
+    );
     let ctx = RunCtx {
         mode,
         instrument,
@@ -338,7 +350,7 @@ pub fn run_full_flow_job(
         journal,
     };
     run_flow(
-        &spec.design.workload(),
+        workload,
         &spec.platform.arch(),
         spec.faults.map(|f| f.plan()),
         &ctx,

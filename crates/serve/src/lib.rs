@@ -49,7 +49,8 @@ use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 use symbad_core::flow::{self, FlowReport};
-use symbad_core::job::JobSpec;
+use symbad_core::job::{DesignSpec, JobSpec};
+use symbad_core::Workload;
 
 /// Admission and scheduling knobs of a [`Service`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,6 +255,15 @@ struct QueuedJob {
     spec: JobSpec,
 }
 
+/// One distinct design among the queued and running jobs: how many of
+/// them use it, and its workload once the first of them has run.
+#[derive(Debug)]
+struct SharedDesign {
+    design: DesignSpec,
+    jobs: usize,
+    workload: Option<Workload>,
+}
+
 /// A multi-tenant batch verification service over the full flow.
 ///
 /// See the [crate docs](crate) for the contracts and a quickstart. The
@@ -268,6 +278,10 @@ pub struct Service {
     instrument: telemetry::SharedInstrument,
     queue: exec::DrrScheduler<QueuedJob>,
     queued_per_tenant: BTreeMap<String, usize>,
+    /// The distinct designs of the queued and running jobs, in first
+    /// submission order. Jobs of one design share its workload, which is
+    /// built once; `queue_depth` bounds the entries.
+    designs: Vec<SharedDesign>,
     next_id: u64,
     admissions: u64,
 }
@@ -287,6 +301,7 @@ impl Service {
             instrument: telemetry::noop(),
             queue: exec::DrrScheduler::new(config.quantum),
             queued_per_tenant: BTreeMap::new(),
+            designs: Vec::new(),
             next_id: 1,
             admissions: 0,
         }
@@ -388,6 +403,14 @@ impl Service {
         let cost = spec.cost();
         self.queue.push(tenant, cost, QueuedJob { id, spec });
         *self.queued_per_tenant.entry(tenant.to_owned()).or_insert(0) += 1;
+        match self.designs.iter_mut().find(|d| d.design == spec.design) {
+            Some(shared) => shared.jobs += 1,
+            None => self.designs.push(SharedDesign {
+                design: spec.design,
+                jobs: 1,
+                workload: None,
+            }),
+        }
         self.journal.emit(telemetry::EventKind::JobAdmitted {
             job: id.label(),
             tenant: tenant.to_owned(),
@@ -422,11 +445,20 @@ impl Service {
         } else {
             telemetry::Journal::new()
         };
+        let shared = self
+            .designs
+            .iter()
+            .position(|d| d.design == job.spec.design)
+            .expect("every queued job's design is counted");
         self.cache.set_tenant(Some(&tenant));
         let started = Instant::now();
         let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            let workload = self.designs[shared]
+                .workload
+                .get_or_insert_with(|| job.spec.design.workload());
             flow::run_full_flow_job(
                 &job.spec,
+                workload,
                 &self.instrument,
                 self.config.mode,
                 &self.cache,
@@ -439,6 +471,10 @@ impl Service {
             0
         };
         self.cache.set_tenant(None);
+        self.designs[shared].jobs -= 1;
+        if self.designs[shared].jobs == 0 {
+            self.designs.swap_remove(shared);
+        }
 
         let outcome = match run {
             Ok(Ok(report)) => JobOutcome::Completed(report),
@@ -631,6 +667,46 @@ mod tests {
         let batch = service.drain();
         assert_eq!(batch.stats.jobs, 2);
         assert_eq!(batch.stats.failed, 0);
+    }
+
+    #[test]
+    fn jobs_of_one_design_share_its_workload_until_the_last_one_finishes() {
+        let mut service = Service::new(ServiceConfig::default());
+        let mut other = quick_spec();
+        other.design.probes = 2;
+        let mut faulted = quick_spec();
+        faulted.faults = Some(symbad_core::job::FaultPlanSpec::seeded(7));
+        for spec in [quick_spec(), other, faulted] {
+            service.submit("acme", spec).expect("admitted");
+        }
+        let counts = |s: &Service| -> Vec<(usize, bool)> {
+            s.designs
+                .iter()
+                .map(|d| (d.jobs, d.workload.is_some()))
+                .collect()
+        };
+        assert_eq!(counts(&service), [(2, false), (1, false)]);
+        let first = service.run_next().expect("queued");
+        assert_eq!(first.spec, quick_spec());
+        assert_eq!(counts(&service), [(1, true), (1, false)]);
+        let rest = service.drain();
+        assert!(service.designs.is_empty(), "finished designs are released");
+        // A shared workload runs exactly like a freshly built one.
+        for record in std::iter::once(&first).chain(&rest.records) {
+            let direct = flow::run_full_flow_job(
+                &record.spec,
+                &record.spec.design.workload(),
+                &telemetry::noop(),
+                exec::ExecMode::Sequential,
+                &cache::ObligationCache::new(),
+                None,
+            )
+            .expect("direct run");
+            assert_eq!(
+                record.report().expect("completed").to_json(),
+                direct.to_json()
+            );
+        }
     }
 
     #[test]
