@@ -527,23 +527,254 @@ fn shrink_candidates(case: &VmCase) -> Vec<VmCase> {
     out
 }
 
-/// One fuzz iteration: generate, evaluate, shrink on disagreement.
+/// A lane-join case: a lane-eligible function whose outer `if` ends in
+/// an inner `if`, so both branches park lanes at one join target, and
+/// rows that split across both. [`generate`] rarely emits that shape, so
+/// this leg has a generator of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinCase {
+    /// Seed of the function-shape stream ([`FuzzRng::new`]).
+    pub func_seed: u64,
+    /// Whether the outer `if` has an else arm.
+    pub outer_else: bool,
+    /// Whether the inner `if` has an else arm.
+    pub inner_else: bool,
+    /// The outer condition is `p0 < outer`, the inner one `p1 < inner`.
+    pub thresholds: (u64, u64),
+    /// Input rows `[p0, p1, p2]`. Each row takes one of three paths: past
+    /// the outer `if`, past the inner `if` only, or through both. The
+    /// generator sends rows down at least two of them.
+    pub rows: Vec<Vec<u64>>,
+    /// Injected bit fault, as in [`VmCase::fault_pick`].
+    pub fault_pick: Option<u64>,
+}
+
+/// Generates one lane-join case.
+pub fn generate_join(rng: &mut FuzzRng) -> JoinCase {
+    let thresholds = (rng.range(1, 100), rng.range(1, 100));
+    let (ko, ki) = thresholds;
+    // Which paths the rows take: at least two, each by at least one row.
+    // Without a row past the inner `if` only, the inner branch parks no
+    // lane at the join target while the outer branch already has.
+    let taken: &[u64] = [&[0, 2][..], &[0, 1], &[1, 2], &[0, 1, 2]][rng.range_usize(0, 3)];
+    let mut paths = taken.to_vec();
+    for _ in 0..rng.below(4) {
+        paths.push(taken[rng.range_usize(0, taken.len() - 1)]);
+    }
+    // Rotate so that any path may come first.
+    let first = rng.range_usize(0, paths.len() - 1);
+    paths.rotate_left(first);
+    let mut below = |k: u64, pass: bool| {
+        if pass {
+            rng.below(k)
+        } else {
+            k + rng.below(50)
+        }
+    };
+    let rows = paths
+        .iter()
+        .map(|&path| {
+            let p0 = below(ko, path > 0);
+            let p1 = below(ki, path > 1);
+            vec![p0, p1, below(100, true)]
+        })
+        .collect();
+    JoinCase {
+        func_seed: rng.next_u64(),
+        outer_else: rng.flip(),
+        inner_else: rng.flip(),
+        thresholds,
+        rows,
+        fault_pick: if rng.chance(1, 3) {
+            Some(rng.next_u64())
+        } else {
+            None
+        },
+    }
+}
+
+/// Deterministically rebuilds a lane-join case's function: three wide
+/// parameters, one to three narrow locals, random assignments to the
+/// locals in every arm, and a return value that folds in every scalar.
+/// The parameters are never assigned, so each row takes the path the
+/// generator chose for it.
+pub fn build_join_function(case: &JoinCase) -> Function {
+    let mut shape = Shape {
+        rng: FuzzRng::new(case.func_seed),
+        scalars: Vec::new(),
+        arrays: Vec::new(),
+        next_loop: 0,
+        trips: 1,
+        calls: false,
+    };
+    let ret_width = shape.width();
+    let mut fb = FunctionBuilder::new("fuzzed_join", ret_width);
+    let params: Vec<VarId> = (0..3)
+        .map(|i| {
+            let w = [8, 16, 32, 64][shape.rng.range_usize(0, 3)];
+            let v = fb.param(&format!("p{i}"), w);
+            shape.scalars.push((v, w));
+            v
+        })
+        .collect();
+    let locals: Vec<VarId> = (0..shape.rng.range(1, 3))
+        .map(|i| {
+            let w = shape.narrow();
+            let v = fb.local(&format!("l{i}"), w);
+            shape.scalars.push((v, w));
+            v
+        })
+        .collect();
+    let arm = |shape: &mut Shape, lo: u64, hi: u64| -> Vec<(VarId, Expr)> {
+        (0..shape.rng.range(lo, hi))
+            .map(|_| {
+                let v = locals[shape.rng.range_usize(0, locals.len() - 1)];
+                (v, shape.expr(3))
+            })
+            .collect()
+    };
+    let before = arm(&mut shape, 0, 2);
+    let outer_prefix = arm(&mut shape, 0, 2);
+    let inner_then = arm(&mut shape, 1, 3);
+    let inner_else = arm(&mut shape, 1, 2);
+    let outer_else = arm(&mut shape, 1, 2);
+    let after = arm(&mut shape, 0, 2);
+    let threshold = |p: VarId, k: u64| Expr::lt(Expr::var(p), Expr::constant(k, 8));
+    let (outer, inner) = (
+        threshold(params[0], case.thresholds.0),
+        threshold(params[1], case.thresholds.1),
+    );
+    let assign_all = |bb: &mut BlockBuilder<'_>, stmts: Vec<(VarId, Expr)>| {
+        for (v, e) in stmts {
+            bb.assign(v, e);
+        }
+    };
+    let inner_has_else = case.inner_else;
+    let outer_then = |bb: &mut BlockBuilder<'_>| {
+        assign_all(bb, outer_prefix);
+        if inner_has_else {
+            bb.if_else(
+                inner,
+                |t| assign_all(t, inner_then),
+                |e| assign_all(e, inner_else),
+            );
+        } else {
+            bb.if_(inner, |t| assign_all(t, inner_then));
+        }
+    };
+    fb.if_(Expr::constant(1, 1), |top| {
+        assign_all(top, before);
+        if case.outer_else {
+            top.if_else(outer, outer_then, |e| assign_all(e, outer_else));
+        } else {
+            top.if_(outer, outer_then);
+        }
+        assign_all(top, after);
+    });
+    let mut e = shape.expr(2);
+    for &(v, _) in &shape.scalars {
+        e = Expr::xor(e, Expr::var(v));
+    }
+    fb.ret(e);
+    fb.build()
+}
+
+/// Runs a lane-join case's rows as one [`Vm::run_rows`] batch and holds
+/// it row by row to [`Vm::run_value`] and to the interpreter.
+pub fn evaluate_join(case: &JoinCase) -> Option<String> {
+    let func = build_join_function(case);
+    let faults = enumerate_bit_faults(&func);
+    let fault = case
+        .fault_pick
+        .filter(|_| !faults.is_empty())
+        .map(|k| faults[(k % faults.len() as u64) as usize]);
+    let mut vm = Vm::new(compile(&func));
+    vm.set_fault(fault);
+    let mut want = Vec::with_capacity(case.rows.len());
+    for row in &case.rows {
+        let interp = Interpreter::new(&func);
+        let mut interp = match fault {
+            Some(f) => interp.with_fault(f),
+            None => interp,
+        };
+        let reference = interp.run(row).map(|out| out.return_value);
+        let value = vm.run_value(row);
+        if value != reference {
+            return Some(format!(
+                "vm run_value diverged from interpreter on {row:?} (fault {fault:?}): \
+                 {value:?} vs {reference:?}"
+            ));
+        }
+        want.push(value);
+    }
+    rows_disagreement(&mut vm, &case.rows, &want, fault)
+}
+
+fn shrink_join(case: &JoinCase) -> Vec<JoinCase> {
+    let mut out = Vec::new();
+    if case.fault_pick.is_some() {
+        out.push(JoinCase {
+            fault_pick: None,
+            ..case.clone()
+        });
+    }
+    if case.outer_else {
+        out.push(JoinCase {
+            outer_else: false,
+            ..case.clone()
+        });
+    }
+    if case.inner_else {
+        out.push(JoinCase {
+            inner_else: false,
+            ..case.clone()
+        });
+    }
+    if case.rows.len() > 1 {
+        for i in 0..case.rows.len() {
+            let mut c = case.clone();
+            c.rows.remove(i);
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// One fuzz iteration: generate, evaluate, shrink on disagreement; then,
+/// from the same stream, one lane-join case. The lane-join leg leaves
+/// the coverage counters to the main case.
 pub(crate) fn run_one(rng: &mut FuzzRng, bias: u64) -> FamilyOutcome {
     let case = generate(rng, bias);
     let eval = evaluate(&case);
-    let failure = eval.disagreement.map(|detail| {
-        let min = shrink::minimize(case, 60, shrink_candidates, |c| {
-            evaluate(c).disagreement.is_some()
-        });
-        let func = build_function(&min);
-        crate::Failure {
-            detail,
-            minimized: format!(
-                "{min:?}\n{}",
-                behav::pretty::function_to_string(&func, true)
-            ),
+    let failure = match eval.disagreement {
+        Some(detail) => {
+            let min = shrink::minimize(case, 60, shrink_candidates, |c| {
+                evaluate(c).disagreement.is_some()
+            });
+            let func = build_function(&min);
+            Some(crate::Failure {
+                detail,
+                minimized: format!(
+                    "{min:?}\n{}",
+                    behav::pretty::function_to_string(&func, true)
+                ),
+            })
         }
-    });
+        None => {
+            let join = generate_join(rng);
+            evaluate_join(&join).map(|detail| {
+                let min = shrink::minimize(join, 60, shrink_join, |c| evaluate_join(c).is_some());
+                let func = build_join_function(&min);
+                crate::Failure {
+                    detail,
+                    minimized: format!(
+                        "{min:?}\n{}",
+                        behav::pretty::function_to_string(&func, true)
+                    ),
+                }
+            })
+        }
+    };
     FamilyOutcome {
         counters: eval.counters,
         failure,
@@ -566,6 +797,31 @@ mod tests {
             behav::pretty::function_to_string(&f, true),
             behav::pretty::function_to_string(&build_function(&mk()), true)
         );
+    }
+
+    #[test]
+    #[cfg(not(feature = "vm-mutant"))]
+    fn join_cases_run_in_lanes_split_across_both_ifs_and_agree() {
+        let mut rng = FuzzRng::new(26);
+        let mut paths_seen = std::collections::BTreeSet::new();
+        for _ in 0..200 {
+            let case = generate_join(&mut rng);
+            assert!(
+                compile(&build_join_function(&case)).is_lane_eligible(),
+                "{case:?}"
+            );
+            // The rows take at least two of the three paths: past the
+            // outer `if`, past the inner `if` only, and through both.
+            let (ko, ki) = case.thresholds;
+            let path = |r: &Vec<u64>| u8::from(r[0] < ko) + u8::from(r[0] < ko && r[1] < ki);
+            let mut seen: Vec<u8> = case.rows.iter().map(path).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            assert!(seen.len() >= 2, "{case:?}");
+            paths_seen.insert(seen);
+            assert_eq!(evaluate_join(&case), None, "{case:?}");
+        }
+        assert_eq!(paths_seen.len(), 4, "every combination of paths occurs");
     }
 
     #[test]
