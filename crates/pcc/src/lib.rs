@@ -177,28 +177,32 @@ impl PccReport {
 /// ([`mc::monitor`]) and decided exactly the same way. BMC at the
 /// configured bound is the fallback for wide designs — conservative in the
 /// uncovered direction (a violation deeper than the bound counts as "not
-/// killed").
-fn fails_on(rtl: &Rtl, property: &Property, cfg: &PccConfig) -> bool {
-    match property {
-        Property::Invariant { .. } if rtl.state_bits() <= 24 => {
-            matches!(reach::check(rtl, property), Verdict::Violated(_))
-        }
+/// killed"). The engines count their effort (`bdd.nodes_allocated`, the
+/// `bmc.*` and `sat.*` counters) on `instrument`; the caller has already
+/// probed the cache, so the engines run uncached.
+fn fails_on(
+    rtl: &Rtl,
+    property: &Property,
+    cfg: &PccConfig,
+    instrument: &telemetry::SharedInstrument,
+) -> bool {
+    let reach = |rtl: &Rtl, property: &Property| {
+        reach::check_cached(rtl, property, instrument, cache::noop())
+    };
+    let bmc = || bmc::check_cached(rtl, property, cfg.bmc_bound, instrument, cache::noop());
+    let verdict = match property {
+        Property::Invariant { .. } if rtl.state_bits() <= 24 => reach(rtl, property),
         Property::Response { .. } if rtl.state_bits() <= 20 => {
             let (aug, inv) = mc::monitor::compile_response_monitor(rtl, property);
             if aug.state_bits() <= 24 {
-                matches!(reach::check(&aug, &inv), Verdict::Violated(_))
+                reach(&aug, &inv)
             } else {
-                matches!(
-                    bmc::check(rtl, property, cfg.bmc_bound),
-                    Verdict::Violated(_)
-                )
+                bmc()
             }
         }
-        _ => matches!(
-            bmc::check(rtl, property, cfg.bmc_bound),
-            Verdict::Violated(_)
-        ),
-    }
+        _ => bmc(),
+    };
+    matches!(verdict, Verdict::Violated(_))
 }
 
 /// Measures the completeness of `properties` against the full fault list,
@@ -245,7 +249,7 @@ pub fn check_coverage(
                     ..sources
                 };
                 mc::obligation::probe_keyed(cache, instrument, &sources, key, || {
-                    fails_on(design, p, cfg)
+                    fails_on(design, p, cfg, instrument)
                 })
             })
             .collect()
