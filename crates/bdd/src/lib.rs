@@ -269,12 +269,14 @@ impl Manager {
         self.exists_many(conj, vars)
     }
 
-    /// Renames variables according to `map` (pairs `(from, to)`).
+    /// Renames variables according to `map` (pairs `(from, to)`); a
+    /// variable not in `map` keeps its index.
     ///
-    /// Used to swap current-state and next-state frames during reachability.
-    /// The mapping must be order-compatible (it is, for the interleaved
-    /// frame convention used by the `mc` crate, where `from`/`to` differ by
-    /// a fixed offset of adjacent indices).
+    /// Used to move an image from the next-state frame back to the
+    /// current one during reachability: `mc::reach` numbers current-state
+    /// bits `0..n` and next-state bits `n..2n`, and renames `n + i` to
+    /// `i`. Each node is rebuilt with `ite` on its renamed variable, so the
+    /// map need not preserve the variable order.
     pub fn rename(&mut self, f: Ref, map: &[(u32, u32)]) -> Ref {
         if f.is_const() {
             return f;

@@ -387,33 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn a_netlist_prefix_keys_every_property_like_the_full_recipe() {
-        let rtl = counter(5);
-        let properties = [
-            Property::invariant("lt5", BoolExpr::lt("q", 5)),
-            Property::response("wrap", BoolExpr::eq("q", 4), BoolExpr::eq("q", 0), 1),
-        ];
-        for netlists in [&[&rtl][..], &[&rtl, &rtl]] {
-            let sources = Sources {
-                engine: "bmc",
-                params: &[3, 7],
-                netlists,
-                property: None,
-            };
-            let prefix = sources.netlist_prefix();
-            assert_eq!(prefix.key(None), sources.key());
-            for p in &properties {
-                let with = Sources {
-                    property: Some(p),
-                    ..sources
-                };
-                assert_eq!(prefix.key(Some(p)), with.key());
-                assert_eq!(with.netlist_prefix().key(Some(p)), with.key());
-            }
-        }
-    }
-
-    #[test]
     fn a_probe_runs_the_engine_once_and_replays_the_result() {
         let cache = ObligationCache::new();
         let rtl = counter(5);

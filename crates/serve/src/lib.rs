@@ -278,9 +278,9 @@ pub struct Service {
     instrument: telemetry::SharedInstrument,
     queue: exec::DrrScheduler<QueuedJob>,
     queued_per_tenant: BTreeMap<String, usize>,
-    /// The distinct designs of the queued and running jobs, in first
-    /// submission order. Jobs of one design share its workload, which is
-    /// built once; `queue_depth` bounds the entries.
+    /// The distinct designs of the queued and running jobs. Jobs of one
+    /// design share its workload, which is built once; `queue_depth`
+    /// bounds the entries.
     designs: Vec<SharedDesign>,
     next_id: u64,
     admissions: u64,
