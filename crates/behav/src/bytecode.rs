@@ -1060,67 +1060,6 @@ fn faulted(fault: Option<CompiledFault>, dst: Reg, v: u64) -> u64 {
     }
 }
 
-/// State of the seeded `vm-mutant` miscompile: the count of scalar
-/// assignments so far. Empty, and free, without the feature.
-#[derive(Debug, Default)]
-struct Mutant {
-    #[cfg(feature = "vm-mutant")]
-    writes: u64,
-}
-
-impl Mutant {
-    /// The width mask a scalar assignment applies. With the feature on,
-    /// every third assignment skips it: the differential oracle must
-    /// catch that.
-    #[inline(always)]
-    fn mask(&mut self, mask: u64) -> u64 {
-        #[cfg(feature = "vm-mutant")]
-        {
-            self.writes += 1;
-            if self.writes.is_multiple_of(3) {
-                return u64::MAX;
-            }
-        }
-        mask
-    }
-}
-
-/// State of the `vm-mutant` miscompile in a lane run: each lane's count
-/// of scalar assignments, as [`Mutant`] keeps for one run. Empty, and
-/// free, without the feature.
-#[derive(Debug, Clone, Default)]
-struct LaneMutant {
-    #[cfg(feature = "vm-mutant")]
-    writes: Vec<u64>,
-}
-
-impl LaneMutant {
-    /// Starts `n` lanes at zero assignments.
-    fn reset(&mut self, _n: usize) {
-        #[cfg(feature = "vm-mutant")]
-        {
-            self.writes.clear();
-            self.writes.resize(_n, 0);
-        }
-    }
-
-    /// The width mask lane `i` applies at a scalar assignment, which it
-    /// makes when `active` is all ones. With the feature on, every third
-    /// assignment of a lane skips the mask, as in a scalar run.
-    #[inline(always)]
-    fn mask(&mut self, _i: usize, _active: u64, mask: u64) -> u64 {
-        #[cfg(feature = "vm-mutant")]
-        {
-            let writes = &mut self.writes[_i];
-            *writes += _active & 1;
-            if writes.is_multiple_of(3) {
-                return u64::MAX;
-            }
-        }
-        mask
-    }
-}
-
 /// Lane state of [`Vm::run_rows`], struct-of-arrays over `n` lanes,
 /// kept in the [`Vm`] and reused across calls.
 #[derive(Debug, Clone, Default)]
@@ -1138,7 +1077,6 @@ struct Lanes {
     /// Each lane's return value, and all ones once it returned one.
     ret: Vec<u64>,
     has_ret: Vec<u64>,
-    mutant: LaneMutant,
 }
 
 /// The `n` lanes of register `r`.
@@ -1180,16 +1118,9 @@ fn fault_bits(fault: Option<CompiledFault>, dst: Reg) -> (u64, u64) {
 /// A scalar assignment in the active lanes: `dst = val` with the fault's
 /// `(or, and)` bits forced and the variable's width `mask` applied.
 #[inline(always)]
-fn assign_lanes(
-    dst: &mut [u64],
-    val: &[u64],
-    active: &[u64],
-    (or, and): (u64, u64),
-    mask: u64,
-    mutant: &mut LaneMutant,
-) {
-    for (i, ((d, &v), &a)) in dst.iter_mut().zip(val).zip(active).enumerate() {
-        let v = (v | or) & and & mutant.mask(i, a, mask);
+fn assign_lanes(dst: &mut [u64], val: &[u64], active: &[u64], (or, and): (u64, u64), mask: u64) {
+    for ((d, &v), &a) in dst.iter_mut().zip(val).zip(active) {
+        let v = (v | or) & and & mask;
         *d = (v & a) | (*d & !a);
     }
 }
@@ -1545,7 +1476,6 @@ impl Vm {
             val,
             ret,
             has_ret,
-            mutant,
         } = &mut self.lanes;
         // As in a scalar run: locals start at zero, parameters are bound
         // masked, constants come from the preamble ops, and temporaries
@@ -1570,7 +1500,6 @@ impl Vm {
         refill(has_ret, n, 0);
         val.resize(n, 0);
         ret.resize(n, 0);
-        mutant.reset(n);
         let fault = self.fault;
         let slot_of = |target: u32| plan.slot[target as usize] as usize;
         // Whether any lane executes the current op.
@@ -1623,7 +1552,7 @@ impl Vm {
                 Op::AssignVar { dst, src, mask } => {
                     val.copy_from_slice(lanes_of(regs, n, src));
                     let bits = fault_bits(fault, dst);
-                    assign_lanes(lanes_of_mut(regs, n, dst), val, active, bits, mask, mutant);
+                    assign_lanes(lanes_of_mut(regs, n, dst), val, active, bits, mask);
                 }
                 Op::AssignBinary {
                     op,
@@ -1641,7 +1570,7 @@ impl Vm {
                         val,
                     );
                     let bits = fault_bits(fault, dst);
-                    assign_lanes(lanes_of_mut(regs, n, dst), val, active, bits, mask, mutant);
+                    assign_lanes(lanes_of_mut(regs, n, dst), val, active, bits, mask);
                 }
                 Op::Jump { target } => {
                     let s = slot_of(target);
@@ -1759,7 +1688,6 @@ impl Vm {
         let check_at = step_limit.min(CYCLE_CHECK_AFTER);
         let detector = &mut self.detector;
         let garbage = self.garbage;
-        let mut mutant = Mutant::default();
         let ops: &[Op] = &program.ops;
         let mut pc = 0usize;
         let mut steps = 0u64;
@@ -1837,8 +1765,7 @@ impl Vm {
                     hooks.count_mem();
                 }
                 Op::AssignVar { dst, src, mask } => {
-                    regs[dst as usize] =
-                        faulted(fault, dst, regs[src as usize]) & mutant.mask(mask);
+                    regs[dst as usize] = faulted(fault, dst, regs[src as usize]) & mask;
                     hooks.count_alu();
                 }
                 Op::AssignBinary {
@@ -1853,7 +1780,7 @@ impl Vm {
                     let b = regs[rhs as usize];
                     hooks.count_binop(op);
                     let v = apply_binop(op, a, b, width);
-                    regs[dst as usize] = faulted(fault, dst, v) & mutant.mask(mask);
+                    regs[dst as usize] = faulted(fault, dst, v) & mask;
                     hooks.count_alu();
                 }
                 Op::Jump { target } => pc = target as usize,
@@ -1912,10 +1839,8 @@ impl Vm {
                     if steps > check_at {
                         // No detection when the run depends on state the
                         // detector cannot see: a handler the program calls
-                        // (`func_names` lists its resource calls), or the
-                        // `vm-mutant` miscompile's write counter.
-                        let unseen = cfg!(feature = "vm-mutant")
-                            || (handler.is_some() && !program.func_names.is_empty());
+                        // (`func_names` lists its resource calls).
+                        let unseen = handler.is_some() && !program.func_names.is_empty();
                         if steps > step_limit
                             || (!unseen && detector.repeats(stamp, target, regs, arrays))
                         {
@@ -1997,7 +1922,7 @@ impl BehavExec {
     }
 }
 
-#[cfg(all(test, not(feature = "vm-mutant")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::func::FunctionBuilder;
@@ -2682,59 +2607,5 @@ mod tests {
         assert!(p.num_ops() > 5);
         assert!(p.num_regs() >= 3); // a, b, t + temps
         assert_eq!(p.new_coverage().report().statements_hit, 0);
-    }
-}
-
-#[cfg(all(test, feature = "vm-mutant"))]
-mod mutant_tests {
-    use super::*;
-    use crate::func::FunctionBuilder;
-    use crate::interp::Interpreter;
-
-    /// With the seeded miscompile enabled, a function whose expressions
-    /// exceed the target's width must diverge from the interpreter.
-    #[test]
-    fn seeded_miscompile_diverges_from_interpreter() {
-        let mut fb = FunctionBuilder::new("narrow", 8);
-        let a = fb.param("a", 8);
-        let x = fb.local("x", 4);
-        // Three assignments whose 8-bit RHS exceeds 4 bits: the mutant
-        // skips the mask on the third one.
-        fb.assign(x, Expr::add(Expr::var(a), Expr::constant(0, 8)));
-        fb.assign(x, Expr::add(Expr::var(a), Expr::constant(1, 8)));
-        fb.assign(x, Expr::add(Expr::var(a), Expr::constant(2, 8)));
-        fb.ret(Expr::var(x));
-        let f = fb.build();
-        let interp = Interpreter::new(&f).run(&[0xF0]).unwrap();
-        let vm = Vm::new(compile(&f)).run(&[0xF0]).unwrap();
-        assert_ne!(interp.return_value, vm.return_value);
-    }
-
-    /// The lane path carries the miscompile too: each lane counts its own
-    /// assignments, so a lane run equals the mutant's scalar run and
-    /// diverges from the interpreter on every row.
-    #[test]
-    fn seeded_miscompile_bites_every_lane() {
-        let mut fb = FunctionBuilder::new("narrow", 8);
-        let a = fb.param("a", 8);
-        let x = fb.local("x", 4);
-        fb.if_else(
-            Expr::lt(Expr::var(a), Expr::constant(0x80, 8)),
-            |t| t.assign(x, Expr::add(Expr::var(a), Expr::constant(1, 8))),
-            |e| e.assign(x, Expr::sub(Expr::var(a), Expr::constant(1, 8))),
-        );
-        fb.assign(x, Expr::add(Expr::var(a), Expr::constant(2, 8)));
-        fb.assign(x, Expr::add(Expr::var(a), Expr::constant(3, 8)));
-        fb.ret(Expr::var(x));
-        let f = fb.build();
-        let mut vm = Vm::new(compile(&f));
-        assert!(vm.program().is_lane_eligible());
-        let rows: Vec<[u64; 1]> = vec![[0x30], [0xF0], [0x7E], [0x81]];
-        let lanes = vm.run_rows(&rows);
-        for (row, got) in rows.iter().zip(&lanes) {
-            assert_eq!(got, &vm.run_value(row), "{row:?}");
-            let interp = Interpreter::new(&f).run(row).unwrap().return_value;
-            assert_ne!(got, &Ok(interp), "{row:?}");
-        }
     }
 }

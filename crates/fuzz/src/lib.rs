@@ -310,7 +310,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "sat-mutant"))]
     fn coverage_steering_finds_more_signatures_than_a_frozen_profile() {
         // Not a strict theorem, but with these seeds the bias rotation
         // must reach at least as many distinct signatures.

@@ -634,7 +634,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "sat-mutant"))]
     fn random_recipes_build_and_agree() {
         let mut rng = FuzzRng::new(7);
         for bias in 0..25u64 {
@@ -645,7 +644,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "sat-mutant"))]
     fn a_key_shared_with_the_sibling_is_caught() {
         // A case whose sibling some engine decides differently.
         let mut rng = FuzzRng::new(3);

@@ -481,14 +481,12 @@ mod tests {
         for i in 0..30 {
             let case = generate(&mut r, i);
             let eval = evaluate(&case);
-            #[cfg(not(feature = "sat-mutant"))]
             assert_eq!(eval.disagreement, None, "case {case:?}");
             assert!(!eval.counters.is_empty());
         }
     }
 
     #[test]
-    #[cfg(not(feature = "sat-mutant"))]
     fn a_forced_disagreement_shrinks_to_a_minimal_core() {
         // Corrupt the expectation on a tiny SAT instance: the oracle must
         // flag it, and the shrinker (which re-derives ground truth) must

@@ -48,7 +48,6 @@ pub fn generate_hard(rng: &mut FuzzRng) -> CnfCase {
 }
 
 #[cfg(test)]
-#[cfg(not(feature = "sat-mutant"))]
 mod tests {
     use super::*;
     use crate::sat_fuzz::{extract_model, load_solver, violated_clause};

@@ -22,9 +22,12 @@
 //! is lane-eligible and row by row otherwise, and must return the same
 //! values and errors row by row.
 //!
-//! With the `vm-mutant` feature the VM deliberately skips the width
-//! mask on every third scalar assignment; `tests/vm_mutant.rs` proves
-//! this family catches that miscompile within the CI smoke budget.
+//! Three patches of the committed mutation set (`mutants/`) break the
+//! VM on purpose, and `tests/fuzz_smoke.rs` must catch each through this
+//! family at its default budget: `vm-scalar-mask` skips the width mask
+//! on every third scalar assignment, `vm-lane-mask` skips it in one lane
+//! of the lane pass, and `vm-lane-join` drops lanes parked at a jump
+//! target that two branches share.
 
 use crate::rng::FuzzRng;
 use crate::shrink;
@@ -93,7 +96,8 @@ pub fn generate(rng: &mut FuzzRng, bias: u64) -> VmCase {
 const WIDTHS: [u32; 7] = [1, 5, 8, 13, 16, 32, 64];
 
 /// Narrow widths favoured for locals: a narrow assignment target is where
-/// width-mask bugs (the seeded `vm-mutant` miscompile included) surface.
+/// width-mask bugs (`mutants/vm-scalar-mask.patch` and
+/// `mutants/vm-lane-mask.patch` among them) surface.
 const NARROW: [u32; 5] = [3, 4, 5, 8, 13];
 
 /// The shared deterministic resource-call model both engines consult.
@@ -800,7 +804,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "vm-mutant"))]
     fn join_cases_run_in_lanes_split_across_both_ifs_and_agree() {
         let mut rng = FuzzRng::new(26);
         let mut paths_seen = std::collections::BTreeSet::new();
@@ -825,7 +828,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "vm-mutant"))]
     fn random_cases_agree_across_engines() {
         let mut rng = FuzzRng::new(77);
         for bias in 0..12u64 {
@@ -833,41 +835,6 @@ mod tests {
             let eval = evaluate(&case);
             assert_eq!(eval.disagreement, None, "case {case:?}");
         }
-    }
-
-    /// The seeded miscompile bites the lane path too, and the batch leg
-    /// catches it on its own: held to the interpreter, a lane-parallel
-    /// `run_rows` batch of the mutant VM disagrees within a few hundred
-    /// generated cases.
-    #[test]
-    #[cfg(feature = "vm-mutant")]
-    fn the_batch_leg_alone_catches_the_miscompile_in_lanes() {
-        let mut rng = FuzzRng::new(0);
-        let caught = (0..400u64).find_map(|bias| {
-            let case = generate(&mut rng, bias);
-            let func = build_function(&case);
-            let program = compile(&func);
-            if !program.is_lane_eligible() || u64::from(func.num_statements()) > case.step_limit {
-                return None;
-            }
-            let fault = pick_fault(&case, &func);
-            let vectors = padded_vectors(&case, &func);
-            let want: Vec<_> = vectors
-                .iter()
-                .map(|v| {
-                    interpreter(&func, &case, fault)
-                        .run(v)
-                        .map(|o| o.return_value)
-                })
-                .collect();
-            let mut vm = Vm::new(program).with_step_limit(case.step_limit);
-            vm.set_fault(fault);
-            rows_disagreement(&mut vm, &vectors, &want, fault)
-        });
-        assert!(
-            caught.is_some(),
-            "no lane-parallel batch of the mutant VM disagreed"
-        );
     }
 
     #[test]

@@ -242,11 +242,6 @@ pub struct Solver {
     budget_conflicts: Option<u64>,
     /// See [`Solver::budget_conflicts`](struct field above).
     budget_decisions: Option<u64>,
-    /// Unit propagations seen by the test-only `mutant` feature, which
-    /// silently drops every third one to prove the fuzzer's differential
-    /// oracles catch an injected solver bug.
-    #[cfg(feature = "mutant")]
-    mutant_units: u64,
     /// Budgeted solve calls seen by the test-only `diverge-mutant`
     /// feature, which makes every second one burn its whole budget.
     #[cfg(feature = "diverge-mutant")]
@@ -287,8 +282,6 @@ impl Default for Solver {
             flush_calls: 0,
             budget_conflicts: None,
             budget_decisions: None,
-            #[cfg(feature = "mutant")]
-            mutant_units: 0,
             #[cfg(feature = "diverge-mutant")]
             diverge_calls: 0,
         }
@@ -535,17 +528,6 @@ impl Solver {
                     blocker: first,
                 };
                 keep += 1;
-                #[cfg(feature = "mutant")]
-                {
-                    // Injected bug: every third unit implication is
-                    // silently dropped, so "SAT" models can violate a
-                    // clause. The fuzz crate's model validation must
-                    // catch this (see `fuzz/tests/mutant_detection.rs`).
-                    self.mutant_units += 1;
-                    if self.mutant_units.is_multiple_of(3) {
-                        continue;
-                    }
-                }
                 if !self.enqueue(first, Some(watch.clause)) {
                     // Conflict: keep the remaining watches and bail out.
                     while wi < watch_list.len() {

@@ -2,8 +2,13 @@
 //! its default budget (raise with `SYMBAD_FUZZ_ITERS`), expecting zero
 //! disagreements between the independent engine implementations, plus
 //! the determinism contract the reproducer format depends on.
+//!
+//! The mutation set (`mutants/`) breaks engines on purpose and expects
+//! `every_family_runs_clean_at_its_default_budget` to report the broken
+//! family, which it does only after the family's first disagreement has
+//! replayed.
 
-use fuzz::{run, Family, FuzzConfig, FuzzOutcome};
+use fuzz::{run, run_repro, Disagreement, Family, FuzzConfig, FuzzOutcome};
 
 /// Each disagreement of a run with its reproducer, for a failure message.
 fn reproducers(outcome: &FuzzOutcome) -> String {
@@ -15,18 +20,49 @@ fn reproducers(outcome: &FuzzOutcome) -> String {
         .join("; ")
 }
 
+/// The reproducer contract a reported disagreement rests on: the first
+/// one replays bit for bit through [`run_repro`], every one carries a
+/// detail and a minimized case, and a `vm` witness holds the failing
+/// function, so a bug report needs no second fuzzing run.
+fn assert_reproducible(family: Family, disagreements: &[Disagreement]) {
+    let first = &disagreements[0];
+    let replayed = run_repro(&first.repro)
+        .unwrap_or_else(|| panic!("replaying {} found nothing", first.repro));
+    assert_eq!(
+        &replayed, first,
+        "replay of {} is not bit-identical",
+        first.repro
+    );
+    for d in disagreements {
+        assert!(
+            !d.detail.is_empty() && !d.minimized.is_empty(),
+            "{} carries no detail or no minimized case",
+            d.repro
+        );
+        if family == Family::Vm {
+            assert!(
+                d.minimized.contains("fuzzed"),
+                "{}'s minimized case holds no function",
+                d.repro
+            );
+        }
+    }
+}
+
 #[test]
 fn every_family_runs_clean_at_its_default_budget() {
     for family in Family::ALL {
         let config = FuzzConfig::standard(family);
         let outcome = run(family, &config);
         assert_eq!(outcome.iters, config.iters);
-        assert!(
-            outcome.disagreements.is_empty(),
-            "{} family found disagreements: {}",
-            family.as_str(),
-            reproducers(&outcome)
-        );
+        if !outcome.disagreements.is_empty() {
+            assert_reproducible(family, &outcome.disagreements);
+            panic!(
+                "{} family found disagreements: {}",
+                family.as_str(),
+                reproducers(&outcome)
+            );
+        }
         assert!(
             outcome.distinct_signatures > 1,
             "{} family exercised only one engine-behaviour signature",
