@@ -15,10 +15,10 @@
 //! engines disagree) the same minimized counterexamples, bit for bit.
 
 use fuzz::{repro, run, run_repro, Family, FuzzConfig, FuzzOutcome};
-use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use telemetry::Json;
 
 fn out_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -42,50 +42,28 @@ fn replay(id: &fuzz::ReproId) -> ExitCode {
     }
 }
 
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn summary_json(outcomes: &[FuzzOutcome]) -> String {
-    let mut out = String::from("{\n  \"families\": [");
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{ \"family\": \"{}\", \"iters\": {}, \"disagreements\": {}, \
-             \"distinct_signatures\": {}, \"novel_iterations\": {}, \"repros\": [",
-            o.family.as_str(),
-            o.iters,
-            o.disagreements.len(),
-            o.distinct_signatures,
-            o.novel_iterations
-        );
-        for (j, d) in o.disagreements.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            json_string(&mut out, &d.repro.to_string());
-        }
-        out.push_str("] }");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let families = outcomes
+        .iter()
+        .map(|o| {
+            let repros = o.disagreements.iter();
+            Json::obj(vec![
+                ("family", Json::Str(o.family.as_str().to_owned())),
+                ("iters", Json::UInt(o.iters)),
+                ("disagreements", Json::UInt(o.disagreements.len() as u64)),
+                (
+                    "distinct_signatures",
+                    Json::UInt(o.distinct_signatures as u64),
+                ),
+                ("novel_iterations", Json::UInt(o.novel_iterations)),
+                (
+                    "repros",
+                    Json::Arr(repros.map(|d| Json::Str(d.repro.to_string())).collect()),
+                ),
+            ])
+        })
+        .collect();
+    Json::obj(vec![("families", Json::Arr(families))]).render_pretty()
 }
 
 fn main() -> ExitCode {
