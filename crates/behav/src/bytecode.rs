@@ -2257,7 +2257,9 @@ mod tests {
     #[test]
     fn array_progress_is_not_taken_for_a_cycle() {
         // Every register repeats at the back-edge: the body's last
-        // statement overwrites the only temporary with a constant sum.
+        // statement computes its inner sum `1 + 2` in the only temporary,
+        // overwriting the store's `count[0] + 1` (an outermost binary
+        // expression fuses into its assignment and writes no temporary).
         // Only `count[0]` moves, and it reaches the exit after ~9,000
         // steps.
         let mut fb = FunctionBuilder::new("count", 16);
@@ -2273,7 +2275,10 @@ mod tests {
             );
             body.assign(
                 scratch,
-                Expr::add(Expr::constant(1, 16), Expr::constant(2, 16)),
+                Expr::add(
+                    Expr::add(Expr::constant(1, 16), Expr::constant(2, 16)),
+                    Expr::constant(0, 16),
+                ),
             );
         });
         fb.ret(at0());

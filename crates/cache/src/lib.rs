@@ -17,8 +17,9 @@
 //! property set re-checks every mutant the initial set already visited:
 //! the [`ObligationCache`] is shared across the flow's obligations
 //! (lock-striped, so `exec::ExecMode::Parallel` workers populate it
-//! concurrently) and persisted to `target/symbad-cache/` as versioned,
-//! hand-rolled JSON (the build is offline — no serde), so a warm rerun of
+//! concurrently) and persisted to `target/symbad-cache/` as versioned
+//! JSON, written and read through `telemetry::json`, the workspace's one
+//! codec (the build is offline — no serde), so a warm rerun of
 //! `flow::run_full_flow` skips already-proved obligations entirely.
 //!
 //! Payloads are plain strings encoded by the engine that owns the entry

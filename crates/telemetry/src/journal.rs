@@ -703,109 +703,30 @@ impl Journal {
 
 // ── JSONL schema validation ──────────────────────────────────────────────
 
-/// Splits one flat JSON object line into its top-level keys. Journal
-/// lines are flat by construction (no nested objects/arrays), which is
-/// what makes this scanner complete for them.
-fn top_level_keys(line: &str) -> Result<Vec<String>, String> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "line is not a JSON object".to_owned())?;
-    let mut keys = Vec::new();
-    let mut chars = body.chars().peekable();
-    loop {
-        // Parse `"key":value` pairs separated by commas.
-        match chars.next() {
-            None => break,
-            Some('"') => {}
-            Some(c) => return Err(format!("expected '\"' at a key, found {c:?}")),
-        }
-        let mut key = String::new();
-        loop {
-            match chars.next() {
-                Some('\\') => {
-                    key.push('\\');
-                    if let Some(c) = chars.next() {
-                        key.push(c);
-                    }
-                }
-                Some('"') => break,
-                Some(c) => key.push(c),
-                None => return Err("unterminated key".to_owned()),
-            }
-        }
-        keys.push(key.clone());
-        if chars.next() != Some(':') {
-            return Err(format!("key {key:?} is not followed by ':'"));
-        }
-        // Skip the value: either a quoted string or a bare token.
-        match chars.peek() {
-            Some('"') => {
-                chars.next();
-                loop {
-                    match chars.next() {
-                        Some('\\') => {
-                            chars.next();
-                        }
-                        Some('"') => break,
-                        Some(_) => {}
-                        None => return Err("unterminated string value".to_owned()),
-                    }
-                }
-                match chars.next() {
-                    None => break,
-                    Some(',') => {}
-                    Some(c) => return Err(format!("expected ',' after a value, found {c:?}")),
-                }
-            }
-            _ => {
-                let mut saw_any = false;
-                loop {
-                    match chars.next() {
-                        None => break,
-                        Some(',') => break,
-                        Some(c) if c == '{' || c == '[' => {
-                            return Err("journal lines must be flat objects".to_owned())
-                        }
-                        Some(_) => saw_any = true,
-                    }
-                }
-                if !saw_any {
-                    return Err(format!("key {key:?} has an empty value"));
-                }
-                if chars.peek().is_none() {
-                    break;
-                }
-            }
-        }
-    }
-    Ok(keys)
-}
-
 /// Validates one JSONL journal line against the event schema: the line
-/// must be a flat JSON object carrying `seq` (deterministic lane) or
-/// `tseq` (timing lane), a known `kind`, and exactly the keys that kind
-/// requires.
+/// must parse as a JSON object whose first member is `seq` (deterministic
+/// lane) or `tseq` (timing lane) holding an unsigned integer, whose second
+/// is `kind` holding a string that names a kind of that lane, and whose
+/// remaining members are exactly the keys that kind requires, in order,
+/// each holding the type [`Event::to_jsonl`] or [`TimingEvent::to_jsonl`]
+/// writes for it. A nested value is always of the wrong type, so journal
+/// lines are flat.
 ///
 /// This is what the `observability-smoke` CI job runs over every line the
 /// flow example streams out.
 pub fn validate_line(line: &str) -> Result<(), String> {
-    let keys = top_level_keys(line)?;
-    let lane_key = keys.first().map(String::as_str);
-    let deterministic = match lane_key {
-        Some("seq") => true,
-        Some("tseq") => false,
-        other => return Err(format!("first key must be seq/tseq, found {other:?}")),
+    let Some(Json::Obj(members)) = crate::json::parse(line) else {
+        return Err("line is not a JSON object".to_owned());
     };
-    if keys.get(1).map(String::as_str) != Some("kind") {
-        return Err("second key must be 'kind'".to_owned());
-    }
-    // Extract the kind value textually (validated flat by top_level_keys).
-    let kind = line
-        .split("\"kind\":\"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .ok_or_else(|| "missing kind value".to_owned())?;
+    let deterministic = match members.first() {
+        Some((lane, Json::UInt(_))) if lane == "seq" => true,
+        Some((lane, Json::UInt(_))) if lane == "tseq" => false,
+        _ => return Err("first member must be seq/tseq holding an unsigned integer".to_owned()),
+    };
+    let kind = match members.get(1) {
+        Some((key, Json::Str(kind))) if key == "kind" => kind.as_str(),
+        _ => return Err("second member must be 'kind' holding a string".to_owned()),
+    };
     let expected: &[&str] = match (deterministic, kind) {
         (true, "obligation_started") => &["obligation", "engine"],
         (true, "obligation_finished") => &[
@@ -845,11 +766,28 @@ pub fn validate_line(line: &str) -> Result<(), String> {
             ))
         }
     };
-    let got: Vec<&str> = keys.iter().skip(2).map(String::as_str).collect();
+    let fields = &members[2..];
+    let got: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
     if got != expected {
         return Err(format!(
             "kind {kind:?} expects keys {expected:?}, found {got:?}"
         ));
+    }
+    for (key, value) in fields {
+        let typed = match key.as_str() {
+            "retried" | "ok" | "conclusive" => matches!(value, Json::Bool(_)),
+            "obligation" | "engine" | "fingerprint" | "outcome" | "axis" | "message" | "status"
+            | "detail" | "name" | "job" | "tenant" | "reason" | "batch" | "label" => {
+                matches!(value, Json::Str(_))
+            }
+            _ => matches!(value, Json::UInt(_)),
+        };
+        if !typed {
+            return Err(format!(
+                "key {key:?} holds {}, a value of the wrong type",
+                value.render()
+            ));
+        }
     }
     Ok(())
 }
@@ -983,6 +921,17 @@ mod tests {
         );
         // Nested values are rejected (journal lines are flat).
         assert!(validate_line("{\"seq\":1,\"kind\":\"retry\",\"obligation\":{}}").is_err());
+        // Not JSON, or a value of the wrong type for its key.
+        for line in [
+            "{\"seq\":x,\"kind\":\"retry\",\"obligation\":\"a\"}",
+            "{\"seq\":1,\"kind\":\"retry\",\"obligation\":tru e}",
+            "{\"seq\":\"1\",\"kind\":\"retry\",\"obligation\":\"a\"}",
+            "{\"seq\":1,\"kind\":\"retry\",\"obligation\":7}",
+            "{\"tseq\":-1,\"kind\":\"run_wall\",\"label\":\"flow\",\"wall_us\":5}",
+            "{\"tseq\":1,\"kind\":\"run_wall\",\"label\":\"flow\",\"wall_us\":1.5e9}",
+        ] {
+            assert!(validate_line(line).is_err(), "{line}");
+        }
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! * Exporters — [`chrome::chrome_trace`] (open in `chrome://tracing` or
 //!   [ui.perfetto.dev](https://ui.perfetto.dev)), [`vcd::vcd_dump`]
 //!   (gauge series as a VCD waveform) and [`report::Report`] (structured
-//!   human text + JSON, hand-rolled — no serde, the build is offline).
+//!   human text + JSON).
+//! * [`json`] — the workspace's one JSON codec (no serde, the build is
+//!   offline): a deterministic writer and [`json::parse`], a
+//!   depth-bounded parser for untrusted text such as the persisted
+//!   obligation cache and journal lines.
 //! * The flight recorder — [`journal::Journal`], a bounded two-lane ring
 //!   of typed events with per-obligation cost provenance, streamed as
 //!   JSONL; [`profile::FlowProfile`], the "explain this run" aggregation
@@ -65,5 +69,5 @@ pub use json::Json;
 pub use metrics::{Histogram, HistogramSummary};
 pub use profile::FlowProfile;
 pub use prom::{parse_exposition, prometheus_text};
-pub use report::{Report, Section, Value};
+pub use report::{Report, Section};
 pub use vcd::vcd_dump;

@@ -4,86 +4,13 @@
 use crate::json::Json;
 use std::fmt::Write as _;
 
-/// A typed report value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Signed integer.
-    Int(i64),
-    /// Unsigned integer.
-    UInt(u64),
-    /// Float (rendered deterministically, see [`crate::json::fmt_f64`]).
-    Float(f64),
-    /// Free-form text.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl Value {
-    fn to_json(&self) -> Json {
-        match self {
-            Value::Int(v) => Json::Int(*v),
-            Value::UInt(v) => Json::UInt(*v),
-            Value::Float(v) => Json::Num(*v),
-            Value::Str(s) => Json::Str(s.clone()),
-            Value::Bool(b) => Json::Bool(*b),
-        }
-    }
-
-    fn to_text(&self) -> String {
-        match self {
-            Value::Int(v) => v.to_string(),
-            Value::UInt(v) => v.to_string(),
-            Value::Float(v) => crate::json::fmt_f64(*v),
-            Value::Str(s) => s.clone(),
-            Value::Bool(b) => b.to_string(),
-        }
-    }
-}
-
-impl From<&str> for Value {
-    fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
-    }
-}
-
-impl From<String> for Value {
-    fn from(s: String) -> Self {
-        Value::Str(s)
-    }
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Self {
-        Value::UInt(v)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::Int(v)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float(v)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
-
 /// A titled group of key/value entries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Section {
     /// Section heading.
     pub title: String,
     /// Entries in insertion order.
-    pub entries: Vec<(String, Value)>,
+    pub entries: Vec<(String, Json)>,
 }
 
 impl Section {
@@ -96,13 +23,13 @@ impl Section {
     }
 
     /// Appends one entry (builder-style).
-    pub fn entry(mut self, key: &str, value: impl Into<Value>) -> Self {
+    pub fn entry(mut self, key: &str, value: impl Into<Json>) -> Self {
         self.entries.push((key.to_owned(), value.into()));
         self
     }
 
     /// Appends one entry in place.
-    pub fn push(&mut self, key: &str, value: impl Into<Value>) {
+    pub fn push(&mut self, key: &str, value: impl Into<Json>) {
         self.entries.push((key.to_owned(), value.into()));
     }
 }
@@ -131,7 +58,8 @@ impl Report {
         self
     }
 
-    /// Renders as aligned human-readable text (keys padded per section).
+    /// Renders as aligned human-readable text (keys padded per section;
+    /// strings print unquoted, every other value as its JSON).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.title);
@@ -147,7 +75,11 @@ impl Report {
                 .max()
                 .unwrap_or(0);
             for (key, value) in &section.entries {
-                let _ = writeln!(out, "  {key:width$}  {}", value.to_text());
+                let text = match value {
+                    Json::Str(s) => s.clone(),
+                    other => other.render(),
+                };
+                let _ = writeln!(out, "  {key:width$}  {text}");
             }
         }
         out
@@ -161,15 +93,7 @@ impl Report {
             .map(|s| {
                 Json::obj(vec![
                     ("title", Json::Str(s.title.clone())),
-                    (
-                        "entries",
-                        Json::Obj(
-                            s.entries
-                                .iter()
-                                .map(|(k, v)| (k.clone(), v.to_json()))
-                                .collect(),
-                        ),
-                    ),
+                    ("entries", Json::Obj(s.entries.clone())),
                 ])
             })
             .collect();
