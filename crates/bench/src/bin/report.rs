@@ -11,6 +11,7 @@ use symbad_core::cascade;
 use symbad_core::explore;
 use symbad_core::level4;
 use symbad_core::partition::ArchConfig;
+use symbad_core::timed::{MatcherKind, ReconfigStrategy, TimedSetup};
 use symbad_core::workload::Workload;
 use symbad_core::{level1, level2, level3};
 
@@ -64,9 +65,10 @@ fn e1_e2_e3_e11(workload: &Workload) {
         }
         (out.expect("ran at least once"), best)
     }
-    let (l1, l1_wall) = timed(|| level1::run(workload).expect("level 1"));
-    let (l2, l2_wall) = timed(|| level2::run(workload).expect("level 2"));
-    let (l3, l3_wall) = timed(|| level3::run(workload).expect("level 3"));
+    let noop = telemetry::noop();
+    let (l1, l1_wall) = timed(|| level1::run_instrumented(workload, &noop).expect("level 1"));
+    let (l2, l2_wall) = timed(|| level2::run_instrumented(workload, &noop).expect("level 2"));
+    let (l3, l3_wall) = timed(|| level3::run_instrumented(workload, &noop).expect("level 3"));
 
     // Level 4 representative: cycle-level RTL evaluation of the ROOT
     // kernel for every distance evaluation in the workload.
@@ -141,8 +143,15 @@ fn e1_e2_e3_e11(workload: &Workload) {
     // TL/RTL co-simulation: same functionality and simulated time, the
     // host pays for netlist evaluation — the paper's "co-simulation is
     // still too expensive" claim, measured.
+    let cosim_setup = TimedSetup {
+        matcher_kind: MatcherKind::Fpga {
+            strategy: ReconfigStrategy::Hoisted,
+            rtl_cosim: true,
+        },
+        ..TimedSetup::level3(workload)
+    };
     let (cosim, cosim_wall) =
-        timed(|| symbad_core::level3::run_with_rtl_cosim(workload).expect("cosim"));
+        timed(|| symbad_core::timed::run(cosim_setup.clone(), &noop).expect("cosim"));
     assert_eq!(cosim.recognized, l3.recognized);
     println!(
         "TL/RTL co-simulation of ROOT: wall {:.1} µs/frame vs native {:.1} µs/frame → {:.2}× slower, functionally identical\n",
@@ -341,7 +350,11 @@ fn e8() {
     println!("── E8: model checking + PCC at level 4 ──");
     println!("paper: 'PCC allowed us to identify property missing in the initial");
     println!("        verification plan'\n");
-    let report = level4::run();
+    let report = level4::run_cached(
+        exec::ExecMode::Sequential,
+        &telemetry::noop(),
+        cache::noop(),
+    );
     for (name, nodes, equivalent) in &report.kernels {
         println!("| kernel {name} | {nodes} RTL nodes | RTL ≡ behavioural: {equivalent} |");
     }

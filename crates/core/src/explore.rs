@@ -7,9 +7,8 @@
 //! motivates the level-2 mapping.
 
 use crate::partition::{ArchConfig, Domain, Partition};
-use crate::timed::ReconfigStrategy;
+use crate::timed::{self, MatcherKind, ReconfigStrategy, TimedSetup};
 use crate::workload::Workload;
-use crate::{level2, level3};
 use media::profile::build_profile;
 use sim::SimError;
 
@@ -33,8 +32,10 @@ pub struct SweepPoint {
     pub functional: bool,
 }
 
-fn point(name: &str, report: &crate::timed::TimedReport) -> SweepPoint {
-    SweepPoint {
+/// Simulates the candidate `setup` and summarizes it as a sweep point.
+fn point(name: &str, setup: TimedSetup<'_>) -> Result<SweepPoint, SimError> {
+    let report = timed::run(setup, &telemetry::noop()).map_err(timed::fault_free)?;
+    Ok(SweepPoint {
         name: name.to_owned(),
         total_ticks: report.total_ticks,
         ticks_per_frame: report.ticks_per_frame,
@@ -46,7 +47,7 @@ fn point(name: &str, report: &crate::timed::TimedReport) -> SweepPoint {
             .unwrap_or(0),
         download_words: report.fpga.as_ref().map(|f| f.download_words).unwrap_or(0),
         functional: report.matches_reference,
-    }
+    })
 }
 
 /// The HW/SW partition curve: starting from all-SW, the profiling ranking's
@@ -70,23 +71,23 @@ pub fn partition_sweep(
         .filter(|m| HW_MAPPABLE.contains(m))
         .collect();
 
-    let mut points = Vec::new();
-    let mut partition = Partition::all_sw();
-    let report = level2::run_with(workload, &partition, arch)?;
-    points.push(point("0 HW modules", &report));
+    let mut setup = TimedSetup {
+        partition: Partition::all_sw(),
+        arch: arch.clone(),
+        ..TimedSetup::level2(workload)
+    };
+    let mut points = vec![point("0 HW modules", setup.clone())?];
     for (k, module) in ranked.iter().enumerate() {
-        partition.assign(module, Domain::Hw);
-        let report = level2::run_with(workload, &partition, arch)?;
-        points.push(point(
-            &format!("{} HW modules (+{})", k + 1, module),
-            &report,
-        ));
+        setup.partition.assign(module, Domain::Hw);
+        let name = format!("{} HW modules (+{})", k + 1, module);
+        points.push(point(&name, setup.clone())?);
     }
     Ok(points)
 }
 
 /// E9: context-partitioning ablation — static hardwired matcher vs the
-/// paper's config1/config2 split vs a single merged context.
+/// paper's config1/config2 split vs a single merged context, all on the
+/// platform `arch`.
 ///
 /// # Errors
 ///
@@ -95,24 +96,23 @@ pub fn context_ablation(
     workload: &Workload,
     arch: &ArchConfig,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    let mut points = Vec::new();
-    let l2 = level2::run(workload)?;
-    points.push(point("static HW (no FPGA)", &l2));
-    let split = level3::run_with(
-        workload,
-        &Partition::paper_level3(),
-        arch,
-        ReconfigStrategy::Hoisted,
-    )?;
-    points.push(point("split contexts (config1/config2)", &split));
-    let merged = level3::run_with(
-        workload,
-        &Partition::merged_context(),
-        arch,
-        ReconfigStrategy::Hoisted,
-    )?;
-    points.push(point("merged single context", &merged));
-    Ok(points)
+    let split = TimedSetup {
+        arch: arch.clone(),
+        ..TimedSetup::level3(workload)
+    };
+    let static_hw = TimedSetup {
+        arch: arch.clone(),
+        ..TimedSetup::level2(workload)
+    };
+    let merged = TimedSetup {
+        partition: Partition::merged_context(),
+        ..split.clone()
+    };
+    Ok(vec![
+        point("static HW (no FPGA)", static_hw)?,
+        point("split contexts (config1/config2)", split)?,
+        point("merged single context", merged)?,
+    ])
 }
 
 /// E10: reconfiguration-placement ablation — hoisted vs naive call-site
@@ -130,8 +130,15 @@ pub fn strategy_ablation(
         ("hoisted reconfiguration", ReconfigStrategy::Hoisted),
         ("naive per-call reconfiguration", ReconfigStrategy::Naive),
     ] {
-        let r = level3::run_with(workload, &Partition::paper_level3(), arch, strategy)?;
-        points.push(point(name, &r));
+        let setup = TimedSetup {
+            arch: arch.clone(),
+            matcher_kind: MatcherKind::Fpga {
+                strategy,
+                rtl_cosim: false,
+            },
+            ..TimedSetup::level3(workload)
+        };
+        points.push(point(name, setup)?);
     }
     Ok(points)
 }
@@ -148,13 +155,11 @@ pub fn bus_sweep(workload: &Workload, base: &ArchConfig) -> Result<Vec<SweepPoin
     for cycles_per_word in [1u64, 2, 4, 8] {
         let mut arch = base.clone();
         arch.bus.cycles_per_word = cycles_per_word;
-        let r = level3::run_with(
-            workload,
-            &Partition::paper_level3(),
-            &arch,
-            ReconfigStrategy::Hoisted,
-        )?;
-        points.push(point(&format!("{cycles_per_word} cycles/word"), &r));
+        let setup = TimedSetup {
+            arch,
+            ..TimedSetup::level3(workload)
+        };
+        points.push(point(&format!("{cycles_per_word} cycles/word"), setup)?);
     }
     Ok(points)
 }
@@ -206,6 +211,21 @@ mod tests {
         assert!(static_hw.total_ticks < split.total_ticks);
         assert!(merged.download_words < split.download_words);
         assert!(points.iter().all(|p| p.functional));
+    }
+
+    #[test]
+    fn context_ablation_runs_every_point_on_the_sweeps_platform() {
+        let w = Workload::small();
+        let mut slow_bus = ArchConfig::default();
+        slow_bus.bus.cycles_per_word = 8;
+        let points = context_ablation(&w, &slow_bus).expect("ablation");
+        let level2 = TimedSetup {
+            arch: slow_bus,
+            ..TimedSetup::level2(&w)
+        };
+        let l2 = timed::run(level2, &telemetry::noop()).expect("level 2");
+        assert_eq!(points[0].name, "static HW (no FPGA)");
+        assert_eq!(points[0].total_ticks, l2.total_ticks);
     }
 
     #[test]

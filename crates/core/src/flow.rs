@@ -27,7 +27,7 @@ use crate::supervise::{
     DegradationSummary, Discharged, Obligation, ObligationOutcome, ObligationStatus, RunCtx,
     SupervisionPolicy,
 };
-use crate::timed::{self, MatcherKind, ReconfigStrategy, RecoveryPolicy, RunError, TimedSetup};
+use crate::timed::{self, RunError, TimedSetup};
 use crate::workload::Workload;
 use crate::{cascade, level1, level2, level4};
 use lp::lpv::LivenessVerdict;
@@ -312,7 +312,7 @@ pub fn run_full_flow_supervised(
 /// so that jobs of one design can share it), its platform variant drives
 /// the level-3 architecture and the level-2 FIFO dimensioning, its fault
 /// campaign (if any) is injected into the level-3 simulation under the
-/// default [`RecoveryPolicy`], and its supervision policy budgets the
+/// default [`timed::RecoveryPolicy`], and its supervision policy budgets the
 /// verification obligations. With `JobSpec::default()` this is exactly
 /// [`run_full_flow_supervised`] on [`Workload::small`] — same phases,
 /// same verdicts, bit-identical JSON, same journal (pinned by
@@ -451,7 +451,8 @@ fn run_flow(
     );
 
     // ── Level 2: architecture mapping ──────────────────────────────────
-    let l2 = level2::run_against(workload, &expected, instrument)?;
+    let l2 = timed::run_against(TimedSetup::level2(workload), &expected, instrument)
+        .map_err(timed::fault_free)?;
     let l2_matches_l1 = l1.trace.matches_untimed(&l2.trace).is_ok();
     // Traces are the flow's largest values: each is dropped as soon as
     // the last comparison that reads it is done.
@@ -498,15 +499,9 @@ fn run_flow(
     // policy always absorbs (retry or degrade-to-software), so a platform
     // error here is a contract violation, not a reachable outcome.
     let setup = TimedSetup {
-        workload,
-        partition: &crate::Partition::paper_level3(),
-        arch,
-        matcher_kind: MatcherKind::Fpga {
-            strategy: ReconfigStrategy::Hoisted,
-            rtl_cosim: false,
-        },
+        arch: arch.clone(),
         faults,
-        recovery: RecoveryPolicy::default(),
+        ..TimedSetup::level3(workload)
     };
     let l3 = timed::run_against(setup, &expected, instrument).map_err(|e| match e {
         RunError::Sim(e) => e,

@@ -232,19 +232,11 @@ pub fn reference_trace(results: &[RecognitionResult]) -> Trace<Msg> {
     t
 }
 
-/// Constructs and runs the level-1 model for a workload.
-///
-/// # Errors
-///
-/// Propagates kernel errors (the livelock guard).
-pub fn run(workload: &Workload) -> Result<Level1Report, SimError> {
-    run_instrumented(workload, &telemetry::noop())
-}
-
-/// [`run`] with telemetry: the kernel reports its scheduling counters and
-/// FIFO depth/watermark gauges through `instrument`. The level-1 model is
-/// untimed, so all gauges sit at tick 0 — the interesting signals here are
-/// the poll and FIFO statistics.
+/// Constructs and runs the level-1 model for a workload. The kernel
+/// reports its scheduling counters and FIFO depth/watermark gauges
+/// through `instrument`. The level-1 model is untimed, so all gauges sit
+/// at tick 0 — the interesting signals here are the poll and FIFO
+/// statistics.
 ///
 /// # Errors
 ///
@@ -508,7 +500,7 @@ mod tests {
     #[test]
     fn level1_matches_reference_on_small_workload() {
         let w = Workload::small();
-        let report = run(&w).expect("simulation runs");
+        let report = run_instrumented(&w, &telemetry::noop()).expect("simulation runs");
         assert!(report.matches_reference, "mismatch: {:?}", report.mismatch);
         // A complete run retires every process: quiescent, not deadlocked.
         assert!(report.outcome.is_quiescent(), "{:?}", report.outcome.result);
@@ -529,7 +521,7 @@ mod tests {
             },
             5,
         );
-        let report = run(&w).expect("simulation runs");
+        let report = run_instrumented(&w, &telemetry::noop()).expect("simulation runs");
         assert_eq!(report.recognized.len(), 5);
         assert_eq!(
             report.trace.items_for("winner").len(),
@@ -546,8 +538,8 @@ mod tests {
     #[test]
     fn level1_run_is_deterministic() {
         let w = Workload::small();
-        let a = run(&w).expect("run a");
-        let b = run(&w).expect("run b");
+        let a = run_instrumented(&w, &telemetry::noop()).expect("run a");
+        let b = run_instrumented(&w, &telemetry::noop()).expect("run b");
         assert_eq!(a.recognized, b.recognized);
         assert_eq!(a.outcome.stats.polls, b.outcome.stats.polls);
     }

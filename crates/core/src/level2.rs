@@ -2,22 +2,25 @@
 //!
 //! "At level 2, the description obtained is mapped onto an architecture …
 //! simulation is used intensively for evaluating the different possible
-//! architectures" (§3.2). This module instantiates the shared timed model
-//! with a hardwired matcher (no reconfigurable hardware yet) and the
-//! paper's level-2 partition by default.
+//! architectures" (§3.2). This module runs the shared timed model on
+//! [`TimedSetup::level2`] — the paper's level-2 partition with a
+//! hardwired matcher (no reconfigurable hardware yet) — and dimensions
+//! its FIFO channels with LPV. Other partitions and platforms are
+//! [`timed::run`] on a changed setup (the exploration sweeps of
+//! [`crate::explore`]).
 
-use crate::level1::reference_trace;
-use crate::msg::Msg;
 use crate::partition::{ArchConfig, Partition};
-use crate::timed::{self, MatcherKind, RecoveryPolicy, RunError, TimedReport, TimedSetup};
+use crate::timed::{self, TimedReport, TimedSetup};
 use crate::workload::Workload;
-use sim::{SimError, Trace};
+use sim::SimError;
 
-/// Runs the level-2 model with the paper's default partition.
+/// Runs the level-2 model with the paper's default partition; bus spans,
+/// FIFO gauges, and kernel counters are reported through `instrument`.
 ///
 /// ```
 /// let workload = symbad_core::Workload::small();
-/// let report = symbad_core::level2::run(&workload).expect("level-2 simulation");
+/// let report = symbad_core::level2::run_instrumented(&workload, &telemetry::noop())
+///     .expect("level-2 simulation");
 /// // The timed mapping must preserve level-1 functionality and yield a
 /// // measurable throughput — the quantities §3.2 simulates for.
 /// assert!(report.matches_reference);
@@ -27,81 +30,23 @@ use sim::{SimError, Trace};
 /// # Errors
 ///
 /// Propagates kernel errors.
-pub fn run(workload: &Workload) -> Result<TimedReport, SimError> {
-    run_with(workload, &Partition::paper_level2(), &ArchConfig::default())
-}
-
-/// [`run`] with telemetry: bus spans, FIFO gauges, and kernel counters are
-/// reported through `instrument`.
-///
-/// # Errors
-///
-/// Propagates kernel errors.
 pub fn run_instrumented(
     workload: &Workload,
     instrument: &telemetry::SharedInstrument,
 ) -> Result<TimedReport, SimError> {
-    let expected = reference_trace(&workload.reference_results());
-    run_against(workload, &expected, instrument)
-}
-
-/// The level-2 body: runs the paper's level-2 mapping and compares its
-/// trace with `expected`, the workload's [`reference_trace`].
-///
-/// # Errors
-///
-/// Propagates kernel errors.
-pub(crate) fn run_against(
-    workload: &Workload,
-    expected: &Trace<Msg>,
-    instrument: &telemetry::SharedInstrument,
-) -> Result<TimedReport, SimError> {
-    let setup = TimedSetup {
-        workload,
-        partition: &Partition::paper_level2(),
-        arch: &ArchConfig::default(),
-        matcher_kind: MatcherKind::Hardwired,
-        faults: None,
-        recovery: RecoveryPolicy::default(),
-    };
-    timed::run_against(setup, expected, instrument).map_err(|e| match e {
-        RunError::Sim(e) => e,
-        RunError::Platform(f) => unreachable!("platform fault without a fault plan: {f}"),
-    })
-}
-
-/// Runs the level-2 model with an explicit partition and platform
-/// configuration (the architecture-exploration entry point).
-///
-/// # Errors
-///
-/// Propagates kernel errors.
-pub fn run_with(
-    workload: &Workload,
-    partition: &Partition,
-    arch: &ArchConfig,
-) -> Result<TimedReport, SimError> {
-    timed::run(workload, partition, arch, MatcherKind::Hardwired)
+    timed::run(TimedSetup::level2(workload), instrument).map_err(timed::fault_free)
 }
 
 /// LPV FIFO dimensioning applied to the level-2 model's own channels:
 /// derives producer/consumer rates from the annotated module timings and
-/// returns the minimal safe capacity per inter-process channel.
+/// returns the minimal safe capacity per inter-process channel, each
+/// channel dimensioned as an independent LP obligation, optionally across
+/// worker threads. Bounds are bit-identical to the sequential run (the
+/// rate derivation is pure and the batch preserves channel order).
 ///
-/// The returned bounds are what E6 calls "FIFO channel dimensioning"; the
-/// test below checks them against watermarks observed in simulation.
-pub fn dimension_channels(
-    workload: &Workload,
-    partition: &Partition,
-    arch: &ArchConfig,
-) -> Vec<(String, lp::FifoBound)> {
-    dimension_channels_mode(workload, partition, arch, exec::ExecMode::Sequential)
-}
-
-/// [`dimension_channels`] with each channel dimensioned as an independent
-/// LP obligation, optionally across worker threads. Bounds are
-/// bit-identical to the sequential run (the rate derivation is pure and
-/// the batch preserves channel order).
+/// The returned bounds are what E6 calls "FIFO channel dimensioning";
+/// `tests/sim_tlm_properties.rs` checks the LP bound against watermarks
+/// observed in simulation.
 pub fn dimension_channels_mode(
     workload: &Workload,
     partition: &Partition,
@@ -115,7 +60,7 @@ pub fn dimension_channels_mode(
 }
 
 /// The producer/consumer rates of the level-2 model's inter-process
-/// channels, by channel name: what [`dimension_channels`] dimensions.
+/// channels, by channel name: what [`dimension_channels_mode`] dimensions.
 pub fn channel_rates(
     workload: &Workload,
     partition: &Partition,
@@ -177,10 +122,14 @@ pub fn channel_rates(
 mod tests {
     use super::*;
 
+    fn run(workload: &Workload) -> TimedReport {
+        run_instrumented(workload, &telemetry::noop()).expect("level-2 run")
+    }
+
     #[test]
     fn level2_matches_reference() {
         let w = Workload::small();
-        let report = run(&w).expect("level-2 run");
+        let report = run(&w);
         assert!(report.matches_reference, "mismatch: {:?}", report.mismatch);
         assert!(report.total_ticks > 0, "time must advance at level 2");
         assert!(report.fpga.is_none());
@@ -189,8 +138,8 @@ mod tests {
     #[test]
     fn level2_matches_level1_functionally() {
         let w = Workload::small();
-        let l1 = crate::level1::run(&w).expect("level 1");
-        let l2 = run(&w).expect("level 2");
+        let l1 = crate::level1::run_instrumented(&w, &telemetry::noop()).expect("level 1");
+        let l2 = run(&w);
         assert_eq!(l1.recognized, l2.recognized);
         // Full untimed trace equivalence between adjacent levels — the
         // paper's per-refinement verification step.
@@ -200,7 +149,7 @@ mod tests {
     #[test]
     fn bus_sees_traffic_from_all_masters() {
         let w = Workload::small();
-        let report = run(&w).expect("run");
+        let report = run(&w);
         for m in &report.bus.masters {
             assert!(
                 m.transactions > 0,
@@ -214,7 +163,8 @@ mod tests {
     #[test]
     fn lpv_fifo_bounds_are_positive_and_finite() {
         let w = Workload::small();
-        let bounds = dimension_channels(&w, &Partition::paper_level2(), &ArchConfig::default());
+        let (partition, arch) = (Partition::paper_level2(), ArchConfig::default());
+        let bounds = dimension_channels_mode(&w, &partition, &arch, exec::ExecMode::Sequential);
         assert_eq!(bounds.len(), 2);
         for (name, b) in &bounds {
             assert!(b.capacity >= 1, "{name} bound must be at least one token");
@@ -234,7 +184,7 @@ mod tests {
         let w = Workload::small();
         let partition = Partition::paper_level2();
         let arch = ArchConfig::default();
-        let reference = dimension_channels(&w, &partition, &arch);
+        let reference = dimension_channels_mode(&w, &partition, &arch, exec::ExecMode::Sequential);
         for workers in [2, 8] {
             assert_eq!(
                 dimension_channels_mode(
@@ -251,8 +201,12 @@ mod tests {
     #[test]
     fn all_sw_partition_is_much_slower() {
         let w = Workload::small();
-        let hw = run(&w).expect("partitioned");
-        let sw = run_with(&w, &Partition::all_sw(), &ArchConfig::default()).expect("all-sw");
+        let hw = run(&w);
+        let all_sw = TimedSetup {
+            partition: Partition::all_sw(),
+            ..TimedSetup::level2(&w)
+        };
+        let sw = timed::run(all_sw, &telemetry::noop()).expect("all-sw");
         assert!(
             sw.total_ticks > 2 * hw.total_ticks,
             "all-SW ({}) should be far slower than partitioned ({})",

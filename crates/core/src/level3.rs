@@ -6,41 +6,20 @@
 //! FPGA" (§4.1). DISTANCE (with its CALCDIST accumulator) and ROOT live in
 //! contexts `config1`/`config2`; the software loads a configuration before
 //! calling into it, and bitstream downloads ride the same bus as the data.
+//!
+//! This module runs the shared timed model on [`TimedSetup::level3`].
+//! Other context splits, reconfiguration strategies, platforms, fault
+//! campaigns and TL/RTL co-simulation are [`timed::run`] on a changed
+//! setup.
 
-use crate::partition::{ArchConfig, Partition};
-use crate::timed::{self, MatcherKind, ReconfigStrategy, RecoveryPolicy, RunError, TimedReport};
+use crate::timed::{self, TimedReport, TimedSetup};
 use crate::workload::Workload;
-use sim::{FaultPlan, SimError};
+use sim::SimError;
 
-/// Runs the level-3 model with the paper's context split
-/// (`config1` = DISTANCE, `config2` = ROOT) and hoisted reconfiguration.
-///
-/// ```
-/// let workload = symbad_core::Workload::small();
-/// let report = symbad_core::level3::run(&workload).expect("level-3 simulation");
-/// assert!(report.matches_reference);
-/// // Level 3 instantiates the FPGA: kernels now live in contexts, so the
-/// // run must have reconfigured and downloaded bitstreams over the bus.
-/// let fpga = report.fpga.expect("level 3 reports FPGA activity");
-/// assert!(fpga.reconfigurations > 0);
-/// assert!(fpga.download_words > 0);
-/// ```
-///
-/// # Errors
-///
-/// Propagates kernel errors.
-pub fn run(workload: &Workload) -> Result<TimedReport, SimError> {
-    run_with(
-        workload,
-        &Partition::paper_level3(),
-        &ArchConfig::default(),
-        ReconfigStrategy::Hoisted,
-    )
-}
-
-/// [`run`] with telemetry: bus spans, per-frame CPU spans, FPGA
-/// reconfiguration spans and latency histograms, and kernel counters are
-/// reported through `instrument`.
+/// Runs the level-3 model with the paper's context split and hoisted
+/// reconfiguration ([`TimedSetup::level3`]); bus spans, per-frame CPU
+/// spans, FPGA reconfiguration spans and latency histograms, and kernel
+/// counters are reported through `instrument`.
 ///
 /// # Errors
 ///
@@ -49,123 +28,35 @@ pub fn run_instrumented(
     workload: &Workload,
     instrument: &telemetry::SharedInstrument,
 ) -> Result<TimedReport, SimError> {
-    timed::run_faulted_instrumented(
-        workload,
-        &Partition::paper_level3(),
-        &ArchConfig::default(),
-        MatcherKind::Fpga {
-            strategy: ReconfigStrategy::Hoisted,
-            rtl_cosim: false,
-        },
-        None,
-        RecoveryPolicy::default(),
-        instrument,
-    )
-    .map_err(|e| match e {
-        RunError::Sim(e) => e,
-        RunError::Platform(f) => unreachable!("platform fault without a fault plan: {f}"),
-    })
-}
-
-/// Runs the level-3 model with explicit partition/platform/strategy.
-///
-/// # Errors
-///
-/// Propagates kernel errors.
-pub fn run_with(
-    workload: &Workload,
-    partition: &Partition,
-    arch: &ArchConfig,
-    strategy: ReconfigStrategy,
-) -> Result<TimedReport, SimError> {
-    timed::run(
-        workload,
-        partition,
-        arch,
-        MatcherKind::Fpga {
-            strategy,
-            rtl_cosim: false,
-        },
-    )
-}
-
-/// Runs the level-3 model (paper partition, hoisted strategy) with fault
-/// injection under `plan` and the given recovery policy.
-///
-/// With recovery enabled, the run's functional results still match the
-/// reference bit-for-bit — injected faults change timing (retries,
-/// software fallback), never function. With [`RecoveryPolicy::disabled`],
-/// any injected fault surfaces as a typed [`RunError::Platform`].
-///
-/// # Errors
-///
-/// [`RunError::Sim`] on kernel errors, [`RunError::Platform`] on
-/// unrecovered platform faults.
-pub fn run_with_faults(
-    workload: &Workload,
-    plan: FaultPlan,
-    recovery: RecoveryPolicy,
-) -> Result<TimedReport, RunError> {
-    run_with_faults_instrumented(workload, plan, recovery, &telemetry::noop())
-}
-
-/// [`run_with_faults`] with telemetry: in addition to the regular level-3
-/// signals, injected faults and recovery actions surface as `faults.*` and
-/// `recovery.*` counters.
-///
-/// # Errors
-///
-/// Same as [`run_with_faults`].
-pub fn run_with_faults_instrumented(
-    workload: &Workload,
-    plan: FaultPlan,
-    recovery: RecoveryPolicy,
-    instrument: &telemetry::SharedInstrument,
-) -> Result<TimedReport, RunError> {
-    timed::run_faulted_instrumented(
-        workload,
-        &Partition::paper_level3(),
-        &ArchConfig::default(),
-        MatcherKind::Fpga {
-            strategy: ReconfigStrategy::Hoisted,
-            rtl_cosim: false,
-        },
-        Some(plan),
-        recovery,
-        instrument,
-    )
-}
-
-/// Runs the level-3 model with the ROOT kernel computed by co-simulating
-/// its synthesized RTL netlist — functionally identical, much slower on
-/// the host. This is the cost the paper cites for "HW/SW
-/// co-emulation/simulation … still too expensive", made measurable.
-///
-/// # Errors
-///
-/// Propagates kernel errors.
-pub fn run_with_rtl_cosim(workload: &Workload) -> Result<TimedReport, SimError> {
-    timed::run(
-        workload,
-        &Partition::paper_level3(),
-        &ArchConfig::default(),
-        MatcherKind::Fpga {
-            strategy: ReconfigStrategy::Hoisted,
-            rtl_cosim: true,
-        },
-    )
+    timed::run(TimedSetup::level3(workload), instrument).map_err(timed::fault_free)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timed::{MatcherKind, ReconfigStrategy};
+    use crate::Partition;
+
+    fn run(setup: TimedSetup<'_>) -> TimedReport {
+        timed::run(setup, &telemetry::noop()).expect("level-3 run")
+    }
+
+    fn with_matcher(w: &Workload, strategy: ReconfigStrategy, rtl_cosim: bool) -> TimedSetup<'_> {
+        TimedSetup {
+            matcher_kind: MatcherKind::Fpga {
+                strategy,
+                rtl_cosim,
+            },
+            ..TimedSetup::level3(w)
+        }
+    }
 
     #[test]
     fn level3_matches_reference_and_level2() {
         let w = Workload::small();
-        let l3 = run(&w).expect("level-3 run");
+        let l3 = run_instrumented(&w, &telemetry::noop()).expect("level-3 run");
         assert!(l3.matches_reference, "mismatch: {:?}", l3.mismatch);
-        let l2 = crate::level2::run(&w).expect("level-2 run");
+        let l2 = run(TimedSetup::level2(&w));
         assert_eq!(l2.recognized, l3.recognized);
         assert!(l2.trace.matches_untimed(&l3.trace).is_ok());
     }
@@ -173,8 +64,8 @@ mod tests {
     #[test]
     fn reconfiguration_costs_time_and_bus() {
         let w = Workload::small();
-        let l2 = crate::level2::run(&w).expect("level 2");
-        let l3 = run(&w).expect("level 3");
+        let l2 = run(TimedSetup::level2(&w));
+        let l3 = run(TimedSetup::level3(&w));
         let fpga = l3.fpga.as_ref().expect("level 3 has an FPGA");
         // Two contexts ping-pong once per frame: 2 reconfigs per frame
         // (the very first distance load included).
@@ -192,8 +83,8 @@ mod tests {
     #[test]
     fn rtl_cosimulation_is_functionally_identical() {
         let w = Workload::small();
-        let native = run(&w).expect("native level 3");
-        let cosim = run_with_rtl_cosim(&w).expect("co-simulated level 3");
+        let native = run(TimedSetup::level3(&w));
+        let cosim = run(with_matcher(&w, ReconfigStrategy::Hoisted, true));
         // Same recognitions, same trace, same simulated time — only the
         // host-side cost differs (measured in the report/bench harness).
         assert_eq!(native.recognized, cosim.recognized);
@@ -204,14 +95,8 @@ mod tests {
     #[test]
     fn naive_strategy_reconfigures_far_more() {
         let w = Workload::small();
-        let hoisted = run(&w).expect("hoisted");
-        let naive = run_with(
-            &w,
-            &crate::Partition::paper_level3(),
-            &crate::partition::ArchConfig::default(),
-            ReconfigStrategy::Naive,
-        )
-        .expect("naive");
+        let hoisted = run(TimedSetup::level3(&w));
+        let naive = run(with_matcher(&w, ReconfigStrategy::Naive, false));
         let h = hoisted.fpga.as_ref().unwrap().reconfigurations;
         let n = naive.fpga.as_ref().unwrap().reconfigurations;
         assert!(
@@ -225,14 +110,11 @@ mod tests {
     #[test]
     fn merged_context_avoids_ping_pong() {
         let w = Workload::small();
-        let split = run(&w).expect("split contexts");
-        let merged = run_with(
-            &w,
-            &crate::Partition::merged_context(),
-            &crate::partition::ArchConfig::default(),
-            ReconfigStrategy::Hoisted,
-        )
-        .expect("merged context");
+        let split = run(TimedSetup::level3(&w));
+        let merged = run(TimedSetup {
+            partition: Partition::merged_context(),
+            ..TimedSetup::level3(&w)
+        });
         let ms = merged.fpga.as_ref().unwrap();
         let ss = split.fpga.as_ref().unwrap();
         // One context: a single download, ever.

@@ -16,8 +16,8 @@
 //!    uncovered; the extended set closes the gap.
 //!
 //! Every step-2, step-4 and step-5 check is a supervised obligation of
-//! [`run_supervised`]; [`run`] and [`run_cached`] are that path under the
-//! idle [`SupervisionPolicy`].
+//! [`run_supervised`]; [`run_cached`] is that path under the idle
+//! [`SupervisionPolicy`].
 
 use crate::supervise::{
     Obligation, ObligationOutcome, ObligationStatus, RunCtx, SupervisionPolicy,
@@ -229,10 +229,20 @@ fn property_engine(p: &Property) -> &'static str {
     }
 }
 
-/// Runs the complete level-4 phase.
+/// Runs the complete level-4 phase with telemetry, an execution mode, and
+/// the obligation cache: [`run_supervised`] under the idle
+/// [`SupervisionPolicy`], without the outcome list. Every SAT/BDD
+/// obligation of the level — kernel miters, wrapper properties, PCC kill
+/// checks — is looked up before an engine runs and stored after; the
+/// report is bit-identical for a cold or warm cache and for any worker
+/// count.
 ///
 /// ```
-/// let report = symbad_core::level4::run();
+/// let report = symbad_core::level4::run_cached(
+///     exec::ExecMode::Sequential,
+///     &telemetry::noop(),
+///     cache::noop(),
+/// );
 /// // Both FPGA kernels synthesize to RTL and prove equivalent to their
 /// // behavioural source; extending the property set lifts PCC coverage.
 /// assert!(report.kernels.iter().all(|&(_, _, equivalent)| equivalent));
@@ -243,24 +253,6 @@ fn property_engine(p: &Property) -> &'static str {
 ///
 /// Panics if a kernel unexpectedly fails to synthesize (a programming
 /// error, not an input condition).
-pub fn run() -> Level4Report {
-    run_cached(
-        exec::ExecMode::Sequential,
-        &telemetry::noop(),
-        cache::noop(),
-    )
-}
-
-/// [`run`] with telemetry, an execution mode, and the obligation cache:
-/// [`run_supervised`] under the idle [`SupervisionPolicy`], without the
-/// outcome list. Every SAT/BDD obligation of the level — kernel miters,
-/// wrapper properties, PCC kill checks — is looked up before an engine
-/// runs and stored after; the report is bit-identical for a cold or warm
-/// cache and for any worker count.
-///
-/// # Panics
-///
-/// Same as [`run`].
 pub fn run_cached(
     mode: exec::ExecMode,
     instrument: &telemetry::SharedInstrument,
@@ -300,7 +292,7 @@ pub fn run_cached(
 /// # Panics
 ///
 /// Kernel synthesis panics propagate (programming errors, same as
-/// [`run`]); engine panics are supervised.
+/// [`run_cached`]); engine panics are supervised.
 pub fn run_supervised(
     mode: exec::ExecMode,
     instrument: &telemetry::SharedInstrument,
@@ -495,6 +487,15 @@ pub fn export_vhdl() -> Vec<(String, String)> {
 mod tests {
     use super::*;
 
+    /// Level 4 on the calling thread, without a cache.
+    fn sequential() -> Level4Report {
+        run_cached(
+            exec::ExecMode::Sequential,
+            &telemetry::noop(),
+            cache::noop(),
+        )
+    }
+
     /// PCC hashes each netlist once and keys every property from that
     /// prefix. Across both level-4 runs, the keys it probes must be
     /// exactly `Sources::key()` of every (netlist, property) pair, with
@@ -552,7 +553,7 @@ mod tests {
 
     #[test]
     fn kernels_synthesize_and_verify() {
-        let report = run();
+        let report = sequential();
         assert_eq!(report.kernels.len(), 2);
         for (name, nodes, equivalent) in &report.kernels {
             assert!(*nodes > 0, "{name} has an empty netlist");
@@ -562,7 +563,7 @@ mod tests {
 
     #[test]
     fn parallel_level4_matches_sequential() {
-        let reference = run();
+        let reference = sequential();
         for workers in [2, 8] {
             let par = run_cached(
                 exec::ExecMode::Parallel { workers },
@@ -580,7 +581,7 @@ mod tests {
 
     #[test]
     fn wrapper_properties_all_prove() {
-        let report = run();
+        let report = sequential();
         assert!(!report.properties.is_empty());
         for (name, engine, proven) in &report.properties {
             assert!(proven, "property {name} failed under {engine}");
@@ -589,7 +590,7 @@ mod tests {
 
     #[test]
     fn pcc_refinement_raises_coverage() {
-        let report = run();
+        let report = sequential();
         assert!(
             report.pcc_extended.pct() > report.pcc_initial.pct(),
             "extended set {}% must beat initial {}%",
@@ -605,7 +606,7 @@ mod tests {
     #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn supervised_level4_idle_matches_legacy() {
-        let reference = run();
+        let reference = sequential();
         let policy = SupervisionPolicy::default();
         let (report, outcomes) = run_supervised(
             exec::ExecMode::Sequential,

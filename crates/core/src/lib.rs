@@ -29,7 +29,8 @@
 //!
 //! // A small workload: 4 identities × 2 poses, 2 probe frames.
 //! let workload = Workload::small();
-//! let report = level1::run(&workload).expect("level-1 simulation");
+//! let report = level1::run_instrumented(&workload, &telemetry::noop())
+//!     .expect("level-1 simulation");
 //! assert!(report.matches_reference);
 //! ```
 

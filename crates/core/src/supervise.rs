@@ -27,7 +27,7 @@
 //! dispatch, batch scheduling facts, effort attribution, telemetry
 //! replay, classification, flight-recorder record, outcome. The plain
 //! entry points ([`crate::flow::run_full_flow`],
-//! [`crate::level4::run`], …) are that driver under the idle
+//! [`crate::level4::run_cached`], …) run it under the idle
 //! [`SupervisionPolicy::default`], so there is no second, unsupervised
 //! copy of any obligation.
 //!

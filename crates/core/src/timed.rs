@@ -817,42 +817,83 @@ impl Process<Msg> for CpuTask {
     }
 }
 
-/// Builds and runs the timed model (no fault injection).
-///
-/// # Errors
-///
-/// Propagates kernel errors.
-///
-/// # Panics
-///
-/// Panics if the partition maps front-end pixel modules to the FPGA (the
-/// case study only maps the match kernels there).
-pub fn run(
-    workload: &Workload,
-    partition: &Partition,
-    arch: &ArchConfig,
-    matcher_kind: MatcherKind,
-) -> Result<TimedReport, SimError> {
-    run_faulted(
-        workload,
-        partition,
-        arch,
-        matcher_kind,
-        None,
-        RecoveryPolicy::default(),
-    )
-    .map_err(|e| match e {
-        RunError::Sim(e) => e,
-        // Without a fault plan nothing injects platform faults, and
-        // decode/master errors are construction bugs this driver rules out.
-        RunError::Platform(f) => unreachable!("platform fault without a fault plan: {f}"),
-    })
+/// What one timed run simulates: the workload on a partitioned
+/// architecture, with the level's matcher and an optional fault campaign
+/// under a recovery policy. [`TimedSetup::level2`] and
+/// [`TimedSetup::level3`] are the paper's mappings; any other run changes
+/// their fields, for example
+/// `TimedSetup { faults: Some(plan), ..TimedSetup::level3(&workload) }`.
+#[derive(Debug, Clone)]
+pub struct TimedSetup<'a> {
+    /// The design under simulation.
+    pub workload: &'a Workload,
+    /// Where each Figure-2 module executes.
+    pub partition: Partition,
+    /// The platform constants: CPU, bus, HW and FPGA timing.
+    pub arch: ArchConfig,
+    /// Hardwired matcher (level 2) or FPGA contexts (level 3).
+    pub matcher_kind: MatcherKind,
+    /// The fault campaign installed into the bus and the FPGA, if any.
+    pub faults: Option<FaultPlan>,
+    /// How the run reacts to injected faults.
+    pub recovery: RecoveryPolicy,
 }
 
-/// Builds and runs the timed model with optional fault injection and the
-/// given recovery policy. This is the level-3 robustness driver: the plan
-/// is installed into both the bus and the FPGA, the processes retry and
-/// degrade per `recovery`, and the report carries a [`FaultReport`].
+impl<'a> TimedSetup<'a> {
+    /// The paper's level-2 mapping: [`Partition::paper_level2`] on the
+    /// default platform, with a hardwired matcher and no faults.
+    pub fn level2(workload: &'a Workload) -> Self {
+        TimedSetup {
+            workload,
+            partition: Partition::paper_level2(),
+            arch: ArchConfig::default(),
+            matcher_kind: MatcherKind::Hardwired,
+            faults: None,
+            recovery: RecoveryPolicy::default(),
+        }
+    }
+
+    /// The paper's level-3 mapping: [`Partition::paper_level3`]'s context
+    /// split (`config1` = DISTANCE, `config2` = ROOT) on the default
+    /// platform, with hoisted reconfiguration, native kernels and no
+    /// faults.
+    pub fn level3(workload: &'a Workload) -> Self {
+        TimedSetup {
+            partition: Partition::paper_level3(),
+            matcher_kind: MatcherKind::Fpga {
+                strategy: ReconfigStrategy::Hoisted,
+                rtl_cosim: false,
+            },
+            ..TimedSetup::level2(workload)
+        }
+    }
+}
+
+/// Builds and runs the timed model `setup` describes, and compares its
+/// trace with the workload's [`crate::level1::reference_trace`].
+///
+/// `instrument` is installed into the kernel, the bus, and (at level 3)
+/// the FPGA; the CPU task opens a `cpu`-track span per frame. Telemetry
+/// never perturbs scheduling, timing, or functional results.
+///
+/// With a fault plan this is the level-3 robustness run: the plan is
+/// installed into both the bus and the FPGA, the processes retry and
+/// degrade per `setup.recovery`, the report carries a [`FaultReport`],
+/// and the summary is flushed as `faults.*` / `recovery.*` counters.
+///
+/// ```
+/// use symbad_core::timed::{self, TimedSetup};
+///
+/// let workload = symbad_core::Workload::small();
+/// let report = timed::run(TimedSetup::level3(&workload), &telemetry::noop())
+///     .expect("level-3 simulation");
+/// assert!(report.matches_reference);
+/// // Level 3 instantiates the FPGA: kernels now live in contexts, so the
+/// // run must have reconfigured and downloaded bitstreams over the bus.
+/// let fpga = report.fpga.expect("level 3 reports FPGA activity");
+/// assert!(fpga.reconfigurations > 0);
+/// assert!(fpga.download_words > 0);
+/// ```
 ///
 /// # Errors
 ///
@@ -864,81 +905,31 @@ pub fn run(
 ///
 /// Panics if the partition maps front-end pixel modules to the FPGA (the
 /// case study only maps the match kernels there).
-pub fn run_faulted(
-    workload: &Workload,
-    partition: &Partition,
-    arch: &ArchConfig,
-    matcher_kind: MatcherKind,
-    faults: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-) -> Result<TimedReport, RunError> {
-    run_faulted_instrumented(
-        workload,
-        partition,
-        arch,
-        matcher_kind,
-        faults,
-        recovery,
-        &telemetry::noop(),
-    )
-}
-
-/// [`run_faulted`] with telemetry: the instrument is installed into the
-/// kernel, the bus, and (at level 3) the FPGA, the CPU task opens a
-/// `cpu`-track span per frame, and the fault/recovery summary is flushed
-/// as `faults.*` / `recovery.*` counters at the end of the run.
-///
-/// With the no-op instrument this is exactly [`run_faulted`]: telemetry
-/// never perturbs scheduling, timing, or functional results.
-///
-/// # Errors
-///
-/// Same as [`run_faulted`].
-///
-/// # Panics
-///
-/// Same as [`run_faulted`].
-pub fn run_faulted_instrumented(
-    workload: &Workload,
-    partition: &Partition,
-    arch: &ArchConfig,
-    matcher_kind: MatcherKind,
-    faults: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
+pub fn run(
+    setup: TimedSetup<'_>,
     instrument: &telemetry::SharedInstrument,
 ) -> Result<TimedReport, RunError> {
-    let expected = crate::level1::reference_trace(&workload.reference_results());
-    let setup = TimedSetup {
-        workload,
-        partition,
-        arch,
-        matcher_kind,
-        faults,
-        recovery,
-    };
+    let expected = crate::level1::reference_trace(&setup.workload.reference_results());
     run_against(setup, &expected, instrument)
 }
 
-/// What one timed run simulates: the workload on a partitioned
-/// architecture, with the level's matcher and an optional fault campaign
-/// under a recovery policy.
-pub(crate) struct TimedSetup<'a> {
-    pub(crate) workload: &'a Workload,
-    pub(crate) partition: &'a Partition,
-    pub(crate) arch: &'a ArchConfig,
-    pub(crate) matcher_kind: MatcherKind,
-    pub(crate) faults: Option<FaultPlan>,
-    pub(crate) recovery: RecoveryPolicy,
+/// The kernel error of a run without a fault plan. Without a plan nothing
+/// injects platform faults, and decode/master errors are construction
+/// bugs [`run_against`] rules out.
+pub(crate) fn fault_free(e: RunError) -> SimError {
+    match e {
+        RunError::Sim(e) => e,
+        RunError::Platform(f) => unreachable!("platform fault without a fault plan: {f}"),
+    }
 }
 
-/// The timed body behind levels 2 and 3: runs `setup` and compares its
-/// trace with `expected`, the workload's
-/// [`crate::level1::reference_trace`]. The flow builds that trace once
-/// and hands it to every level.
+/// The timed body behind levels 2 and 3: [`run`] with `expected`, the
+/// workload's [`crate::level1::reference_trace`], built by the caller.
+/// The flow builds that trace once and hands it to every level.
 ///
 /// # Errors
 ///
-/// Same as [`run_faulted`].
+/// Same as [`run`].
 #[allow(clippy::too_many_lines)]
 pub(crate) fn run_against(
     setup: TimedSetup<'_>,
@@ -1014,10 +1005,9 @@ pub(crate) fn run_against(
             for (module, c) in partition.fpga_modules() {
                 let mix = module_mix(module, &config, gallery_len);
                 let per_call = match module {
-                    "distance" | "calcdist" => {
-                        (arch.fpga_cycles(mix.total())).div_ceil(gallery_len as u64)
+                    "distance" | "calcdist" | "root" => {
+                        arch.fpga_cycles(mix.total()).div_ceil(gallery_len as u64)
                     }
-                    "root" => (arch.fpga_cycles(mix.total())).div_ceil(gallery_len as u64),
                     other => panic!("module `{other}` cannot be FPGA-mapped in this model"),
                 };
                 per_ctx[c].push((module.to_owned(), per_call));

@@ -13,6 +13,7 @@ use symbad_core::{level1, level2, level3, level4};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = Workload::paper(2);
+    let noop = telemetry::noop();
     println!(
         "case study: {}-entry gallery, {} probes\n",
         workload.gallery_len(),
@@ -21,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Level 1 ────────────────────────────────────────────────────────
     let t = Instant::now();
-    let l1 = level1::run(&workload)?;
+    let l1 = level1::run_instrumented(&workload, &noop)?;
     println!(
         "level 1 (untimed): {:.2}s wall, matches reference: {}",
         t.elapsed().as_secs_f64(),
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Level 2 ────────────────────────────────────────────────────────
     let t = Instant::now();
-    let l2 = level2::run(&workload)?;
+    let l2 = level2::run_instrumented(&workload, &noop)?;
     println!(
         "level 2 (timed TL): {:.2}s wall, {} simulated ticks ({:.0} ticks/frame)",
         t.elapsed().as_secs_f64(),
@@ -45,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Level 3 ────────────────────────────────────────────────────────
     let t = Instant::now();
-    let l3 = level3::run(&workload)?;
+    let l3 = level3::run_instrumented(&workload, &noop)?;
     let fpga = l3.fpga.as_ref().expect("level 3 has an FPGA");
     println!(
         "level 3 (reconfigurable): {:.2}s wall, {} simulated ticks ({:.0} ticks/frame)",
@@ -66,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── Level 4 ────────────────────────────────────────────────────────
     let t = Instant::now();
-    let l4 = level4::run();
+    let l4 = level4::run_cached(exec::ExecMode::Sequential, &noop, cache::noop());
     println!(
         "level 4 (RTL + formal): {:.2}s wall",
         t.elapsed().as_secs_f64()

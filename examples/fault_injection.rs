@@ -9,14 +9,14 @@
 //! ```
 
 use sim::faults::FaultPlan;
-use symbad_core::level3;
-use symbad_core::timed::{addr, RecoveryPolicy};
+use symbad_core::timed::{self, addr, RecoveryPolicy, TimedSetup};
 use symbad_core::Workload;
 
 fn main() {
     let workload = Workload::small();
+    let noop = telemetry::noop();
 
-    let clean = level3::run(&workload).expect("fault-free level-3 run");
+    let clean = timed::run(TimedSetup::level3(&workload), &noop).expect("fault-free level-3 run");
     println!(
         "fault-free : {} ticks, recognized {:?}",
         clean.total_ticks, clean.recognized
@@ -27,8 +27,13 @@ fn main() {
             .with_bitstream_corruption(400_000) // 40% of downloads corrupted
             .with_bus_errors(addr::FLASH_BASE, addr::FLASH_SIZE, 150_000)
     };
+    let faulted = |recovery| TimedSetup {
+        faults: Some(plan()),
+        recovery,
+        ..TimedSetup::level3(&workload)
+    };
 
-    let recovered = level3::run_with_faults(&workload, plan(), RecoveryPolicy::default())
+    let recovered = timed::run(faulted(RecoveryPolicy::default()), &noop)
         .expect("recovery absorbs the injected faults");
     let fr = recovered.faults.as_ref().expect("fault report");
     println!(
@@ -49,7 +54,7 @@ fn main() {
         "faults change timing, never function"
     );
 
-    match level3::run_with_faults(&workload, plan(), RecoveryPolicy::disabled()) {
+    match timed::run(faulted(RecoveryPolicy::disabled()), &noop) {
         Err(e) => println!("no recovery: typed failure: {e}"),
         Ok(r) => println!(
             "no recovery: this seed's faults happened to miss ({} ticks)",

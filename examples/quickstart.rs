@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Level 1: the untimed Figure-2 dataflow network.
-    let report = level1::run(&workload)?;
+    let report = level1::run_instrumented(&workload, &telemetry::noop())?;
 
     println!("simulation outcome: {:?}", report.outcome.result);
     assert!(report.outcome.is_quiescent());

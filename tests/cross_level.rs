@@ -4,13 +4,14 @@
 
 use symbad_core::workload::Workload;
 use symbad_core::{level1, level2, level3};
+use telemetry::noop;
 
 #[test]
 fn all_levels_agree_with_reference_and_each_other() {
     let workload = Workload::small();
-    let l1 = level1::run(&workload).expect("level 1");
-    let l2 = level2::run(&workload).expect("level 2");
-    let l3 = level3::run(&workload).expect("level 3");
+    let l1 = level1::run_instrumented(&workload, &noop()).expect("level 1");
+    let l2 = level2::run_instrumented(&workload, &noop()).expect("level 2");
+    let l3 = level3::run_instrumented(&workload, &noop()).expect("level 3");
 
     assert!(l1.matches_reference, "{:?}", l1.mismatch);
     assert!(l2.matches_reference, "{:?}", l2.mismatch);
@@ -28,11 +29,11 @@ fn abstraction_costs_simulation_detail() {
     // simulation. Level 3 adds reconfiguration activity on top of level 2,
     // so its simulated end-to-end time is strictly larger.
     let workload = Workload::small();
-    let l2 = level2::run(&workload).expect("level 2");
-    let l3 = level3::run(&workload).expect("level 3");
+    let l2 = level2::run_instrumented(&workload, &noop()).expect("level 2");
+    let l3 = level3::run_instrumented(&workload, &noop()).expect("level 3");
     assert!(l3.total_ticks > l2.total_ticks);
     // And level 1 is untimed: its kernel never advances time.
-    let l1 = level1::run(&workload).expect("level 1");
+    let l1 = level1::run_instrumented(&workload, &noop()).expect("level 1");
     assert_eq!(l1.outcome.stats.final_time.ticks(), 0);
 }
 
@@ -50,8 +51,8 @@ fn recognition_accuracy_survives_refinement() {
         },
         6,
     );
-    let l1 = level1::run(&workload).expect("level 1");
-    let l3 = level3::run(&workload).expect("level 3");
+    let l1 = level1::run_instrumented(&workload, &noop()).expect("level 1");
+    let l3 = level3::run_instrumented(&workload, &noop()).expect("level 3");
     assert_eq!(l1.recognized, l3.recognized);
     // Recognition itself works: most probes map to the right identity.
     let correct = workload
@@ -70,7 +71,7 @@ fn recognition_accuracy_survives_refinement() {
 #[test]
 fn bus_and_fpga_reports_are_consistent() {
     let workload = Workload::small();
-    let l3 = level3::run(&workload).expect("level 3");
+    let l3 = level3::run_instrumented(&workload, &noop()).expect("level 3");
     let fpga = l3.fpga.expect("level 3 has an FPGA");
     // Bitstream words must show up as bus traffic from the CPU master
     // (which initiates downloads).

@@ -9,9 +9,27 @@
 use proptest::prelude::*;
 use sim::faults::{FaultPlan, PPM};
 use sim::SimTime;
-use symbad_core::level3;
-use symbad_core::timed::{addr, RecoveryPolicy, RunError};
+use symbad_core::timed::{self, addr, RecoveryPolicy, RunError, TimedReport, TimedSetup};
 use symbad_core::Workload;
+
+/// Level 3 on `w` without faults.
+fn fault_free(w: &Workload) -> TimedReport {
+    timed::run(TimedSetup::level3(w), &telemetry::noop()).expect("fault-free run")
+}
+
+/// Level 3 on `w` with `plan` installed under `recovery`.
+fn faulted(
+    w: &Workload,
+    plan: FaultPlan,
+    recovery: RecoveryPolicy,
+) -> Result<TimedReport, RunError> {
+    let setup = TimedSetup {
+        faults: Some(plan),
+        recovery,
+        ..TimedSetup::level3(w)
+    };
+    timed::run(setup, &telemetry::noop())
+}
 
 #[test]
 fn error_displays_are_informative() {
@@ -59,8 +77,8 @@ proptest! {
     #[test]
     fn zero_rate_plan_reproduces_fault_free_run(seed in 0u64..1_000_000) {
         let w = Workload::small();
-        let base = level3::run(&w).expect("fault-free run");
-        let inert = level3::run_with_faults(&w, FaultPlan::new(seed), RecoveryPolicy::default())
+        let base = fault_free(&w);
+        let inert = faulted(&w, FaultPlan::new(seed), RecoveryPolicy::default())
             .expect("inert plan cannot fail a run");
         prop_assert_eq!(base.total_ticks, inert.total_ticks);
         prop_assert_eq!(&base.recognized, &inert.recognized);
@@ -81,8 +99,8 @@ fn faulted_run_is_seed_reproducible() {
             .with_bitstream_corruption(400_000)
             .with_bus_errors(addr::FLASH_BASE, addr::FLASH_SIZE, 150_000)
     };
-    let a = level3::run_with_faults(&w, plan(), RecoveryPolicy::default()).expect("run a");
-    let b = level3::run_with_faults(&w, plan(), RecoveryPolicy::default()).expect("run b");
+    let a = faulted(&w, plan(), RecoveryPolicy::default()).expect("run a");
+    let b = faulted(&w, plan(), RecoveryPolicy::default()).expect("run b");
     assert_eq!(a.total_ticks, b.total_ticks);
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.recognized, b.recognized);
@@ -91,12 +109,11 @@ fn faulted_run_is_seed_reproducible() {
 #[test]
 fn recovery_preserves_function_under_injected_faults() {
     let w = Workload::small();
-    let base = level3::run(&w).expect("fault-free run");
+    let base = fault_free(&w);
     let plan = FaultPlan::new(7)
         .with_bitstream_corruption(400_000)
         .with_bus_errors(addr::FLASH_BASE, addr::FLASH_SIZE, 150_000);
-    let faulted =
-        level3::run_with_faults(&w, plan, RecoveryPolicy::default()).expect("recovery absorbs");
+    let faulted = faulted(&w, plan, RecoveryPolicy::default()).expect("recovery absorbs");
     // Degradation and retries change timing, never function.
     assert_eq!(faulted.recognized, base.recognized);
     assert!(
@@ -122,12 +139,11 @@ fn recovery_preserves_function_under_injected_faults() {
 #[test]
 fn permanent_download_failure_degrades_to_software() {
     let w = Workload::small();
-    let base = level3::run(&w).expect("fault-free run");
+    let base = fault_free(&w);
     // Every download corrupted: retries exhaust and both contexts fall
     // back to software execution.
     let plan = FaultPlan::new(3).with_bitstream_corruption(PPM);
-    let degraded =
-        level3::run_with_faults(&w, plan, RecoveryPolicy::default()).expect("degrades, not fails");
+    let degraded = faulted(&w, plan, RecoveryPolicy::default()).expect("degrades, not fails");
     assert_eq!(degraded.recognized, base.recognized);
     assert!(degraded.trace.matches_untimed(&base.trace).is_ok());
     let fr = degraded.faults.expect("fault report present");
@@ -147,7 +163,7 @@ fn permanent_download_failure_degrades_to_software() {
 fn disabled_recovery_surfaces_typed_errors() {
     let w = Workload::small();
     let plan = FaultPlan::new(11).with_bitstream_corruption(PPM);
-    let err = level3::run_with_faults(&w, plan, RecoveryPolicy::disabled())
+    let err = faulted(&w, plan, RecoveryPolicy::disabled())
         .expect_err("unrecovered fault must abort the run");
     match err {
         RunError::Platform(fault) => {

@@ -136,6 +136,35 @@ fn batch_reports_are_independent_of_order_and_workers() {
 }
 
 #[test]
+fn a_jobs_faults_and_platform_reach_its_level_3_run() {
+    // The level-3 phase alone: the platform also changes the LPV
+    // dimensioning phase, which would hide a level 3 that ignores it.
+    let level3_detail = |spec: &JobSpec| {
+        let report = flow::run_full_flow_job(
+            spec,
+            &spec.design.workload(),
+            &telemetry::noop(),
+            exec::ExecMode::Sequential,
+            &cache::ObligationCache::new(),
+            None,
+        )
+        .expect("job runs");
+        let phase = report
+            .phases
+            .into_iter()
+            .find(|p| p.phase == "level 3: reconfigurable platform")
+            .expect("the flow has a level-3 phase");
+        assert!(phase.ok, "{}", phase.detail);
+        phase.detail
+    };
+    let [default, _, faulted, platform]: [JobSpec; 4] =
+        spec_matrix().try_into().expect("four specs");
+    let baseline = level3_detail(&default);
+    assert_ne!(level3_detail(&faulted), baseline, "fault campaign ignored");
+    assert_ne!(level3_detail(&platform), baseline, "platform ignored");
+}
+
+#[test]
 fn overload_is_a_typed_answer_and_the_queue_keeps_serving() {
     let mut svc = service(ServiceConfig {
         queue_depth: 3,

@@ -80,21 +80,18 @@ fn vhdl_and_vcd_artifacts_cohere() {
 #[test]
 fn ahb_burst_preset_slows_long_downloads_in_level3() {
     use symbad_core::partition::ArchConfig;
-    use symbad_core::timed::ReconfigStrategy;
-    use symbad_core::{level3, Partition, Workload};
+    use symbad_core::timed::{self, TimedSetup};
+    use symbad_core::Workload;
     let w = Workload::small();
-    let flat = level3::run(&w).expect("flat bus");
-    let arch = ArchConfig {
-        bus: tlm::BusConfig::ahb(),
-        ..ArchConfig::default()
+    let flat = timed::run(TimedSetup::level3(&w), &telemetry::noop()).expect("flat bus");
+    let ahb = TimedSetup {
+        arch: ArchConfig {
+            bus: tlm::BusConfig::ahb(),
+            ..ArchConfig::default()
+        },
+        ..TimedSetup::level3(&w)
     };
-    let ahb = level3::run_with(
-        &w,
-        &Partition::paper_level3(),
-        &arch,
-        ReconfigStrategy::Hoisted,
-    )
-    .expect("ahb bus");
+    let ahb = timed::run(ahb, &telemetry::noop()).expect("ahb bus");
     // 16-beat bursts re-arbitrate during the 4096-word bitstreams: more
     // simulated time, same functionality.
     assert!(ahb.total_ticks > flat.total_ticks);

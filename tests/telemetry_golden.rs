@@ -56,7 +56,7 @@ fn flow_report_json_is_byte_identical() {
 #[test]
 fn faulted_run_exports_recovery_counters() {
     use sim::faults::FaultPlan;
-    use symbad_core::timed::RecoveryPolicy;
+    use symbad_core::timed::{self, TimedSetup};
 
     let w = Workload::small();
     let plan = || {
@@ -68,10 +68,13 @@ fn faulted_run_exports_recovery_counters() {
                 150_000,
             )
     };
+    let faulted = || TimedSetup {
+        faults: Some(plan()),
+        ..TimedSetup::level3(&w)
+    };
     let collector = Collector::shared();
     let instr: SharedInstrument = collector.clone();
-    let run = level3::run_with_faults_instrumented(&w, plan(), RecoveryPolicy::default(), &instr)
-        .expect("recovered run");
+    let run = timed::run(faulted(), &instr).expect("recovered run");
     let faults = run.faults.expect("fault report present");
     assert!(faults.retries > 0, "this seed must inject something");
 
@@ -86,8 +89,7 @@ fn faulted_run_exports_recovery_counters() {
 
     // Telemetry leaves the faulted run itself untouched: same report as
     // the uninstrumented path, bit for bit.
-    let plain = symbad_core::level3::run_with_faults(&w, plan(), RecoveryPolicy::default())
-        .expect("plain recovered run");
+    let plain = timed::run(faulted(), &telemetry::noop()).expect("plain recovered run");
     assert_eq!(plain.total_ticks, run.total_ticks);
     assert_eq!(plain.recognized, run.recognized);
     assert_eq!(plain.faults, Some(faults));
@@ -96,7 +98,7 @@ fn faulted_run_exports_recovery_counters() {
 #[test]
 fn instrumentation_does_not_perturb_the_run() {
     let w = Workload::small();
-    let plain = level3::run(&w).expect("plain run");
+    let plain = level3::run_instrumented(&w, &telemetry::noop()).expect("plain run");
     let collector = Collector::shared();
     let instr: SharedInstrument = collector.clone();
     let instrumented = level3::run_instrumented(&w, &instr).expect("instrumented run");
