@@ -361,16 +361,20 @@ fn e8() {
     for (name, engine, proven) in &report.properties {
         println!("| property {name} | {engine} | proven: {proven} |");
     }
-    println!(
-        "| PCC initial property set | {:.1}% fault coverage ({} uncovered) |",
-        report.pcc_initial.pct(),
-        report.pcc_initial.uncovered.len()
-    );
-    println!(
-        "| PCC extended property set | {:.1}% fault coverage ({} uncovered) |\n",
-        report.pcc_extended.pct(),
-        report.pcc_extended.uncovered.len()
-    );
+    for (set, run) in [
+        ("initial", &report.pcc_initial),
+        ("extended", &report.pcc_extended),
+    ] {
+        match run {
+            Some(r) => println!(
+                "| PCC {set} property set | {:.1}% fault coverage ({} uncovered) |",
+                r.pct(),
+                r.uncovered.len()
+            ),
+            None => println!("| PCC {set} property set | no report |"),
+        }
+    }
+    println!();
 }
 
 fn e9_e10(workload: &Workload) {

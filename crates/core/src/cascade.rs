@@ -483,7 +483,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn supervised_cascade_idle_equals_legacy() {
         let reference = run();
@@ -503,7 +502,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn starved_cascade_degrades_only_the_bmc_stage() {
         let starve = exec::Effort {
@@ -536,6 +534,32 @@ mod tests {
             let (r, o) = run_once(exec::ExecMode::Parallel { workers });
             assert_eq!(r, report, "{workers} workers");
             assert_eq!(o, outcomes, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_panicked_stage_is_rebuilt_from_its_metadata() {
+        let reference = run();
+        let bmc = "cascade:Model checking (BMC)";
+        let expected = StageResult {
+            caught: false,
+            clean_passes: false,
+            detail: format!("panicked: injected panic: {bmc}"),
+            ..reference.stages[4].clone()
+        };
+        for workers in [1, 2] {
+            let (report, outcomes) = crate::supervise::tests::with_panicking(&[bmc], || {
+                run_supervised(
+                    exec::ExecMode::from_workers(workers),
+                    cache::noop(),
+                    &SupervisionPolicy::default(),
+                )
+            });
+            assert_eq!(report.stages[..4], reference.stages[..4]);
+            assert_eq!(report.stages[4], expected, "{workers} workers");
+            assert_eq!(outcomes[4].name, bmc);
+            assert_eq!(outcomes[4].status, ObligationStatus::Panicked);
+            assert!(outcomes[4].retried);
         }
     }
 

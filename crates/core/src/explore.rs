@@ -6,11 +6,13 @@
 //! (reconfiguration placement), plus the HW/SW partition curve that
 //! motivates the level-2 mapping.
 
+use crate::level1::reference_trace;
+use crate::msg::Msg;
 use crate::partition::{ArchConfig, Domain, Partition};
 use crate::timed::{self, MatcherKind, ReconfigStrategy, TimedSetup};
 use crate::workload::Workload;
 use media::profile::build_profile;
-use sim::SimError;
+use sim::{SimError, Trace};
 
 /// One point of an exploration sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,8 +35,11 @@ pub struct SweepPoint {
 }
 
 /// Simulates the candidate `setup` and summarizes it as a sweep point.
-fn point(name: &str, setup: TimedSetup<'_>) -> Result<SweepPoint, SimError> {
-    let report = timed::run(setup, &telemetry::noop()).map_err(timed::fault_free)?;
+/// `expected` is the workload's reference trace, which a sweep builds
+/// once for all its points.
+fn point(name: &str, setup: TimedSetup<'_>, expected: &Trace<Msg>) -> Result<SweepPoint, SimError> {
+    let report =
+        timed::run_against(setup, expected, &telemetry::noop()).map_err(timed::fault_free)?;
     Ok(SweepPoint {
         name: name.to_owned(),
         total_ticks: report.total_ticks,
@@ -71,16 +76,17 @@ pub fn partition_sweep(
         .filter(|m| HW_MAPPABLE.contains(m))
         .collect();
 
+    let expected = reference_trace(&workload.reference_results());
     let mut setup = TimedSetup {
         partition: Partition::all_sw(),
         arch: arch.clone(),
         ..TimedSetup::level2(workload)
     };
-    let mut points = vec![point("0 HW modules", setup.clone())?];
+    let mut points = vec![point("0 HW modules", setup.clone(), &expected)?];
     for (k, module) in ranked.iter().enumerate() {
         setup.partition.assign(module, Domain::Hw);
         let name = format!("{} HW modules (+{})", k + 1, module);
-        points.push(point(&name, setup.clone())?);
+        points.push(point(&name, setup.clone(), &expected)?);
     }
     Ok(points)
 }
@@ -108,10 +114,11 @@ pub fn context_ablation(
         partition: Partition::merged_context(),
         ..split.clone()
     };
+    let expected = reference_trace(&workload.reference_results());
     Ok(vec![
-        point("static HW (no FPGA)", static_hw)?,
-        point("split contexts (config1/config2)", split)?,
-        point("merged single context", merged)?,
+        point("static HW (no FPGA)", static_hw, &expected)?,
+        point("split contexts (config1/config2)", split, &expected)?,
+        point("merged single context", merged, &expected)?,
     ])
 }
 
@@ -125,6 +132,7 @@ pub fn strategy_ablation(
     workload: &Workload,
     arch: &ArchConfig,
 ) -> Result<Vec<SweepPoint>, SimError> {
+    let expected = reference_trace(&workload.reference_results());
     let mut points = Vec::new();
     for (name, strategy) in [
         ("hoisted reconfiguration", ReconfigStrategy::Hoisted),
@@ -138,7 +146,7 @@ pub fn strategy_ablation(
             },
             ..TimedSetup::level3(workload)
         };
-        points.push(point(name, setup)?);
+        points.push(point(name, setup, &expected)?);
     }
     Ok(points)
 }
@@ -151,6 +159,7 @@ pub fn strategy_ablation(
 ///
 /// Propagates kernel errors.
 pub fn bus_sweep(workload: &Workload, base: &ArchConfig) -> Result<Vec<SweepPoint>, SimError> {
+    let expected = reference_trace(&workload.reference_results());
     let mut points = Vec::new();
     for cycles_per_word in [1u64, 2, 4, 8] {
         let mut arch = base.clone();
@@ -159,7 +168,11 @@ pub fn bus_sweep(workload: &Workload, base: &ArchConfig) -> Result<Vec<SweepPoin
             arch,
             ..TimedSetup::level3(workload)
         };
-        points.push(point(&format!("{cycles_per_word} cycles/word"), setup)?);
+        points.push(point(
+            &format!("{cycles_per_word} cycles/word"),
+            setup,
+            &expected,
+        )?);
     }
     Ok(points)
 }

@@ -546,16 +546,26 @@ fn run_flow(
     let l4 = level4::run_in(ctx, &mut outcomes);
     let kernels_ok = l4.kernels.iter().all(|(_, _, eq)| *eq);
     let props_ok = l4.properties.iter().all(|(_, _, p)| *p);
+    // A PCC run without a report measured nothing: it fails the phase
+    // and shows no coverage figure.
+    let pcc_raised = match (&l4.pcc_initial, &l4.pcc_extended) {
+        (Some(initial), Some(extended)) => extended.pct() > initial.pct(),
+        _ => false,
+    };
+    let coverage = |r: &Option<pcc::PccReport>| {
+        r.as_ref()
+            .map_or_else(|| "no report".to_owned(), |r| format!("{:.0}%", r.pct()))
+    };
     note_phase(
         &mut phases,
         PhaseSummary {
             phase: "level 4: RTL, model checking, PCC",
-            ok: kernels_ok && props_ok && l4.pcc_extended.pct() > l4.pcc_initial.pct(),
+            ok: kernels_ok && props_ok && pcc_raised,
             detail: format!(
-                "kernels equivalent: {kernels_ok}; {} properties proven; PCC {:.0}% → {:.0}%",
+                "kernels equivalent: {kernels_ok}; {} properties proven; PCC {} → {}",
                 l4.properties.len(),
-                l4.pcc_initial.pct(),
-                l4.pcc_extended.pct()
+                coverage(&l4.pcc_initial),
+                coverage(&l4.pcc_extended)
             ),
         },
     );
@@ -637,5 +647,32 @@ mod tests {
         assert!(text.contains("[PASS]"));
         let json = report.to_json();
         assert!(json.contains("\"fpga_reconfigurations\""));
+    }
+
+    /// A PCC run that panicked measured no coverage: the level-4 phase
+    /// fails and shows no figure for it.
+    #[test]
+    fn a_pcc_run_without_a_report_fails_the_level4_phase() {
+        for (scripted, coverage) in [
+            ("pcc:initial", "PCC no report → 92%"),
+            ("pcc:extended", "PCC 50% → no report"),
+        ] {
+            let report = crate::supervise::tests::with_panicking(&[scripted], || {
+                run_full_flow(&Workload::small())
+            })
+            .expect("flow runs");
+            let phase = report
+                .phases
+                .iter()
+                .find(|p| p.phase.starts_with("level 4"))
+                .expect("level-4 phase");
+            assert!(!phase.ok, "{scripted}: {}", phase.detail);
+            assert_eq!(
+                phase.detail,
+                format!("kernels equivalent: true; 5 properties proven; {coverage}"),
+                "{scripted}"
+            );
+            assert!(!report.all_ok());
+        }
     }
 }

@@ -345,6 +345,8 @@ impl RunCtx<'_> {
         classify: impl Fn(&R) -> (ObligationStatus, String),
         outcomes: &mut Vec<ObligationOutcome>,
     ) -> Vec<Discharged<R>> {
+        #[cfg(test)]
+        let obligations = tests::script_panics(obligations);
         if let Some(j) = self.journal {
             for o in &obligations {
                 j.emit(telemetry::EventKind::ObligationStarted {
@@ -557,9 +559,51 @@ fn journal_obligation<R>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        /// The fault script: names of the obligations that
+        /// [`RunCtx::discharge`] dispatches as panics on this thread.
+        static PANICKING: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Runs `f` with every obligation named in `names` scripted to panic
+    /// with `injected panic: <name>` before its engine runs, on every
+    /// attempt. The script is cleared when `f` returns or unwinds.
+    pub(crate) fn with_panicking<T>(names: &[&str], f: impl FnOnce() -> T) -> T {
+        struct Clear;
+        impl Drop for Clear {
+            fn drop(&mut self) {
+                PANICKING.with(|p| p.borrow_mut().clear());
+            }
+        }
+        exec::silence_injected_panics();
+        PANICKING.with(|p| *p.borrow_mut() = names.iter().map(|&n| n.to_owned()).collect());
+        let _clear = Clear;
+        f()
+    }
+
+    /// Replaces the engine of every scripted obligation with a panic.
+    /// Read on the thread that calls [`RunCtx::discharge`], once per
+    /// batch, so worker threads never touch the script.
+    pub(super) fn script_panics<'a, R>(
+        mut obligations: Vec<Obligation<'a, R>>,
+    ) -> Vec<Obligation<'a, R>> {
+        PANICKING.with(|p| {
+            let panicking = p.borrow();
+            for o in &mut obligations {
+                if panicking.contains(&o.name) {
+                    let message = format!("injected panic: {}", o.name);
+                    o.run = Box::new(move |_: &telemetry::SharedInstrument| -> R {
+                        panic!("{message}")
+                    });
+                }
+            }
+        });
+        obligations
+    }
 
     #[test]
     fn statuses_render_and_tally() {
@@ -639,5 +683,64 @@ mod tests {
         assert_eq!(sup.value, Some(7));
         assert_eq!(sup.panics_caught(), 0);
         assert!(!sup.retried);
+    }
+
+    /// The two wrapper properties that a zero-conflict budget leaves
+    /// undecided panic instead, on every attempt: the flow completes with
+    /// a partial report, and neither the report nor the journal's
+    /// deterministic lane depends on the worker count.
+    #[test]
+    fn scripted_panics_degrade_the_flow_deterministically() {
+        let run = |workers| {
+            let collector = telemetry::Collector::shared();
+            let instr: telemetry::SharedInstrument = collector.clone();
+            let journal = telemetry::Journal::new();
+            let scripted = ["property:request_advances", "property:done_returns_to_idle"];
+            let report = with_panicking(&scripted, || {
+                crate::flow::run_full_flow_supervised(
+                    &crate::Workload::small(),
+                    &instr,
+                    exec::ExecMode::from_workers(workers),
+                    &cache::ObligationCache::new(),
+                    &SupervisionPolicy::default(),
+                    Some(&journal),
+                )
+            })
+            .expect("supervised flow runs");
+            (report, collector, journal)
+        };
+        let (reference, collector, journal) = run(1);
+        assert_eq!(reference.phases.len(), 7);
+        assert_eq!(reference.recognized, vec![0, 1]);
+        let d = reference.degradation.as_ref().expect("taxonomy");
+        assert_eq!((d.proved, d.panicked, d.retries), (10, 2, 2));
+        assert_eq!(collector.counter("exec.panics_caught"), 4);
+        assert_eq!(collector.counter("flow.retries"), 2);
+        let json = reference.to_json();
+        assert!(json
+            .contains("[PANICKED, retried] panicked: injected panic: property:request_advances"));
+
+        let count = |kind: fn(&telemetry::EventKind) -> bool| {
+            journal.events().iter().filter(|e| kind(&e.kind)).count()
+        };
+        assert_eq!(
+            (
+                count(|k| matches!(k, telemetry::EventKind::Panic { .. })),
+                count(|k| matches!(k, telemetry::EventKind::Retry { .. })),
+                count(|k| matches!(k, telemetry::EventKind::Degradation { .. })),
+            ),
+            (2, 2, 2)
+        );
+        for line in journal.to_jsonl().lines() {
+            telemetry::journal::validate_line(line)
+                .unwrap_or_else(|e| panic!("journal line failed schema validation: {e}\n  {line}"));
+        }
+
+        let det = journal.deterministic_jsonl();
+        for workers in [2, 8] {
+            let (report, _, j) = run(workers);
+            assert_eq!(report.to_json(), json, "{workers} workers diverged");
+            assert_eq!(j.deterministic_jsonl(), det, "{workers} workers diverged");
+        }
     }
 }

@@ -52,12 +52,12 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Installs (once per process) a panic hook that suppresses the default
 /// "thread panicked at …" report for panics whose message contains the
 /// marker `injected panic`, delegating every other panic to the
-/// previously installed hook. The workspace's fault-injection fixtures
-/// (the `panic-mutant` solver feature, the `supervise` fuzz family, the
-/// supervision tests) all panic with that marker, and each intentional
-/// panic would otherwise spam the captured-output-free stderr of the
-/// worker threads that catch them. Real bugs panic without the marker
-/// and keep their full report.
+/// previously installed hook. The workspace's fault injectors (the
+/// obligation driver's test-only fault script in `symbad-core`, the
+/// `supervise` fuzz family, this crate's pool tests) all panic with that
+/// marker, and each intentional panic would otherwise spam the
+/// captured-output-free stderr of the worker threads that catch them.
+/// Real bugs panic without the marker and keep their full report.
 pub fn silence_injected_panics() {
     static INSTALL: std::sync::Once = std::sync::Once::new();
     INSTALL.call_once(|| {
@@ -204,11 +204,6 @@ impl Effort {
     /// Whether every axis is uncapped.
     pub fn is_unbounded(&self) -> bool {
         *self == Effort::default()
-    }
-
-    /// Whether any SAT axis is capped.
-    pub fn bounds_sat(&self) -> bool {
-        self.sat_conflicts.is_some() || self.sat_decisions.is_some()
     }
 }
 
@@ -474,10 +469,8 @@ mod tests {
     #[test]
     fn effort_axes_and_constructors() {
         assert!(Effort::unbounded().is_unbounded());
-        assert!(!Effort::unbounded().bounds_sat());
         let e = Effort::bounded(10);
         assert!(!e.is_unbounded());
-        assert!(e.bounds_sat());
         assert_eq!(e.sat_conflicts, Some(10));
         assert_eq!(e.sat_decisions, Some(160));
         assert_eq!(e.bdd_nodes, Some(2560));
@@ -485,7 +478,7 @@ mod tests {
             sat_decisions: Some(1),
             ..Effort::unbounded()
         };
-        assert!(sat_only.bounds_sat() && !sat_only.is_unbounded());
+        assert!(!sat_only.is_unbounded());
     }
 
     #[test]

@@ -279,7 +279,6 @@ mod tests {
         assert_eq!(check(&rtl, &p, 8), Verdict::NoViolationUpTo(8));
     }
 
-    #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn budgeted_check_degrades_deterministically_and_skips_the_cache() {
         let p = Property::invariant("never5", BoolExpr::ne("q", 5));

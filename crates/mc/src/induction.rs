@@ -264,7 +264,6 @@ mod tests {
         assert_eq!(collector.counter("cache.hits"), 2);
     }
 
-    #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn budgeted_check_degrades_and_never_caches_exhaustion() {
         let rtl = mod_counter(3, 5);

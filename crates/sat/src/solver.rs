@@ -53,14 +53,6 @@ impl BudgetedResult {
     }
 }
 
-/// Period of the test-only `panic-mutant` fault: the solver panics on
-/// every propagation whose ordinal is a multiple of this. Chosen so the
-/// flow's small obligations finish untouched while substantial ones trip
-/// it — giving the supervision tests both healthy and faulted outcomes
-/// in one run.
-#[cfg(feature = "panic-mutant")]
-const PANIC_MUTANT_PERIOD: u64 = 256;
-
 const UNASSIGNED: u8 = 2;
 
 /// Value of `l` under `assign`: 1 true, 0 false, [`UNASSIGNED`] otherwise.
@@ -242,10 +234,6 @@ pub struct Solver {
     budget_conflicts: Option<u64>,
     /// See [`Solver::budget_conflicts`](struct field above).
     budget_decisions: Option<u64>,
-    /// Budgeted solve calls seen by the test-only `diverge-mutant`
-    /// feature, which makes every second one burn its whole budget.
-    #[cfg(feature = "diverge-mutant")]
-    diverge_calls: u64,
 }
 
 impl Default for Solver {
@@ -282,8 +270,6 @@ impl Default for Solver {
             flush_calls: 0,
             budget_conflicts: None,
             budget_decisions: None,
-            #[cfg(feature = "diverge-mutant")]
-            diverge_calls: 0,
         }
     }
 }
@@ -464,23 +450,6 @@ impl Solver {
             let p = self.trail[self.queue_head];
             self.queue_head += 1;
             self.propagations += 1;
-            #[cfg(feature = "panic-mutant")]
-            {
-                // Injected fault: a deterministic panic every
-                // PANIC_MUTANT_PERIOD-th propagation of this solver
-                // instance. Small queries finish below the threshold;
-                // substantial obligations trip it, which is exactly the
-                // detection-power fixture the supervision layer's tests
-                // and the `supervision-smoke` CI job need. The message
-                // carries the "injected panic" marker recognised by
-                // `exec::silence_injected_panics`.
-                if self.propagations.is_multiple_of(PANIC_MUTANT_PERIOD) {
-                    panic!(
-                        "panic-mutant: injected panic at propagation {}",
-                        self.propagations
-                    );
-                }
-            }
             let false_lit = (!p).0;
             let mut watch_list = std::mem::take(&mut self.watches[p.code()]);
             let mut keep = 0;
@@ -692,25 +661,6 @@ impl Solver {
     /// level 0 and keeps its learnt clauses, so retrying with a larger
     /// budget resumes rather than restarts.
     pub fn solve_budgeted(&mut self, assumptions: &[Lit], effort: &exec::Effort) -> BudgetedResult {
-        #[cfg(feature = "diverge-mutant")]
-        {
-            // Injected fault: every second *budgeted* call on a solver
-            // pretends the search diverged, burning the whole allowance
-            // without progress. Scoped to budgeted calls so the
-            // unsupervised paths (which would hang forever on a real
-            // divergence) stay usable for the control half of the tests.
-            self.diverge_calls += 1;
-            if self.diverge_calls.is_multiple_of(2) && effort.bounds_sat() {
-                if let Some(cap) = effort.sat_conflicts {
-                    self.conflicts = self.conflicts.saturating_add(cap);
-                }
-                if let Some(cap) = effort.sat_decisions {
-                    self.decisions = self.decisions.saturating_add(cap);
-                }
-                self.note_budget_exhausted();
-                return BudgetedResult::Exhausted;
-            }
-        }
         self.budget_conflicts = effort
             .sat_conflicts
             .map(|cap| self.conflicts.saturating_add(cap));
@@ -723,20 +673,16 @@ impl Solver {
         match result {
             Some(r) => BudgetedResult::Decided(r),
             None => {
-                self.note_budget_exhausted();
+                // Bump `sat.budget_exhausted` and flush the effort the
+                // abandoned call did spend, which `solve_inner` skips for
+                // verdict-less returns.
+                if let Some(i) = self.instrument.as_ref().filter(|i| i.enabled()) {
+                    i.counter_add("sat.budget_exhausted", 1);
+                }
+                self.flush_telemetry();
                 BudgetedResult::Exhausted
             }
         }
-    }
-
-    /// Records one budget exhaustion: bumps `sat.budget_exhausted` and
-    /// flushes the effort the abandoned call did spend (which
-    /// [`Solver::solve_inner`] skips for verdict-less returns).
-    fn note_budget_exhausted(&mut self) {
-        if let Some(i) = self.instrument.as_ref().filter(|i| i.enabled()) {
-            i.counter_add("sat.budget_exhausted", 1);
-        }
-        self.flush_telemetry();
     }
 
     fn solve_inner(&mut self, assumptions: &[Lit]) -> Option<SolveResult> {
@@ -1078,9 +1024,7 @@ mod tests {
     }
 
     /// Builds the (unsatisfiable) pigeonhole instance PHP(5, 4) — hard
-    /// enough that a one-conflict budget cannot finish it. Only used by
-    /// the budget tests, which are gated off under `panic-mutant`.
-    #[cfg(not(feature = "panic-mutant"))]
+    /// enough that a one-conflict budget cannot finish it.
     fn pigeonhole_solver() -> Solver {
         let pigeons = 5;
         let holes = 4;
@@ -1104,7 +1048,6 @@ mod tests {
         s
     }
 
-    #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn unbounded_budget_matches_plain_solve() {
         let mut budgeted = pigeonhole_solver();
@@ -1117,7 +1060,6 @@ mod tests {
         assert_eq!(budgeted.decisions(), plain.decisions());
     }
 
-    #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn tiny_budget_exhausts_deterministically_and_solver_stays_usable() {
         let effort = exec::Effort {
@@ -1137,7 +1079,6 @@ mod tests {
         assert!(a.solve().is_unsat());
     }
 
-    #[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
     #[test]
     fn budget_exhaustion_emits_telemetry_counter() {
         let collector = telemetry::Collector::shared();
@@ -1153,26 +1094,6 @@ mod tests {
         // The abandoned call's effort is still flushed as deltas.
         assert_eq!(collector.counter("sat.solve_calls"), 1);
         assert_eq!(collector.counter("sat.conflicts"), s.conflicts());
-    }
-
-    #[cfg(feature = "diverge-mutant")]
-    #[test]
-    fn diverge_mutant_burns_every_second_budgeted_call() {
-        let effort = exec::Effort {
-            sat_conflicts: Some(10_000),
-            sat_decisions: None,
-            bdd_nodes: None,
-        };
-        let mut s = pigeonhole_solver();
-        // Call 1 is honest; PHP(5,4) concludes well within 10k conflicts.
-        assert!(!s.solve_budgeted(&[], &effort).is_exhausted());
-        // Call 2 diverges and burns the allowance without progress.
-        assert!(s.solve_budgeted(&[], &effort).is_exhausted());
-        // Unbudgeted and unbounded-budget calls are untouched.
-        assert!(s.solve().is_unsat());
-        assert!(!s
-            .solve_budgeted(&[], &exec::Effort::unbounded())
-            .is_exhausted());
     }
 
     #[test]

@@ -77,6 +77,6 @@ pub use fifo::FifoId;
 pub use kernel::{Outcome, RunResult, SimError, Simulator};
 pub use process::{Activation, Process, ProcessCtx, ProcessId};
 pub use signal::SignalId;
-pub use stats::{Series, Stats};
+pub use stats::Stats;
 pub use time::SimTime;
 pub use trace::{Trace, TraceEntry};

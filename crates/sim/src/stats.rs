@@ -1,9 +1,11 @@
 //! Run statistics.
 //!
-//! Experiments E1–E3 and E11 report *simulation speed* — simulated cycles
-//! per wall-clock second, the figure the paper quotes as "200 kHz" (level 2)
-//! and "30 kHz" (level 3) on the authors' workstation. [`Stats`] collects the
-//! raw counters from which the bench harness derives those rates.
+//! [`Stats`] counts the kernel's work over one run: polls, delta cycles,
+//! time steps, wakeups, notifications and signal changes. Experiments
+//! E1–E3 and E11 report *simulation speed* — simulated cycles per
+//! wall-clock second, the figure the paper quotes as "200 kHz" (level 2)
+//! and "30 kHz" (level 3) on the authors' workstation; the benchmark
+//! computes it from a level's simulated ticks and its own wall clock.
 
 use crate::time::SimTime;
 
@@ -24,214 +26,4 @@ pub struct Stats {
     pub signal_changes: u64,
     /// Final simulation time reached.
     pub final_time: SimTime,
-}
-
-impl Stats {
-    /// Simulated ticks per poll — a density measure of the model's
-    /// abstraction level (higher = more abstract).
-    pub fn ticks_per_poll(&self) -> f64 {
-        if self.polls == 0 {
-            0.0
-        } else {
-            self.final_time.ticks() as f64 / self.polls as f64
-        }
-    }
-
-    /// Simulated frequency in Hz given the wall-clock seconds the run took:
-    /// `final_time / wall_seconds`. This is the paper's "simulation speed"
-    /// metric (kHz of simulated clock per real second).
-    pub fn simulated_hz(&self, wall_seconds: f64) -> f64 {
-        if wall_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.final_time.ticks() as f64 / wall_seconds
-    }
-}
-
-/// A sample series with total (never-panicking) summary statistics.
-///
-/// The bench harness and the flow reports fold per-frame latencies and
-/// FIFO occupancies through this; empty and single-sample series are
-/// legitimate inputs (a run can finish before any frame completes), so
-/// every statistic is defined for them instead of panicking or dividing
-/// by zero.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Series {
-    /// Kept sorted ascending at all times, so every percentile query is a
-    /// single index instead of a clone-and-sort (`Histogram::snapshot`
-    /// style reporting queries three percentiles per series per report).
-    samples: Vec<u64>,
-}
-
-impl Series {
-    /// An empty series.
-    pub fn new() -> Self {
-        Series::default()
-    }
-
-    /// A series seeded from existing samples.
-    pub fn from_samples(mut samples: Vec<u64>) -> Self {
-        samples.sort_unstable();
-        Series { samples }
-    }
-
-    /// Adds one sample (insertion order is not observable; the series
-    /// maintains its sorted representation incrementally).
-    pub fn push(&mut self, value: u64) {
-        let at = self.samples.partition_point(|&s| s <= value);
-        self.samples.insert(at, value);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.samples.iter().sum()
-    }
-
-    /// Arithmetic mean; 0.0 on an empty series (no division by zero).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.sum() as f64 / self.samples.len() as f64
-        }
-    }
-
-    /// Nearest-rank percentile for `p` in `0..=100` (values above 100
-    /// clamp to the maximum): the smallest sample such that at least
-    /// `p`% of the samples are `<=` it — `sorted[ceil(p/100 · n) - 1]`,
-    /// with `p = 0` mapping to the minimum. Returns 0 on an empty series
-    /// and the sample itself on a single-sample one — never panics.
-    pub fn percentile(&self, p: u64) -> u64 {
-        if self.samples.is_empty() {
-            return 0;
-        }
-        let n = self.samples.len() as u64;
-        let rank = (p.min(100) * n).div_ceil(100);
-        self.samples[rank.saturating_sub(1) as usize]
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.samples.first().copied().unwrap_or(0)
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.samples.last().copied().unwrap_or(0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_series_statistics_are_defined() {
-        let s = Series::new();
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
-        assert_eq!(s.sum(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.percentile(0), 0);
-        assert_eq!(s.percentile(50), 0);
-        assert_eq!(s.percentile(100), 0);
-        assert_eq!(s.min(), 0);
-        assert_eq!(s.max(), 0);
-    }
-
-    #[test]
-    fn single_sample_series_statistics_are_defined() {
-        let s = Series::from_samples(vec![9]);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.mean(), 9.0);
-        assert_eq!(s.percentile(0), 9);
-        assert_eq!(s.percentile(50), 9);
-        assert_eq!(s.percentile(100), 9);
-        // p > 100 clamps instead of indexing out of bounds.
-        assert_eq!(s.percentile(999), 9);
-    }
-
-    #[test]
-    fn series_percentile_uses_nearest_rank() {
-        let mut s = Series::new();
-        for v in [50, 10, 40, 20, 30] {
-            s.push(v);
-        }
-        assert_eq!(s.percentile(0), 10);
-        assert_eq!(s.percentile(50), 30);
-        assert_eq!(s.percentile(100), 50);
-        assert_eq!(s.mean(), 30.0);
-        assert_eq!(s.min(), 10);
-        assert_eq!(s.max(), 50);
-    }
-
-    #[test]
-    fn nearest_rank_boundaries_are_exact() {
-        // Even length: the 50th percentile is the *lower* middle sample
-        // under nearest-rank (ceil(0.5 · 4) = rank 2), not the upper one
-        // that the old rounded-linear formula returned.
-        let s = Series::from_samples(vec![40, 10, 30, 20]);
-        assert_eq!(s.percentile(50), 20);
-        // Rank boundaries: p·n/100 exactly integral keeps the same rank;
-        // one percent more crosses to the next sample.
-        assert_eq!(s.percentile(25), 10);
-        assert_eq!(s.percentile(26), 20);
-        assert_eq!(s.percentile(75), 30);
-        assert_eq!(s.percentile(76), 40);
-        // Extremes: p=0 is the minimum, tiny p already rank 1, p=100 and
-        // anything above clamp to the maximum.
-        assert_eq!(s.percentile(0), 10);
-        assert_eq!(s.percentile(1), 10);
-        assert_eq!(s.percentile(100), 40);
-        assert_eq!(s.percentile(101), 40);
-        // p95 on 100 equal-spaced samples lands exactly on sample 95.
-        let big = Series::from_samples((1..=100).collect());
-        assert_eq!(big.percentile(95), 95);
-        assert_eq!(big.percentile(96), 96);
-    }
-
-    #[test]
-    fn push_maintains_sorted_representation() {
-        let mut s = Series::new();
-        for v in [5, 1, 9, 1, 7, 3] {
-            s.push(v);
-        }
-        assert_eq!(s.min(), 1);
-        assert_eq!(s.max(), 9);
-        assert_eq!(s.len(), 6);
-        assert_eq!(s.sum(), 26);
-        // Duplicates stay: rank 2 of [1,1,3,5,7,9] is the second 1.
-        assert_eq!(s.percentile(34), 3);
-        assert_eq!(s.percentile(33), 1);
-        // Same statistics as the batch constructor.
-        let batch = Series::from_samples(vec![5, 1, 9, 1, 7, 3]);
-        assert_eq!(s, batch);
-    }
-
-    #[test]
-    fn ticks_per_poll_handles_zero_polls() {
-        let s = Stats::default();
-        assert_eq!(s.ticks_per_poll(), 0.0);
-    }
-
-    #[test]
-    fn simulated_hz_scales_with_time() {
-        let s = Stats {
-            final_time: SimTime::from_ticks(200_000),
-            ..Stats::default()
-        };
-        assert_eq!(s.simulated_hz(1.0), 200_000.0);
-        assert_eq!(s.simulated_hz(2.0), 100_000.0);
-        assert_eq!(s.simulated_hz(0.0), 0.0);
-    }
 }

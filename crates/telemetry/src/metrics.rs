@@ -51,9 +51,12 @@ impl Histogram {
         }
     }
 
-    /// Nearest-rank percentile for `p` in `0..=100`. Total: returns 0 on
-    /// an empty histogram and the sample itself on a single-sample one.
-    /// Values of `p` above 100 clamp to the maximum.
+    /// Percentile for `p` in `0..=100` by round-half-up linear rank: the
+    /// sample at index `p/100 · (n − 1)` of the sorted samples, with a
+    /// half index rounded up. For `[10, 20, 30, 40]`, p50 is 30 (index
+    /// 1.5 rounds to 2), where the nearest-rank rule would give 20.
+    /// Total: returns 0 on an empty histogram and the sample itself on a
+    /// single-sample one. Values of `p` above 100 clamp to the maximum.
     pub fn percentile(&self, p: u64) -> u64 {
         if self.samples.is_empty() {
             return 0;
@@ -115,11 +118,11 @@ pub struct HistogramSummary {
     pub min: u64,
     /// Largest sample (0 when empty).
     pub max: u64,
-    /// Median (nearest rank).
+    /// Median, by [`Histogram::percentile`]'s round-half-up linear rank.
     pub p50: u64,
-    /// 95th percentile (nearest rank).
+    /// 95th percentile, by the same rule.
     pub p95: u64,
-    /// 99th percentile (nearest rank).
+    /// 99th percentile, by the same rule.
     pub p99: u64,
 }
 
@@ -155,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
+    fn percentiles_use_the_round_half_up_linear_rank() {
         let mut h = Histogram::new();
         for v in [10u64, 20, 30, 40, 50] {
             h.record(v);
@@ -166,6 +169,13 @@ mod tests {
         // p above 100 clamps instead of indexing out of range.
         assert_eq!(h.percentile(250), 50);
         assert_eq!(h.mean(), 30.0);
+        // Even length: index 1.5 rounds up to 30; nearest rank gives 20.
+        let mut even = Histogram::new();
+        for v in [40u64, 10, 30, 20] {
+            even.record(v);
+        }
+        assert_eq!(even.percentile(50), 30);
+        assert_eq!(even.summary().p50, 30);
     }
 
     #[test]
@@ -232,13 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn p99_on_heavy_tailed_data_uses_nearest_rank() {
-        // 99 unit samples plus one huge outlier: nearest-rank p99 over
+    fn p99_on_heavy_tailed_data_uses_the_linear_rank() {
+        // 99 unit samples plus one huge outlier: the linear-rank p99 over
         // n=100 lands on index (99*99+50)/100 = 98 — the last "normal"
         // sample — while p100 must surface the outlier. This pins the
-        // round-half-up linear-rank rule (mirroring the PR-3
-        // `Series::percentile` fix) so a platform or refactor drift that
-        // switches to interpolation fails loudly.
+        // round-half-up linear-rank rule so a platform or refactor drift
+        // that switches to interpolation or to nearest rank fails loudly.
         let mut h = Histogram::new();
         for _ in 0..99 {
             h.record(1);

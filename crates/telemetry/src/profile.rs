@@ -439,7 +439,7 @@ mod tests {
         assert_eq!(p.obligations_per_sec(), 10_000.0);
         let l = p.latency_summary();
         assert_eq!(l.count, 2);
-        // Nearest-rank p50 over two samples rounds half-up to the second.
+        // The linear-rank p50 over two samples rounds half-up to the second.
         assert_eq!((l.min, l.p50, l.p99, l.max), (10, 90, 90, 90));
         assert_eq!(p.batches["level4.miters"], (2, 2, 2));
         assert_eq!(p.worker_jobs[&("level4.miters".to_owned(), 0)], 1);

@@ -78,10 +78,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, engine, proven) in &l4.properties {
         println!("  property {name} [{engine}]: proven = {proven}");
     }
+    let coverage = |r: &Option<pcc::PccReport>| {
+        r.as_ref()
+            .map_or_else(|| "no report".to_owned(), |r| format!("{:.0}%", r.pct()))
+    };
     println!(
-        "  PCC coverage: initial {:.0}% → extended {:.0}%",
-        l4.pcc_initial.pct(),
-        l4.pcc_extended.pct()
+        "  PCC coverage: initial {} → extended {}",
+        coverage(&l4.pcc_initial),
+        coverage(&l4.pcc_extended)
     );
     Ok(())
 }

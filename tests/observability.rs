@@ -3,37 +3,37 @@
 //! 2, and 8, every journal line satisfies the checked-in schema, and the
 //! Prometheus exposition round-trips through its own parser.
 //!
-//! Like `tests/supervision.rs`, the same tests run under three regimes —
-//! the default build, `--features panic-mutant`, and `--features
-//! diverge-mutant` — because the deterministic-lane guarantee is most
-//! valuable exactly when obligations panic, retry, and degrade: the
-//! flight recording of a faulty run must still not depend on the worker
-//! count.
+//! The lane and schema tests run under the idle policy and under a
+//! zero-conflict SAT budget, because the deterministic-lane guarantee is
+//! most valuable exactly when obligations degrade: the flight recording
+//! of a degraded run must still not depend on the worker count. Scripted
+//! panics and retries on the lane are covered by `symbad-core`'s unit
+//! tests (`supervise::tests`).
 
 use symbad_core::flow::run_full_flow_supervised;
 use symbad_core::supervise::SupervisionPolicy;
 use symbad_core::workload::Workload;
 use telemetry::{journal, EventKind, FlowProfile, Journal};
 
-/// The per-regime policy, mirroring `examples/supervised_flow.rs`:
-/// bounded under `diverge-mutant` (divergence only affects budgeted
-/// solves), unbounded otherwise.
-fn policy() -> SupervisionPolicy {
-    #[cfg(feature = "diverge-mutant")]
-    {
-        SupervisionPolicy::with_effort(exec::Effort::bounded(100_000))
-    }
-    #[cfg(not(feature = "diverge-mutant"))]
-    {
-        SupervisionPolicy::default()
-    }
+/// A SAT budget of zero conflicts per call: every solve that needs
+/// search gives up, which leaves exactly two wrapper properties
+/// undecided (the same policy as `examples/supervised_flow.rs`).
+fn zero_conflicts() -> SupervisionPolicy {
+    SupervisionPolicy::with_effort(exec::Effort {
+        sat_conflicts: Some(0),
+        ..exec::Effort::unbounded()
+    })
+}
+
+/// The idle policy and the zero-conflict budget.
+fn policies() -> [SupervisionPolicy; 2] {
+    [SupervisionPolicy::default(), zero_conflicts()]
 }
 
 /// Runs the journaled supervised flow on a fresh cache and returns its
 /// journal. Wall clock stays off: these tests compare lanes byte for
 /// byte, and `ObligationWall` events would differ run to run.
-fn journaled(workers: usize) -> Journal {
-    exec::silence_injected_panics();
+fn journaled(workers: usize, policy: &SupervisionPolicy) -> Journal {
     let cache = cache::ObligationCache::new();
     let journal = Journal::new();
     run_full_flow_supervised(
@@ -41,7 +41,7 @@ fn journaled(workers: usize) -> Journal {
         &telemetry::noop(),
         exec::ExecMode::from_workers(workers),
         &cache,
-        &policy(),
+        policy,
         Some(&journal),
     )
     .expect("supervised flow runs");
@@ -50,44 +50,48 @@ fn journaled(workers: usize) -> Journal {
 
 #[test]
 fn deterministic_lane_is_bit_identical_across_worker_counts() {
-    let reference = journaled(1);
-    let det = reference.deterministic_jsonl();
-    let profile = FlowProfile::from_journal(&reference)
-        .deterministic_report()
-        .to_text();
-    assert!(!det.is_empty(), "journal must record the flow");
-    for workers in [2usize, 8] {
-        let j = journaled(workers);
-        assert_eq!(
-            j.deterministic_jsonl(),
-            det,
-            "deterministic journal lane diverged with {workers} workers"
-        );
-        assert_eq!(
-            FlowProfile::from_journal(&j)
-                .deterministic_report()
-                .to_text(),
-            profile,
-            "deterministic profile report diverged with {workers} workers"
-        );
+    for policy in policies() {
+        let reference = journaled(1, &policy);
+        let det = reference.deterministic_jsonl();
+        let profile = FlowProfile::from_journal(&reference)
+            .deterministic_report()
+            .to_text();
+        assert!(!det.is_empty(), "journal must record the flow");
+        for workers in [2usize, 8] {
+            let j = journaled(workers, &policy);
+            assert_eq!(
+                j.deterministic_jsonl(),
+                det,
+                "deterministic journal lane diverged with {workers} workers"
+            );
+            assert_eq!(
+                FlowProfile::from_journal(&j)
+                    .deterministic_report()
+                    .to_text(),
+                profile,
+                "deterministic profile report diverged with {workers} workers"
+            );
+        }
     }
 }
 
 #[test]
 fn every_journal_line_satisfies_the_schema() {
-    let j = journaled(2);
-    let jsonl = j.to_jsonl();
-    assert!(jsonl.lines().count() > 0);
-    for line in jsonl.lines() {
-        journal::validate_line(line)
-            .unwrap_or_else(|e| panic!("journal line failed schema validation: {e}\n  {line}"));
+    for policy in policies() {
+        let j = journaled(2, &policy);
+        let jsonl = j.to_jsonl();
+        assert!(jsonl.lines().count() > 0);
+        for line in jsonl.lines() {
+            journal::validate_line(line)
+                .unwrap_or_else(|e| panic!("journal line failed schema validation: {e}\n  {line}"));
+        }
+        assert_eq!(j.dropped(), (0, 0), "the default capacity must not drop");
     }
-    assert_eq!(j.dropped(), (0, 0), "the default capacity must not drop");
 }
 
 #[test]
 fn journal_obligations_cover_the_whole_flow() {
-    let j = journaled(1);
+    let j = journaled(1, &SupervisionPolicy::default());
     let profile = FlowProfile::from_journal(&j);
     // Started and Finished pair up one-to-one.
     let started = j
@@ -119,7 +123,6 @@ fn journal_obligations_cover_the_whole_flow() {
 fn prometheus_exposition_round_trips() {
     let collector = telemetry::Collector::shared();
     let instr: telemetry::SharedInstrument = collector.clone();
-    exec::silence_injected_panics();
     let cache = cache::ObligationCache::new();
     let journal = Journal::new();
     run_full_flow_supervised(
@@ -127,7 +130,7 @@ fn prometheus_exposition_round_trips() {
         &instr,
         exec::ExecMode::Sequential,
         &cache,
-        &policy(),
+        &SupervisionPolicy::default(),
         Some(&journal),
     )
     .expect("supervised flow runs");
@@ -142,19 +145,17 @@ fn prometheus_exposition_round_trips() {
 /// worker counts: any change to what the flow journals, or in which
 /// order, shows up as a diff. Regenerate deliberately with
 /// `UPDATE_GOLDEN=1 cargo test --test observability`.
-#[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
 #[test]
 fn deterministic_lane_matches_its_golden() {
     symbad_suite::testkit::assert_golden(
         "flow_journal_det.jsonl",
-        &journaled(1).deterministic_jsonl(),
+        &journaled(1, &SupervisionPolicy::default()).deterministic_jsonl(),
     );
 }
 
-#[cfg(not(any(feature = "panic-mutant", feature = "diverge-mutant")))]
 #[test]
 fn honest_runs_record_no_degradations() {
-    let j = journaled(1);
+    let j = journaled(1, &SupervisionPolicy::default());
     let profile = FlowProfile::from_journal(&j);
     assert!(profile.degradations.is_empty());
     assert!(j
@@ -164,35 +165,23 @@ fn honest_runs_record_no_degradations() {
     assert_eq!(profile.outcomes.get("proved"), Some(&12));
 }
 
-#[cfg(feature = "panic-mutant")]
-#[test]
-fn injected_panics_land_on_the_deterministic_lane() {
-    let j = journaled(1);
-    let profile = FlowProfile::from_journal(&j);
-    let panics = j
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Panic { .. }))
-        .count();
-    let retries = j
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Retry { .. }))
-        .count();
-    assert!(panics > 0, "panic-mutant must surface panic events");
-    assert!(retries > 0, "panicked obligations are retried once");
-    assert!(!profile.degradations.is_empty());
-    assert!(profile.degradations.iter().all(|d| d.status == "panicked"));
-}
-
-#[cfg(feature = "diverge-mutant")]
 #[test]
 fn budget_exhaustion_lands_on_the_deterministic_lane() {
-    let j = journaled(1);
+    let j = journaled(1, &zero_conflicts());
     let profile = FlowProfile::from_journal(&j);
-    assert!(!profile.degradations.is_empty());
-    assert!(profile.degradations.iter().all(|d| d.status == "unknown"));
+    let degraded: Vec<(&str, &str)> = profile
+        .degradations
+        .iter()
+        .map(|d| (d.obligation.as_str(), d.status.as_str()))
+        .collect();
+    assert_eq!(
+        degraded,
+        [
+            ("property:request_advances", "unknown"),
+            ("property:done_returns_to_idle", "unknown"),
+        ]
+    );
     // The budget-spend records show at least one axis pinned at its cap.
     let at_cap: u64 = profile.budget.values().map(|a| a.at_cap).sum();
-    assert!(at_cap > 0, "diverge-mutant must exhaust a budget axis");
+    assert!(at_cap > 0, "a zero-conflict budget must exhaust an axis");
 }
